@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,20 +57,52 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in str(text).split(","))
-    except ValueError as exc:
-        raise SystemExit(f"bad dims {text!r}: {exc}")
+    return tuple(int(part) for part in text.split(","))
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
-    parts = str(text).split(",")
-    if len(parts) != 2:
-        raise SystemExit(f"expected two comma-separated integers, got {text!r}")
-    return int(parts[0]), int(parts[1])
+    pair = _parse_dims(text)
+    if len(pair) != 2:
+        raise ValueError("expected two comma-separated integers")
+    return pair
 
 
-def _load_config_file(path: str) -> dict:
+def _parse_count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError("must be >= 0")
+    return value
+
+
+def _parse_bool(text: str) -> bool:
+    word = text.lower()
+    if word not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return word == "true"
+
+
+class _Option(NamedTuple):
+    """One flag of one subcommand; its dest is also its config-file key."""
+
+    flag: str
+    cast: Callable[[str], object] = str
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+class _Command(NamedTuple):
+    run: Callable[[dict], int]
+    help: str
+    options: tuple[_Option, ...]
+
+
+def _load_config_file(path: str, keys: set[str]) -> dict:
     values = {}
     with open(path) as fh:
         for raw in fh:
@@ -79,31 +112,52 @@ def _load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise SystemExit(f"bad config line {line!r} (expected key=value)")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in keys:
+                raise ValueError(f"unknown config key {key!r} in {path} "
+                                 f"(expected one of {', '.join(sorted(keys))})")
+            values[key] = value.strip()
     return values
 
 
-def _resolve(args, spec: dict) -> dict:
-    """Fill unset options from the config file, then from defaults."""
-    file_values = _load_config_file(args.config) if args.config else {}
+def _resolve(command: str, args) -> dict:
+    """Flags over config-file values over defaults, each cast and checked."""
+    options = _COMMANDS[command].options
+    keys = {opt.dest for opt in options}
+    file_values = _load_config_file(args.config, keys) if args.config else {}
     resolved = {}
-    for name, (cast, default) in spec.items():
-        value = getattr(args, name, None)
-        if value is None and name in file_values:
-            value = cast(file_values[name])
-        if value is None:
-            value = default
-        resolved[name] = value
+    for opt in options:
+        text, source = getattr(args, opt.dest), opt.flag
+        if text is None and opt.dest in file_values:
+            text, source = file_values[opt.dest], f"config key {opt.dest}"
+        if text is None:
+            resolved[opt.dest] = opt.default
+            continue
+        try:
+            value = opt.cast(text)
+        except ValueError as exc:
+            raise ValueError(f"bad {source} value {text!r}: {exc}") from None
+        if opt.choices is not None and value not in opt.choices:
+            raise ValueError(f"bad {source} value {text!r}: "
+                             f"expected one of {', '.join(opt.choices)}")
+        resolved[opt.dest] = value
+    required = [opt for opt in options if opt.required]
+    if any(resolved[opt.dest] is None for opt in required):
+        flags = [opt.flag for opt in required]
+        listed = ", ".join(flags[:-1]) + " and " if len(flags) > 1 else ""
+        raise SystemExit(f"{command} requires {listed}{flags[-1]}")
     return resolved
 
 
 def _workers(value) -> int:
-    if value is not None:
-        return max(1, int(value))
-    env = os.environ.get(ENV_WORKERS)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """Pool size from the flag, else the environment, else the core count.
+
+    Never more than the cores: extra workers only contend for them.
+    """
+    cores = os.cpu_count() or 1
+    if value is None:
+        value = os.environ.get(ENV_WORKERS) or cores
+    return max(1, min(int(value), cores))
 
 
 def _decade_grid(t_max: float) -> list[float]:
@@ -123,28 +177,14 @@ def _emit(resolved, command, payload_json, csv_header, csv_rows, svg_series=None
         write_csv(out, csv_header, csv_rows)
     elif fmt == "json":
         write_json(out, payload_json)
-    elif fmt == "svg":
-        if svg_series is None:
-            raise SystemExit(f"{command} has no svg rendering")
-        write_svg(out, *svg_series)
     else:
-        raise SystemExit(f"unknown format {fmt!r}")
-    manifest_config = {
-        k: (list(v) if isinstance(v, tuple) else v) for k, v in resolved.items()
-    }
-    write_manifest(out, command, manifest_config, __version__)
+        write_svg(out, *svg_series)
+    write_manifest(out, command, resolved, __version__)
 
 
 # ---------------------------------------------------------------- subcommands
 
-def _run_spectrum(args) -> int:
-    resolved = _resolve(args, {
-        "dims": (_parse_dims, None),
-        "out": (str, None),
-        "format": (str, "csv"),
-    })
-    if resolved["dims"] is None or resolved["out"] is None:
-        raise SystemExit("spectrum requires --dims and --out")
+def _run_spectrum(resolved) -> int:
     lattice = LatticeSpec(resolved["dims"])
     gap = spectral_gap(lattice)
     rows = []
@@ -167,19 +207,7 @@ def _kernel_rows(lattice, column):
         yield (index, *coords, column[index])
 
 
-def _run_kernel(args) -> int:
-    resolved = _resolve(args, {
-        "dims": (_parse_dims, None),
-        "kind": (str, "averaged"),
-        "t": (float, None),
-        "T": (float, None),
-        "dt": (float, 0.02),
-        "power": (int, 1),
-        "out": (str, None),
-        "format": (str, "csv"),
-    })
-    if resolved["dims"] is None or resolved["out"] is None:
-        raise SystemExit("kernel requires --dims and --out")
+def _run_kernel(resolved) -> int:
     lattice = LatticeSpec(resolved["dims"])
     kind = resolved["kind"]
     if kind == "instant":
@@ -194,10 +222,8 @@ def _run_kernel(args) -> int:
         if resolved["T"] is None:
             raise SystemExit("kernel --kind averaged-quad requires --T")
         kernel = averaged_kernel_quadrature(lattice, resolved["T"], resolved["dt"])
-    elif kind == "lazy":
-        kernel = lazy_kernel(lattice)
     else:
-        raise SystemExit(f"unknown kernel kind {kind!r}")
+        kernel = lazy_kernel(lattice)
     if resolved["power"] != 1:
         kernel = kernel_power(kernel, resolved["power"])
 
@@ -216,16 +242,7 @@ def _run_kernel(args) -> int:
     return 0
 
 
-def _run_mix_classical(args) -> int:
-    resolved = _resolve(args, {
-        "dims": (_parse_dims, None),
-        "epsilon": (float, 0.1),
-        "t_max": (int, None),
-        "out": (str, None),
-        "format": (str, "csv"),
-    })
-    if resolved["dims"] is None or resolved["out"] is None:
-        raise SystemExit("mix-classical requires --dims and --out")
+def _run_mix_classical(resolved) -> int:
     lattice = LatticeSpec(resolved["dims"])
     bound = lazy_mixing_bound(lattice, resolved["epsilon"])
     t_max = resolved["t_max"] if resolved["t_max"] is not None else bound
@@ -246,16 +263,7 @@ def _run_mix_classical(args) -> int:
     return 0 if satisfied else 2
 
 
-def _run_mix_coordinate(args) -> int:
-    resolved = _resolve(args, {
-        "dims": (_parse_dims, None),
-        "epsilon": (float, 0.1),
-        "rounds": (int, None),
-        "out": (str, None),
-        "format": (str, "json"),
-    })
-    if resolved["dims"] is None or resolved["out"] is None:
-        raise SystemExit("mix-coordinate requires --dims and --out")
+def _run_mix_coordinate(resolved) -> int:
     lattice = LatticeSpec(resolved["dims"])
     record = coordinate_wise_run(
         lattice, epsilon=resolved["epsilon"], rounds=resolved["rounds"]
@@ -282,19 +290,7 @@ def _run_mix_coordinate(args) -> int:
     return 0 if record.all_passed else 2
 
 
-def _run_mix_repeated(args) -> int:
-    resolved = _resolve(args, {
-        "dims": (_parse_dims, None),
-        "T": (float, None),
-        "rounds": (int, 3),
-        "mode": (str, "exact"),
-        "trajectories": (int, 100_000),
-        "seed": (int, 0),
-        "out": (str, None),
-        "format": (str, "csv"),
-    })
-    if resolved["dims"] is None or resolved["out"] is None or resolved["T"] is None:
-        raise SystemExit("mix-repeated requires --dims, --T and --out")
+def _run_mix_repeated(resolved) -> int:
     lattice = LatticeSpec(resolved["dims"])
     record = repeated_measurement_run(
         lattice, resolved["T"], resolved["rounds"], mode=resolved["mode"],
@@ -341,16 +337,7 @@ def _run_mix_repeated(args) -> int:
     return 0 if record.all_passed else 2
 
 
-def _run_lemma2(args) -> int:
-    resolved = _resolve(args, {
-        "n": (int, None),
-        "T": (float, None),
-        "offset": (int, 0),
-        "out": (str, None),
-        "format": (str, "json"),
-    })
-    if resolved["n"] is None or resolved["T"] is None or resolved["out"] is None:
-        raise SystemExit("lemma2 requires --n, --T and --out")
+def _run_lemma2(resolved) -> int:
     n, T, offset = resolved["n"], resolved["T"], resolved["offset"]
     lhs = abs(integrated_osc_sum(n, offset, T))
     rhs = integrated_osc_bound(n)
@@ -363,22 +350,7 @@ def _run_lemma2(args) -> int:
     return 0 if satisfied else 2
 
 
-def _run_conjecture(args) -> int:
-    resolved = _resolve(args, {
-        "range": (_parse_pair, (10, 100)),
-        "pairs": (int, None),
-        "seed": (int, 0),
-        "T_max": (float, 10_000.0),
-        "dt": (float, 0.02),
-        "offset": (_parse_pair, (0, 0)),
-        "halving": (lambda v: str(v).lower() == "true", False),
-        "tier": (str, "fast"),
-        "parallel": (int, None),
-        "out": (str, None),
-        "format": (str, "csv"),
-    })
-    if resolved["out"] is None:
-        raise SystemExit("conjecture requires --out")
+def _run_conjecture(resolved) -> int:
     lo, hi = resolved["range"]
     if resolved["pairs"] is None:
         if resolved["tier"] != "slow":
@@ -425,19 +397,7 @@ def _run_conjecture(args) -> int:
     return 0 if all(rep.satisfied for rep in reports) else 2
 
 
-def _run_theorem3(args) -> int:
-    resolved = _resolve(args, {
-        "n1": (int, 95),
-        "n2": (int, 93),
-        "T": (float, None),
-        "relaxed": (lambda v: str(v).lower() == "true", False),
-        "checkpoint": (str, None),
-        "tier": (str, "fast"),
-        "out": (str, None),
-        "format": (str, "json"),
-    })
-    if resolved["out"] is None:
-        raise SystemExit("theorem3 requires --out")
+def _run_theorem3(resolved) -> int:
     if resolved["tier"] != "slow":
         raise SystemExit("theorem3 is a slow-tier job; pass --tier slow to acknowledge")
     strict = not resolved["relaxed"]
@@ -463,15 +423,7 @@ def _run_theorem3(args) -> int:
     return 0
 
 
-def _run_fig1(args) -> int:
-    resolved = _resolve(args, {
-        "dims": (_parse_dims, (19, 5)),
-        "t_max": (int, None),
-        "out": (str, None),
-        "format": (str, "csv"),
-    })
-    if resolved["out"] is None:
-        raise SystemExit("fig1 requires --out")
+def _run_fig1(resolved) -> int:
     dims = resolved["dims"]
     if len(dims) != 2:
         raise SystemExit("fig1 requires exactly two cycle lengths")
@@ -502,16 +454,90 @@ def _run_fig1(args) -> int:
     return 0 if record.all_passed else 2
 
 
+def _io(default_format: str, formats=("csv", "json", "svg")) -> tuple[_Option, ...]:
+    """--out and --format, which every subcommand takes."""
+    return (_Option("--out", required=True, help="output path"),
+            _Option("--format", default=default_format, choices=formats))
+
+
+_DIMS = _Option("--dims", _parse_dims, required=True,
+                help="comma-separated cycle lengths, e.g. 19,5")
+_TIER = _Option("--tier", default="fast", choices=("fast", "slow"))
+
+# Each subcommand's runner, help and options.  The parser, the config file
+# and the casts are all driven from here, so each option is declared once.
 _COMMANDS = {
-    "spectrum": (_run_spectrum, "eigenvalue tables and the joint spectral gap"),
-    "kernel": (_run_kernel, "instantaneous, averaged, quadrature or lazy kernel column"),
-    "mix-classical": (_run_mix_classical, "lazy-walk mixing curve and its step bound"),
-    "mix-coordinate": (_run_mix_coordinate, "coordinate-at-a-time measured walk"),
-    "mix-repeated": (_run_mix_repeated, "repeated-measurement walk, exact or sampled"),
-    "lemma2": (_run_lemma2, "integrated oscillatory sum against its analytic cap"),
-    "conjecture": (_run_conjecture, "product-integral bound sweep over coprime odd pairs"),
-    "theorem3": (_run_theorem3, "averaged-kernel uniformity case check (slow tier)"),
-    "fig1": (_run_fig1, "quantum vs classical time-averaged return probability"),
+    "spectrum": _Command(_run_spectrum, "eigenvalue tables and the joint spectral gap", (
+        _DIMS,
+        *_io("csv", ("csv", "json")),
+    )),
+    "kernel": _Command(_run_kernel, "instantaneous, averaged, quadrature or lazy kernel column", (
+        _DIMS,
+        _Option("--kind", default="averaged",
+                choices=("instant", "averaged", "averaged-quad", "lazy")),
+        _Option("--t", float, help="evolution time (instant kernel)"),
+        _Option("--T", float, help="averaging horizon"),
+        _Option("--dt", float, 0.02, help="quadrature step"),
+        _Option("--power", int, 1, help="compose the kernel this many times"),
+        *_io("csv"),
+    )),
+    "mix-classical": _Command(_run_mix_classical, "lazy-walk mixing curve and its step bound", (
+        _DIMS,
+        _Option("--epsilon", float, 0.1),
+        _Option("--t-max", _parse_count),
+        *_io("csv"),
+    )),
+    "mix-coordinate": _Command(_run_mix_coordinate, "coordinate-at-a-time measured walk", (
+        _DIMS,
+        _Option("--epsilon", float, 0.1),
+        _Option("--rounds", int),
+        *_io("json"),
+    )),
+    "mix-repeated": _Command(_run_mix_repeated, "repeated-measurement walk, exact or sampled", (
+        _DIMS,
+        _Option("--T", float, required=True, help="averaging horizon"),
+        _Option("--rounds", int, 3),
+        _Option("--mode", default="exact", choices=("exact", "sampled")),
+        _Option("--trajectories", int, 100_000),
+        _Option("--seed", int, 0),
+        *_io("csv"),
+    )),
+    "lemma2": _Command(_run_lemma2, "integrated oscillatory sum against its analytic cap", (
+        _Option("--n", int, required=True),
+        _Option("--T", float, required=True),
+        _Option("--offset", int, 0),
+        *_io("json", ("csv", "json")),
+    )),
+    "conjecture": _Command(
+        _run_conjecture, "product-integral bound sweep over coprime odd pairs", (
+        _Option("--range", _parse_pair, (10, 100), help="lo,hi bounds for the cycle lengths"),
+        _Option("--pairs", int, help="sample size; omit for every pair"),
+        _Option("--seed", int, 0),
+        _Option("--T-max", float, 10_000.0),
+        _Option("--dt", float, 0.02, help="quadrature step"),
+        _Option("--offset", _parse_pair, (0, 0), help="per-factor offsets, e.g. 0,0"),
+        _Option("--halving", _parse_bool, False,
+                help="also integrate at dt/2 and report the relative step-halving gap"),
+        _TIER,
+        _Option("--parallel", int,
+                help=f"worker processes (default: cores, env {ENV_WORKERS})"),
+        *_io("csv"),
+    )),
+    "theorem3": _Command(_run_theorem3, "averaged-kernel uniformity case check (slow tier)", (
+        _Option("--n1", int, 95),
+        _Option("--n2", int, 93),
+        _Option("--T", float, help="averaging horizon"),
+        _Option("--relaxed", _parse_bool, False,
+                help="report values without asserting the caps"),
+        _Option("--checkpoint", help="resumable partial-sum file"),
+        _TIER,
+        *_io("json", ("csv", "json")),
+    )),
+    "fig1": _Command(_run_fig1, "quantum vs classical time-averaged return probability", (
+        _Option("--dims", _parse_dims, (19, 5), help=_DIMS.help),
+        _Option("--t-max", _parse_count),
+        *_io("csv"),
+    )),
 }
 
 
@@ -519,54 +545,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="latticemix", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="key=value file merged under flags")
-        p.add_argument("--out", help="output path")
-        p.add_argument("--format", choices=("csv", "json", "svg"))
-        if name in ("spectrum", "kernel", "mix-classical", "mix-coordinate",
-                    "mix-repeated", "fig1"):
-            p.add_argument("--dims", help="comma-separated cycle lengths, e.g. 19,5")
-        if name == "kernel":
-            p.add_argument("--kind", choices=("instant", "averaged", "averaged-quad", "lazy"))
-            p.add_argument("--t", type=float, help="evolution time (instant kernel)")
-            p.add_argument("--power", type=int, help="compose the kernel this many times")
-        if name in ("kernel", "mix-repeated", "theorem3"):
-            p.add_argument("--T", type=float, help="averaging horizon")
-        if name in ("kernel", "conjecture"):
-            p.add_argument("--dt", type=float, help="quadrature step")
-        if name in ("mix-classical", "mix-coordinate"):
-            p.add_argument("--epsilon", type=float)
-        if name in ("mix-classical", "fig1"):
-            p.add_argument("--t-max", dest="t_max", type=int)
-        if name in ("mix-coordinate", "mix-repeated"):
-            p.add_argument("--rounds", type=int)
-        if name == "mix-repeated":
-            p.add_argument("--mode", choices=("exact", "sampled"))
-            p.add_argument("--trajectories", type=int)
-        if name in ("mix-repeated", "conjecture"):
-            p.add_argument("--seed", type=int)
-        if name == "lemma2":
-            p.add_argument("--n", type=int)
-            p.add_argument("--T", type=float)
-            p.add_argument("--offset", type=int)
-        if name == "conjecture":
-            p.add_argument("--range", help="lo,hi bounds for the cycle lengths")
-            p.add_argument("--pairs", type=int, help="sample size; omit for every pair")
-            p.add_argument("--T-max", dest="T_max", type=float)
-            p.add_argument("--offset", help="per-factor offsets, e.g. 0,0")
-            p.add_argument("--halving", action="store_const", const=True,
-                           help="also integrate at dt/2 and report the relative step-halving gap")
-            p.add_argument("--parallel", type=int,
-                           help=f"worker processes (default: cores, env {ENV_WORKERS})")
-        if name == "theorem3":
-            p.add_argument("--n1", type=int)
-            p.add_argument("--n2", type=int)
-            p.add_argument("--relaxed", action="store_const", const=True,
-                           help="report values without asserting the caps")
-            p.add_argument("--checkpoint", help="resumable partial-sum file")
-        if name in ("conjecture", "theorem3"):
-            p.add_argument("--tier", choices=("fast", "slow"))
+        for opt in command.options:
+            if opt.cast is _parse_bool:
+                # a bare switch; its value is cast like a config-file "true"
+                p.add_argument(opt.flag, dest=opt.dest, action="store_const",
+                               const="true", help=opt.help)
+            else:
+                # choices are checked in _resolve, for config-file values too
+                metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
+                p.add_argument(opt.flag, dest=opt.dest, metavar=metavar, help=opt.help)
     return parser
 
 
@@ -576,18 +566,8 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 1
-    runner, _ = _COMMANDS[args.command]
-    # string fields passed through argparse may still carry raw text when they
-    # come from the config file; runners cast via their resolver specs
-    if getattr(args, "dims", None) is not None:
-        args.dims = _parse_dims(args.dims)
-    if args.command == "conjecture":
-        if getattr(args, "range", None) is not None:
-            args.range = _parse_pair(args.range)
-        if getattr(args, "offset", None) is not None:
-            args.offset = _parse_pair(args.offset)
     try:
-        return runner(args)
+        return _COMMANDS[args.command].run(_resolve(args.command, args))
     except SystemExit as exc:
         if isinstance(exc.code, str):
             sys.stderr.write(exc.code + "\n")

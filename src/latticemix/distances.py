@@ -33,11 +33,6 @@ def point_mass(index: int, size: int) -> np.ndarray:
     return out
 
 
-def is_distribution(vec: np.ndarray, tol: float = 1e-9) -> bool:
-    vec = np.asarray(vec, dtype=float)
-    return bool(vec.min() >= -tol and abs(vec.sum() - 1.0) <= tol)
-
-
 def tv_distance(a: np.ndarray, b: np.ndarray) -> float:
     """(1/2) * sum |a_i - b_i|; in [0, 1] for probability vectors."""
     a = np.asarray(a, dtype=float).ravel()

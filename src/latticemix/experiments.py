@@ -86,6 +86,8 @@ def repeated_measurement_run(
     rounds = int(rounds)
     if rounds < 1:
         raise ValueError(f"need at least one round, got {rounds}")
+    if mode == "sampled" and trajectories < 1:
+        raise ValueError(f"need at least one trajectory, got {trajectories}")
     config = {
         "dims": lattice.dims, "T": float(T), "rounds": rounds, "mode": mode,
     }

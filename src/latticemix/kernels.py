@@ -67,7 +67,7 @@ class Kernel:
 
     def column(self, source: tuple[int, ...] | int = 0) -> np.ndarray:
         """Probability column out of `source`, as a flat length-N vector."""
-        if isinstance(source, int):
+        if isinstance(source, (int, np.integer)):
             source = np.unravel_index(source, self.lattice.dims)
         return np.roll(self.grid, shift=tuple(source), axis=range(self.lattice.d)).ravel()
 

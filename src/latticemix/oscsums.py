@@ -310,7 +310,7 @@ def bound_sweep(
     jobs = [((int(n1), int(n2)), T_grid, dt, tuple(offsets), check_halving)
             for n1, n2 in pairs]
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             chunks = list(pool.map(_sweep_one, jobs))
     else:
         chunks = [_sweep_one(job) for job in jobs]

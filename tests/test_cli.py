@@ -1,9 +1,12 @@
+import argparse
 import json
+import os
 
 import numpy as np
 import pytest
 
-from latticemix.cli import main
+from latticemix import cli
+from latticemix.cli import build_parser, main
 
 
 def run(*argv) -> int:
@@ -50,6 +53,27 @@ class TestExitCodes:
 
     def test_missing_required_flag_is_one(self, tmp_path):
         assert run("lemma2", "--out", str(tmp_path / "r.json")) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("kernel", "--dims", "1,x"),
+        ("conjecture", "--range", "10"),
+        ("conjecture", "--range", "a,b", "--pairs", "1"),
+    ])
+    def test_bad_value_is_one_line_usage_error(self, tmp_path, capsys, argv):
+        assert run(*argv, "--out", str(tmp_path / "a.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and argv[1] in err
+
+    @pytest.mark.parametrize("argv", [
+        ("mix-repeated", "--dims", "5,3", "--T", "2", "--mode", "sampled",
+         "--trajectories", "0"),
+        ("mix-classical", "--dims", "5", "--t-max", "-5"),
+    ])
+    def test_out_of_range_count_is_one(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "a.csv")
+        assert run(*argv, "--out", out) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not os.path.exists(out)
 
     def test_slow_tier_refusal(self, tmp_path):
         assert run("theorem3", "--out", str(tmp_path / "t.json")) == 1
@@ -153,3 +177,92 @@ class TestConfigResolution:
         out = str(tmp_path / "c.csv")
         assert run("conjecture", "--range", "10,30", "--pairs", "1", "--seed", "1",
                    "--T-max", "50", "--out", out) == 0
+
+    @pytest.mark.parametrize("argv, line, key", [
+        (("lemma2", "--n", "19", "--T", "10"), "Tmax=5", "Tmax"),
+        (("lemma2", "--n", "19", "--T", "10"), "format=xml", "format"),
+        (("kernel", "--dims", "5,3", "--T", "2"), "kind=exact", "kind"),
+        (("mix-repeated", "--dims", "5,3", "--T", "2"), "mode=lazy", "mode"),
+        (("conjecture", "--pairs", "1"), "tier=medium", "tier"),
+        (("conjecture", "--pairs", "1"), "halving=1", "halving"),
+        (("theorem3", "--tier", "slow"), "relaxed=yes", "relaxed"),
+    ])
+    def test_strict_config_file(self, tmp_path, capsys, monkeypatch, argv, line, key):
+        def must_not_run(resolved):
+            raise AssertionError("bad config reached the runner")
+
+        name = argv[0]
+        monkeypatch.setitem(cli._COMMANDS, name, cli._COMMANDS[name]._replace(run=must_not_run))
+        config = tmp_path / "job.cfg"
+        config.write_text(line + "\n")
+        assert run(*argv, "--config", str(config), "--out", str(tmp_path / "a.out")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err
+
+    def test_worker_count_capped_at_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delenv("LATTICEMIX_PARALLEL", raising=False)
+        assert cli._workers(None) == 2
+        assert cli._workers(10_000) == 2
+        assert cli._workers(0) == 1
+        monkeypatch.setenv("LATTICEMIX_PARALLEL", "10000")
+        assert cli._workers(None) == 2
+
+
+# Option strings of each subcommand besides --config, --out and --format.
+SURFACE = {
+    "spectrum": "--dims",
+    "kernel": "--dims --kind --t --T --dt --power",
+    "mix-classical": "--dims --epsilon --t-max",
+    "mix-coordinate": "--dims --epsilon --rounds",
+    "mix-repeated": "--dims --T --rounds --mode --trajectories --seed",
+    "lemma2": "--n --T --offset",
+    "conjecture": "--range --pairs --seed --T-max --dt --offset --halving --parallel --tier",
+    "theorem3": "--n1 --n2 --T --relaxed --checkpoint --tier",
+    "fig1": "--dims --t-max",
+}
+
+
+class TestSurface:
+    def test_option_strings(self):
+        parser = build_parser()
+        subparsers = next(
+            action.choices for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert set(subparsers) == set(SURFACE)
+        for name, flags in SURFACE.items():
+            strings = {s for action in subparsers[name]._actions for s in action.option_strings}
+            expected = set(flags.split()) | {"--config", "--out", "--format", "-h", "--help"}
+            assert strings == expected, name
+
+    @pytest.mark.parametrize("argv, config", [
+        (("spectrum", "--dims", "5,3"), {"dims": [5, 3], "format": "csv"}),
+        (("kernel", "--dims", "5,3", "--T", "2"),
+         {"dims": [5, 3], "kind": "averaged", "t": None, "T": 2.0, "dt": 0.02,
+          "power": 1, "format": "csv"}),
+        (("mix-classical", "--dims", "5"),
+         {"dims": [5], "epsilon": 0.1, "t_max": None, "format": "csv"}),
+        (("mix-coordinate", "--dims", "5,3"),
+         {"dims": [5, 3], "epsilon": 0.1, "rounds": None, "format": "json"}),
+        (("mix-repeated", "--dims", "5,3", "--T", "2"),
+         {"dims": [5, 3], "T": 2.0, "rounds": 3, "mode": "exact",
+          "trajectories": 100_000, "seed": 0, "format": "csv"}),
+        (("lemma2", "--n", "5", "--T", "2"),
+         {"n": 5, "T": 2.0, "offset": 0, "format": "json"}),
+        (("conjecture", "--pairs", "1", "--T-max", "20"),
+         {"range": [10, 100], "pairs": 1, "seed": 0, "T_max": 20.0, "dt": 0.02,
+          "offset": [0, 0], "halving": False, "tier": "fast", "parallel": None,
+          "format": "csv"}),
+        (("theorem3", "--tier", "slow"),
+         {"n1": 95, "n2": 93, "T": None, "relaxed": False, "checkpoint": None,
+          "tier": "slow", "format": "json"}),
+        (("fig1",), {"dims": [19, 5], "t_max": None, "format": "csv"}),
+    ])
+    def test_manifest_config_defaults(self, tmp_path, monkeypatch, argv, config):
+        # the (95, 93) desk check takes seconds; its defaults are all this pins
+        monkeypatch.setattr(cli, "uniformity_case_check", lambda *args, **kwargs: [])
+        out = str(tmp_path / "artifact")
+        assert run(*argv, "--out", out) in (0, 2)
+        manifest = json.loads(read(out + ".manifest.json"))
+        assert manifest["config"] == {**config, "out": out}

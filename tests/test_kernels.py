@@ -214,6 +214,10 @@ class TestKernelType:
         source = int(np.ravel_multi_index((2, 1), (5, 3)))
         assert np.array_equal(matrix[:, source], kernel.column((2, 1)))
 
+    def test_column_accepts_numpy_integer(self):
+        kernel = instantaneous_kernel(LatticeSpec((5, 3)), 2.0)
+        assert np.array_equal(kernel.column(np.int64(3)), kernel.column(3))
+
     def test_dense_guard(self):
         with pytest.raises(SizeError):
             uniform_kernel(LatticeSpec((70, 70))).full_matrix()

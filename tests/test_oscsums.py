@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from latticemix import oscsums
 from latticemix.errors import ParityError, ResolutionError
 from latticemix.oscsums import (
     BoundReport,
@@ -183,6 +184,27 @@ class TestSweep:
         assert len(reports) == 3
         assert all(r.satisfied for r in reports)
         assert all(r.method == "QUADRATURE" for r in reports)
+
+    def test_pool_capped_at_pair_count(self, monkeypatch):
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(oscsums, "ProcessPoolExecutor", RecordingPool)
+        reports = bound_sweep([(13, 11), (15, 13)], [10.0], workers=10_000)
+        assert requested == [2]
+        assert len(reports) == 2
 
     def test_report_consistency(self):
         report = BoundReport.build({"x": 1}, lhs=2.0, rhs=1.0, method="ANALYTIC")
