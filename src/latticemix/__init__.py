@@ -39,6 +39,7 @@ from .kernels import (
     Kernel,
     averaged_kernel_analytic,
     averaged_kernel_quadrature,
+    averaged_return_probability,
     identity_kernel,
     instantaneous_kernel,
     kernel_power,

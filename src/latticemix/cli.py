@@ -74,6 +74,13 @@ def _parse_count(text: str) -> int:
     return value
 
 
+def _parse_positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be >= 1")
+    return value
+
+
 def _parse_bool(text: str) -> bool:
     word = text.lower()
     if word not in ("true", "false"):
@@ -478,7 +485,8 @@ _COMMANDS = {
         _Option("--t", float, help="evolution time (instant kernel)"),
         _Option("--T", float, help="averaging horizon"),
         _Option("--dt", float, 0.02, help="quadrature step"),
-        _Option("--power", int, 1, help="compose the kernel this many times"),
+        _Option("--power", _parse_count, 1,
+                help="compose the kernel this many times; 0 gives the identity P^0"),
         *_io("csv"),
     )),
     "mix-classical": _Command(_run_mix_classical, "lazy-walk mixing curve and its step bound", (
@@ -511,7 +519,7 @@ _COMMANDS = {
     "conjecture": _Command(
         _run_conjecture, "product-integral bound sweep over coprime odd pairs", (
         _Option("--range", _parse_pair, (10, 100), help="lo,hi bounds for the cycle lengths"),
-        _Option("--pairs", int, help="sample size; omit for every pair"),
+        _Option("--pairs", _parse_positive, help="sample size (>= 1); omit for every pair"),
         _Option("--seed", int, 0),
         _Option("--T-max", float, 10_000.0),
         _Option("--dt", float, 0.02, help="quadrature step"),

@@ -22,6 +22,9 @@ import numpy as np
 
 from .kernels import Kernel
 
+# Entries of one gathered block of rolled columns in pairwise_column_distance.
+_SHIFT_BLOCK = 2**18
+
 
 def uniform(size: int) -> np.ndarray:
     return np.full(int(size), 1.0 / int(size))
@@ -52,16 +55,32 @@ def pairwise_column_distance(kernel: Kernel) -> float:
 
     Circulant shortcut: columns are shifts of the first, so only the
     tv between the first column and each of its N - 1 nonzero rolls is needed.
+    Rolling both columns by -v shows tv(c, c rolled by v) equals
+    tv(c, c rolled by -v), so the first of the leading axes (all but the
+    last) needs only shifts up to half its length.  The rolls along the last axis are gathered at once through the
+    index matrix idx[s, x] = (x - s) mod n_last, in chunks of shifts that keep
+    a block near _SHIFT_BLOCK entries, so the Python loop runs only over
+    shifts of the leading axes.
     """
     grid = kernel.grid
     dims = kernel.lattice.dims
-    axes = tuple(range(len(dims)))
+    x = np.arange(dims[-1])
+    idx = (x[None, :] - x[:, None]) % dims[-1]
+    lead = [range(n) for n in dims[:-1]]
+    if lead:
+        lead[0] = range(dims[0] // 2 + 1)
+    lead_axes = tuple(range(1, len(dims)))
+    step = max(1, _SHIFT_BLOCK // grid.size)
     best = 0.0
-    for shift in itertools.product(*(range(n) for n in dims)):
-        if not any(shift):
-            continue
-        rolled = np.roll(grid, shift, axis=axes)
-        best = max(best, tv_distance(grid, rolled))
+    for lo in range(0, dims[-1], step):
+        # rolls[k] is the grid rolled by lo + k along the last axis
+        rolls = np.ascontiguousarray(np.moveaxis(grid[..., idx[lo:lo + step]], -2, 0))
+        for shift in itertools.product(*lead):
+            diff = np.roll(rolls, shift, axis=lead_axes)
+            np.subtract(diff, grid, out=diff)
+            np.abs(diff, out=diff)
+            tvs = 0.5 * diff.reshape(len(diff), -1).sum(axis=1)
+            best = max(best, float(tvs.max()))
     return best
 
 

@@ -34,6 +34,7 @@ from .kernels import (
     Kernel,
     averaged_kernel_analytic,
     averaged_kernel_quadrature,
+    averaged_return_probability,
     kernel_power,
 )
 from .oscsums import BoundReport
@@ -342,8 +343,7 @@ def return_probability_curves(
 
     quantum = np.empty(t_max + 1)
     quantum[0] = 1.0
-    for T in range(1, t_max + 1):
-        quantum[T] = averaged_kernel_analytic(lattice, float(T)).first_column[0]
+    quantum[1:] = averaged_return_probability(lattice, np.arange(1, t_max + 1))
 
     grid = np.zeros(lattice.dims)
     grid[0, 0] = 1.0

@@ -10,10 +10,17 @@ Three constructions are provided:
 * instantaneous_kernel: measure after evolving for a fixed time t, entries
   |amplitude|^2.
 * averaged_kernel_analytic: measure after a time drawn uniformly from [0, T].
-  The time average is done per frequency pair: each factor contributes terms
-  coeff * exp(i*t*omega) with omega = scale*(lambda_j - lambda_k), and
-  (1/T) * integral_0^T exp(i*omega*t) dt = g(omega*T) with
-  g(x) = (exp(ix) - 1)/(ix).  Joint terms multiply across factors.
+  The average is done on folded spectral tables.  On an odd cycle
+  lambda_j = lambda_{n-j}, so the indices fall into (n+1)/2 mirror classes
+  a = min(j, n-j), and the n^2 index pairs (j, k) of |amplitude|^2 collapse
+  onto class pairs (a, b) with frequency omega_ab = scale*(lambda_a - lambda_b)
+  and the real coefficient c_a(l)*c_b(l)/n^2, where c_a(l) is the sum of
+  w^(l*j) over the class: mult_a*cos(2*pi*l*a/n), mult_0 = 1, mult_a = 2.
+  The pairs (a, b) and (b, a) are complex conjugates, so the time average
+  (1/T)*integral_0^T exp(i*omega*t) dt = g(omega*T) enters only through
+  Re g(x) = sin(x)/x, and the whole construction is real.  Joint terms of
+  a d=2 lattice multiply across factors, with weight sin(x)/x at
+  x = (omega1 + omega2)*T.
 * averaged_kernel_quadrature: the same average by composite Simpson over a
   time grid, kept deliberately independent of the per-frequency path so the
   two can cross-check each other.
@@ -37,7 +44,10 @@ from .spectral import LatticeSpec, eigenphases, product_amplitude
 MAX_DENSE_MATRIX = 2048
 MAX_QUADRATURE_DT = 0.05
 
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
+
+# Entries of one block of sin(x)/x weights in averaged_return_probability.
+_WEIGHT_BLOCK = 2**18
 
 
 @dataclass(frozen=True)
@@ -127,35 +137,38 @@ def uniform_time_average(x: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
+def _sinc_average(x: np.ndarray) -> np.ndarray:
+    """Re g(x) = sin(x)/x, the weight of a conjugate-symmetric term pair.
+
+    Exactly 1 at x = 0, so the class pairs whose frequencies cancel
+    identically (eigenvalues match bitwise) keep their full weight.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+
+
 @functools.lru_cache(maxsize=64)
-def _factor_terms(n: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies omega_p and index offsets delta_p of one factor's n^2 pairs."""
-    lam = eigenphases(n).lambdas
-    omega = scale * np.subtract.outer(lam, lam)
-    j = np.arange(n)
-    delta = np.subtract.outer(j, j) % n
-    omega = omega.ravel()
-    delta = delta.ravel()
+def _folded_table(n: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies and real coefficients of one odd cycle's class pairs.
+
+    Returns omega[(a, b)] = scale*(lambda_a - lambda_b) and
+    C[l, (a, b)] = c_a(l)*c_b(l)/n^2 over the class pairs a, b <= (n-1)/2,
+    flattened row-major in (a, b).
+    """
+    classes = np.arange((n + 1) // 2)
+    lam = eigenphases(n).lambdas[classes]
+    omega = scale * np.subtract.outer(lam, lam).ravel()
+    mult = np.where(classes == 0, 1.0, 2.0)
+    c = mult * np.cos(2.0 * np.pi * np.outer(np.arange(n), classes) / n)
+    coeff = (c[:, :, None] * c[:, None, :]).reshape(n, -1) / float(n) ** 2
     omega.setflags(write=False)
-    delta.setflags(write=False)
-    return omega, delta
-
-
-@functools.lru_cache(maxsize=64)
-def _coeff_matrix(n: int) -> np.ndarray:
-    """M[l, p] = w^(l * delta_p) / n^2, mapping pair terms to destinations."""
-    _, delta = _factor_terms(n, 1.0)
-    roots = eigenphases(n).unit_roots
-    mat = roots[np.outer(np.arange(n), delta) % n] / float(n) ** 2
-    mat.setflags(write=False)
-    return mat
+    coeff.setflags(write=False)
+    return omega, coeff
 
 
 def _averaged_column_1d(n: int, T: float) -> np.ndarray:
-    omega, _ = _factor_terms(n, 1.0)
-    weights = uniform_time_average(omega * T)
-    col = (_coeff_matrix(n) @ weights).real
-    return col
+    omega, coeff = _folded_table(n, 1.0)
+    return coeff @ _sinc_average(omega * T)
 
 
 def _load_checkpoint(path: str, meta: tuple) -> tuple[int, np.ndarray] | None:
@@ -163,6 +176,12 @@ def _load_checkpoint(path: str, meta: tuple) -> tuple[int, np.ndarray] | None:
         return None
     data = np.load(path)
     stored = tuple(data["meta"])
+    if stored[0] != meta[0]:
+        raise ValueError(
+            f"checkpoint {path} has format version {stored[0]:g}, this build "
+            f"reads version {meta[0]} (folded real partial sums); delete it "
+            f"to start the run over"
+        )
     if stored != meta:
         raise ValueError(
             f"checkpoint {path} was written for different parameters {stored}"
@@ -193,24 +212,25 @@ def _averaged_column_2d(
 ) -> np.ndarray:
     """First column of the d=2 averaged kernel by factor-block contraction.
 
-    Factor-1 pairs are processed in blocks; for each block the joint weights
-    g((omega1 + omega2) * T) are contracted against factor 2's coefficient
-    matrix, accumulating C[p1, l2] = sum_p2 M2[l2, p2] * g(...).  The column
-    is then Re(M1 @ C).  Partial sums of C are checkpointable so a long run
-    survives interruption; the block order is fixed, so a resumed run adds
-    the same terms in the same order and reproduces the uninterrupted result
-    bit for bit.
+    Factor-1 class pairs are processed in blocks; for each block the joint
+    weights sin(x)/x at x = (omega1 + omega2) * T are contracted against
+    factor 2's coefficient matrix, accumulating
+    partial[p1, l2] = sum_p2 C2[l2, p2] * weight[p1, p2].  The column is then
+    C1 @ partial.  Partial sums are checkpointable so a long run survives
+    interruption; the block order is fixed, so a resumed run adds the same
+    terms in the same order and reproduces the uninterrupted result bit for
+    bit.
     """
     scale = 0.5
-    omega1, _ = _factor_terms(n1, scale)
-    omega2, _ = _factor_terms(n2, scale)
-    m2t = np.ascontiguousarray(_coeff_matrix(n2).T)  # (n2^2, n2)
+    omega1, coeff1 = _folded_table(n1, scale)
+    omega2, coeff2 = _folded_table(n2, scale)
+    c2t = np.ascontiguousarray(coeff2.T)  # (((n2+1)/2)^2, n2)
     p1_count = omega1.size
     blocks = range(0, p1_count, block_size)
 
     meta = (_CHECKPOINT_VERSION, n1, n2, float(T), block_size)
     start = 0
-    partial = np.zeros((p1_count, n2), dtype=complex)
+    partial = np.zeros((p1_count, n2))
     resumed = _load_checkpoint(checkpoint, meta) if checkpoint else None
     if resumed is not None:
         start, partial = resumed
@@ -220,14 +240,21 @@ def _averaged_column_2d(
             continue
         hi = min(lo + block_size, p1_count)
         joint = (omega1[lo:hi, None] + omega2[None, :]) * T
-        partial[lo:hi] = uniform_time_average(joint) @ m2t
+        partial[lo:hi] = _sinc_average(joint) @ c2t
         if checkpoint and (count + 1) % checkpoint_every == 0 and hi < p1_count:
             _save_checkpoint(checkpoint, meta, hi, partial)
 
-    col = (_coeff_matrix(n1) @ partial).real
+    col = coeff1 @ partial
     if checkpoint and os.path.exists(checkpoint):
         os.remove(checkpoint)
     return col.ravel()
+
+
+def _check_analytic_lattice(lattice: LatticeSpec) -> None:
+    if not lattice.all_odd:
+        raise ParityError(f"analytic averaged kernel needs odd dims, got {lattice.dims}")
+    if lattice.d > 2:
+        raise SizeError("analytic averaged kernel supports d <= 2; use quadrature")
 
 
 def averaged_kernel_analytic(
@@ -245,10 +272,7 @@ def averaged_kernel_analytic(
     """
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"averaging horizon must be positive, got {T}")
-    if not lattice.all_odd:
-        raise ParityError(f"analytic averaged kernel needs odd dims, got {lattice.dims}")
-    if lattice.d > 2:
-        raise SizeError("analytic averaged kernel supports d <= 2; use quadrature")
+    _check_analytic_lattice(lattice)
     lattice.check_dense()
 
     if lattice.d == 1:
@@ -259,6 +283,33 @@ def averaged_kernel_analytic(
         )
     _check_stochastic(col, 1e-9, f"analytic averaged kernel T={T}")
     return Kernel(lattice=lattice, first_column=col, kind=f"averaged(T={T})")
+
+
+def averaged_return_probability(lattice: LatticeSpec, horizons) -> np.ndarray:
+    """Origin entry P_T(0, 0) of the analytic averaged kernel at each horizon.
+
+    Matches averaged_kernel_analytic(lattice, T).first_column[0] for every T
+    in `horizons`.  The origin entry needs only row 0 of each factor's folded
+    table, so the joint terms are formed once and each horizon costs one dot
+    product with their sin(x)/x weights; horizons go through in chunks that
+    keep the weight block near _WEIGHT_BLOCK entries.
+    """
+    horizons = np.asarray(horizons, dtype=float).ravel()
+    if not np.all(np.isfinite(horizons) & (horizons > 0)):
+        raise ValueError("averaging horizons must be positive and finite")
+    _check_analytic_lattice(lattice)
+    scale = 1.0 / lattice.d
+    omega, coeff = np.zeros(1), np.ones(1)
+    for n in lattice.dims:
+        factor_omega, factor_coeff = _folded_table(n, scale)
+        omega = np.add.outer(omega, factor_omega).ravel()
+        coeff = np.multiply.outer(coeff, factor_coeff[0]).ravel()
+    out = np.empty(horizons.size)
+    step = max(1, _WEIGHT_BLOCK // omega.size)
+    for lo in range(0, horizons.size, step):
+        hi = min(lo + step, horizons.size)
+        out[lo:hi] = _sinc_average(np.multiply.outer(horizons[lo:hi], omega)) @ coeff
+    return out
 
 
 def simpson_grid(T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:

@@ -184,8 +184,8 @@ def product_integral_exact(
     """Signed product integral by exact integration of all 4-index terms.
 
     integral_0^T exp(-i*t*(sigma1+sigma2)) dt = T*g(-(sigma1+sigma2)*T) with
-    the same entire function g used by the averaged kernels, so no frequency
-    thresholding is involved.  Quadratic in n1*n2; refuse above max_product.
+    the entire function g(x) = (exp(ix) - 1)/(ix), whose real part weights
+    the averaged kernels, so no frequency thresholding is involved.  Quadratic in n1*n2; refuse above max_product.
     """
     from .kernels import uniform_time_average
 

@@ -39,6 +39,30 @@ def expm_amplitude_column(lattice: LatticeSpec, source_index: int, t: float) -> 
     return scipy.linalg.expm(1j * t * walk)[:, source_index]
 
 
+def unfolded_averaged_column(dims: tuple[int, ...], T: float) -> np.ndarray:
+    """First column of the averaged kernel P_T as the plain sum over index pairs.
+
+    P_T(0, l) = sum over all index pairs (j_k, m_k) of every factor of
+    prod_k w_k^(l_k*(j_k - m_k))/n_k^2 * Re g(x), with x = T * sum_k omega_k,
+    omega_k = (lambda_j - lambda_m)/d and Re g(x) = sin(x)/x: the unfolded
+    n1^2 * n2^2 route, with eigenvalues cos(2*pi*j/n) taken straight from
+    their definition.  Only for d <= 2.
+    """
+    d = len(dims)
+    omegas, coeffs = [], []
+    for n in dims:
+        j = np.arange(n)
+        lam = np.cos(2.0 * np.pi * j / n)
+        omegas.append((np.subtract.outer(lam, lam) / d).ravel())
+        delta = np.subtract.outer(j, j).ravel()
+        coeffs.append(np.exp(2j * np.pi * np.outer(j, delta) / n) / n**2)
+    if d == 1:
+        weights = np.sinc(omegas[0] * T / np.pi)
+        return (coeffs[0] @ weights).real
+    weights = np.sinc(np.add.outer(omegas[0], omegas[1]) * T / np.pi)
+    return (coeffs[0] @ weights @ coeffs[1].T).real.ravel()
+
+
 def allpairs_column_distance(matrix: np.ndarray) -> float:
     """Max pairwise column tv by scanning every column pair."""
     n = matrix.shape[1]

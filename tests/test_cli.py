@@ -68,6 +68,9 @@ class TestExitCodes:
         ("mix-repeated", "--dims", "5,3", "--T", "2", "--mode", "sampled",
          "--trajectories", "0"),
         ("mix-classical", "--dims", "5", "--t-max", "-5"),
+        ("conjecture", "--pairs", "0"),
+        ("conjecture", "--pairs", "-3"),
+        ("kernel", "--dims", "5,3", "--T", "2", "--power", "-1"),
     ])
     def test_out_of_range_count_is_one(self, tmp_path, capsys, argv):
         out = str(tmp_path / "a.csv")
@@ -130,6 +133,14 @@ class TestOutputs:
         probs = np.array([float(r.split(",")[-1]) for r in rows])
         assert probs.size == 95
         assert abs(probs.sum() - 1.0) < 1e-9
+
+    def test_kernel_power_zero_is_identity(self, tmp_path):
+        out = str(tmp_path / "k.json")
+        assert run("kernel", "--dims", "5,3", "--T", "2", "--power", "0",
+                   "--format", "json", "--out", out) == 0
+        payload = json.loads(read(out))
+        assert payload["first_column"] == [1.0] + [0.0] * 14
+        assert payload["column_distance"] == 1.0
 
     def test_svg_output(self, tmp_path):
         out = str(tmp_path / "fig1.svg")

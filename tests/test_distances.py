@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from latticemix import distances
 from latticemix.classical import lazy_kernel
 from latticemix.distances import (
     column_mass_bound,
@@ -31,6 +32,7 @@ def assorted_kernels():
     yield lazy_kernel(LatticeSpec((5, 3)))
     yield instantaneous_kernel(LatticeSpec((7,)), 2.5)
     yield instantaneous_kernel(LatticeSpec((4, 3)), 1.2)
+    yield instantaneous_kernel(LatticeSpec((3, 4, 5)), 0.7)
     yield averaged_kernel_analytic(LatticeSpec((9, 5)), 7.0)
     yield averaged_kernel_analytic(LatticeSpec((13,)), 40.0)
     yield uniform_kernel(LatticeSpec((8,)))
@@ -81,6 +83,14 @@ class TestPairwiseColumnDistance:
             shortcut = pairwise_column_distance(kernel)
             oracle = allpairs_column_distance(kernel.full_matrix())
             assert abs(shortcut - oracle) < 1e-12
+
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_blocked_shifts_match_allpairs_scan(self, monkeypatch, block):
+        # small blocks gather the last-axis rolls a few shifts at a time
+        monkeypatch.setattr(distances, "_SHIFT_BLOCK", block)
+        for kernel in assorted_kernels():
+            oracle = allpairs_column_distance(kernel.full_matrix())
+            assert abs(pairwise_column_distance(kernel) - oracle) < 1e-12
 
     def test_sandwich_inequality(self):
         # tv(c, u) <= d(P) <= 2 * tv(c, u) for every kernel this package builds

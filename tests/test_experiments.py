@@ -12,6 +12,7 @@ from latticemix.experiments import (
     spread_constant,
     uniformity_case_check,
 )
+from latticemix.kernels import averaged_kernel_analytic
 from latticemix.spectral import FULL, LatticeSpec, cycle_amplitude
 
 
@@ -177,6 +178,15 @@ class TestReturnProbabilityCurves:
         assert record.scalars["mark_time"] == 24
         assert record.verdicts["quantum_near_uniform_at_mark"]
         assert record.verdicts["quantum_closer_than_classical_at_mark"]
+
+    def test_quantum_curve_matches_per_horizon_kernels(self):
+        # (23, 21) has 144 * 121 joint class pairs, so 40 horizons span
+        # several weight blocks
+        record = return_probability_curves(23, 21, t_max=40)
+        lattice = LatticeSpec((23, 21))
+        per_T = [averaged_kernel_analytic(lattice, float(T)).first_column[0]
+                 for T in range(1, 41)]
+        assert np.abs(record.curves["quantum_return"][1:] - per_T).max() <= 1e-12
 
     def test_classical_mixes_by_square_time(self):
         record = return_probability_curves(19, 5, t_max=10)

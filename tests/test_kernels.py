@@ -15,7 +15,7 @@ from latticemix.kernels import (
 from latticemix.oscsums import integrated_osc_sum, product_integral_exact
 from latticemix.spectral import LatticeSpec
 
-from oracles import expm_amplitude_column
+from oracles import expm_amplitude_column, unfolded_averaged_column
 
 
 def assert_doubly_stochastic(kernel, tol=1e-9):
@@ -70,6 +70,12 @@ class TestAveragedKernels:
         analytic = averaged_kernel_analytic(lattice, T).first_column
         quad = averaged_kernel_quadrature(lattice, T, 0.02).first_column
         assert np.abs(analytic - quad).max() <= 1e-6
+
+    @pytest.mark.parametrize("dims", [(19, 5), (23, 21), (9,)])
+    @pytest.mark.parametrize("T", [1e-9, 7.0, 24.0, 6.2e6])
+    def test_folded_analytic_matches_unfolded_sum(self, dims, T):
+        folded = averaged_kernel_analytic(LatticeSpec(dims), T).first_column
+        assert np.abs(folded - unfolded_averaged_column(dims, T)).max() <= 1e-12
 
     def test_one_dimensional_analytic_matches_quadrature(self):
         lattice = LatticeSpec((9,))
@@ -129,25 +135,26 @@ class TestCheckpointing:
     def test_interrupted_run_resumes_to_identical_column(self, tmp_path, monkeypatch):
         import latticemix.kernels as kernels_module
 
+        # (19, 5) has 10^2 factor-1 class pairs: two blocks of at most 64
         lattice = LatticeSpec((19, 5))
         reference = averaged_kernel_analytic(lattice, 24.0, block_size=64).first_column
 
-        real = kernels_module.uniform_time_average
+        real = kernels_module._sinc_average
         calls = {"count": 0}
 
         def flaky(x):
             calls["count"] += 1
-            if calls["count"] == 4:
+            if calls["count"] == 2:
                 raise KeyboardInterrupt
             return real(x)
 
         path = str(tmp_path / "partial.npz")
-        monkeypatch.setattr(kernels_module, "uniform_time_average", flaky)
+        monkeypatch.setattr(kernels_module, "_sinc_average", flaky)
         with pytest.raises(KeyboardInterrupt):
             averaged_kernel_analytic(
                 lattice, 24.0, block_size=64, checkpoint=path, checkpoint_every=1
             )
-        monkeypatch.setattr(kernels_module, "uniform_time_average", real)
+        monkeypatch.setattr(kernels_module, "_sinc_average", real)
         assert (tmp_path / "partial.npz").exists()
 
         resumed = averaged_kernel_analytic(
@@ -160,11 +167,23 @@ class TestCheckpointing:
         from latticemix.kernels import _save_checkpoint
 
         path = str(tmp_path / "partial.npz")
-        _save_checkpoint(path, (1, 19, 5, 23.0, 64), 10, np.zeros((361, 5), complex))
-        with pytest.raises(ValueError):
+        _save_checkpoint(path, (2, 19, 5, 23.0, 64), 64, np.zeros((100, 5)))
+        with pytest.raises(ValueError, match="different parameters"):
             averaged_kernel_analytic(
                 LatticeSpec((19, 5)), 24.0, block_size=64, checkpoint=path
             )
+
+    def test_checkpoint_refuses_version_one_file(self, tmp_path):
+        from latticemix.kernels import _save_checkpoint
+
+        # the complex layout: one row per factor-1 index pair, 19^2 of them
+        path = str(tmp_path / "partial.npz")
+        _save_checkpoint(path, (1, 19, 5, 24.0, 64), 64, np.zeros((361, 5), complex))
+        with pytest.raises(ValueError, match="format version 1, this build reads version 2"):
+            averaged_kernel_analytic(
+                LatticeSpec((19, 5)), 24.0, block_size=64, checkpoint=path
+            )
+        assert (tmp_path / "partial.npz").exists()
 
 
 class TestKernelPower:
