@@ -38,7 +38,10 @@ from .kernels import (
     kernel_power,
 )
 from .oscsums import BoundReport
-from .spectral import FULL, LatticeSpec, cycle_amplitude, eigenphases
+from .spectral import FULL, LatticeSpec, class_table, cycle_amplitude
+
+# Trajectories per block of step probabilities in _sample_repeated.
+_SAMPLE_CHUNK = 2048
 
 
 @dataclass
@@ -136,7 +139,12 @@ def repeated_measurement_run(
 def _sample_repeated(
     lattice: LatticeSpec, T: float, rounds: int, trajectories: int, seed: int
 ) -> np.ndarray:
-    """Empirical distribution after `rounds` sampled measure-evolve rounds."""
+    """Empirical distribution after `rounds` sampled measure-evolve rounds.
+
+    Times and uniform draws are taken for all trajectories at once, so the
+    random stream does not depend on _SAMPLE_CHUNK; the step probabilities
+    are built from the class table _SAMPLE_CHUNK trajectories at a time.
+    """
     rng = np.random.default_rng(seed)
     scale = 1.0 / lattice.d
     positions = np.zeros((trajectories, lattice.d), dtype=np.int64)
@@ -144,14 +152,16 @@ def _sample_repeated(
         ts = rng.uniform(0.0, T, trajectories)
         # the joint step factorizes, so each coordinate is sampled on its own
         for axis, n in enumerate(lattice.dims):
-            table = eigenphases(n)
-            dft = table.unit_roots[np.outer(np.arange(n), np.arange(n)) % n]
-            phases = np.exp(1j * scale * np.multiply.outer(ts, table.lambdas))
-            probs = np.abs(phases @ dft / n) ** 2
-            cum = np.cumsum(probs, axis=1)
+            table = class_table(n)
+            coeff = table.cosines.T / n
             draws = rng.random(trajectories)
-            shift = (draws[:, None] > cum).sum(axis=1)
-            positions[:, axis] = (positions[:, axis] + np.minimum(shift, n - 1)) % n
+            for lo in range(0, trajectories, _SAMPLE_CHUNK):
+                hi = min(lo + _SAMPLE_CHUNK, trajectories)
+                x = scale * np.multiply.outer(ts[lo:hi], table.lambdas)
+                probs = (np.cos(x) @ coeff) ** 2 + (np.sin(x) @ coeff) ** 2
+                cum = np.cumsum(probs, axis=1)
+                step = np.minimum((draws[lo:hi, None] > cum).sum(axis=1), n - 1)
+                positions[lo:hi, axis] = (positions[lo:hi, axis] + step) % n
     flat = np.ravel_multi_index(positions.T, lattice.dims)
     counts = np.bincount(flat, minlength=lattice.size)
     return counts / trajectories

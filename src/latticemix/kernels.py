@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParityError, ResolutionError, SizeError
-from .spectral import LatticeSpec, eigenphases, product_amplitude
+from .spectral import LatticeSpec, class_table, product_amplitude
 
 MAX_DENSE_MATRIX = 2048
 MAX_QUADRATURE_DT = 0.05
@@ -153,13 +153,11 @@ def _folded_table(n: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
 
     Returns omega[(a, b)] = scale*(lambda_a - lambda_b) and
     C[l, (a, b)] = c_a(l)*c_b(l)/n^2 over the class pairs a, b <= (n-1)/2,
-    flattened row-major in (a, b).
+    flattened row-major in (a, b), both built from spectral.class_table(n).
     """
-    classes = np.arange((n + 1) // 2)
-    lam = eigenphases(n).lambdas[classes]
+    table = class_table(n)
+    lam, c = table.lambdas, table.cosines
     omega = scale * np.subtract.outer(lam, lam).ravel()
-    mult = np.where(classes == 0, 1.0, 2.0)
-    c = mult * np.cos(2.0 * np.pi * np.outer(np.arange(n), classes) / n)
     coeff = (c[:, :, None] * c[:, None, :]).reshape(n, -1) / float(n) ** 2
     omega.setflags(write=False)
     coeff.setflags(write=False)

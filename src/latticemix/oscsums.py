@@ -115,19 +115,31 @@ def _check_coprime_pair(n1: int, n2: int) -> tuple[int, int]:
     return n1, n2
 
 
-def product_integral_curve(
+def _simpson(vals: np.ndarray, h: float) -> float:
+    """Composite Simpson sum over an odd number of nodes spaced h apart."""
+    weights = np.full(vals.size, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    return float(weights @ vals) * h / 3.0
+
+
+def _simpson_curves(
     n1: int,
     n2: int,
     offsets: tuple[int, int],
     T_grid,
     dt: float,
-) -> np.ndarray:
+    halving: bool,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Signed integral_0^T osc_1(t)*osc_2(t) dt at each grid horizon.
 
-    Composite Simpson segment by segment between consecutive horizons; node
-    values come from the O(n) fast form on a uniform grid.  Segment totals
-    are combined with math.fsum so half a million accumulation steps do not
-    erode the result.
+    Composite Simpson segment by segment between consecutive horizons: each
+    segment gets an even number of intervals of length h <= dt, and node
+    values come from the O(n) folded form on a uniform grid.  With halving,
+    the nodes are evaluated once at step h/2; the curve uses every other
+    node and the halved curve, returned second, all of them, so it is at
+    exactly h/2 on every segment.  Segment totals are combined with
+    math.fsum so half a million accumulation steps do not erode the result.
     """
     n1, n2 = _check_coprime_pair(n1, n2)
     if not (0 < dt <= MAX_PRODUCT_DT):
@@ -139,24 +151,40 @@ def product_integral_curve(
     if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("horizons must be positive and strictly increasing")
 
-    partials = []
-    results = np.empty(grid.size)
+    split = 2 if halving else 1
+    partials, fine_partials = [], []
+    curve = np.empty(grid.size)
+    halved = np.empty(grid.size) if halving else None
     prev = 0.0
     for idx, horizon in enumerate(grid):
         length = horizon - prev
         intervals = max(2, int(np.ceil(length / dt)))
         intervals += intervals % 2
-        h = length / intervals
-        vals = _osc_on_grid(n1, l1, prev, h, intervals + 1) * _osc_on_grid(
-            n2, l2, prev, h, intervals + 1
-        )
-        weights = np.full(intervals + 1, 2.0)
-        weights[1::2] = 4.0
-        weights[0] = weights[-1] = 1.0
-        partials.append(float(weights @ vals) * h / 3.0)
-        results[idx] = math.fsum(partials)
+        h = length / intervals / split
+        count = intervals * split + 1
+        vals = _osc_on_grid(n1, l1, prev, h, count) * _osc_on_grid(n2, l2, prev, h, count)
+        partials.append(_simpson(vals[::split], h * split))
+        curve[idx] = math.fsum(partials)
+        if halving:
+            fine_partials.append(_simpson(vals, h))
+            halved[idx] = math.fsum(fine_partials)
         prev = horizon
-    return results
+    return curve, halved
+
+
+def product_integral_curve(
+    n1: int,
+    n2: int,
+    offsets: tuple[int, int],
+    T_grid,
+    dt: float,
+) -> np.ndarray:
+    """Signed integral_0^T osc_1(t)*osc_2(t) dt at each grid horizon.
+
+    Composite Simpson at step <= dt on each segment between consecutive
+    horizons; see _simpson_curves.
+    """
+    return _simpson_curves(n1, n2, offsets, T_grid, dt, halving=False)[0]
 
 
 def product_integral(n1: int, n2: int, offsets: tuple[int, int], T: float, dt: float) -> float:
@@ -274,12 +302,7 @@ def _sweep_one(job) -> list[BoundReport]:
     rhs = product_integral_bound((n1, n2))
     reports = []
     for l1, l2 in offsets:
-        curve = product_integral_curve(n1, n2, (l1, l2), T_grid, dt)
-        halved = (
-            product_integral_curve(n1, n2, (l1, l2), T_grid, dt / 2.0)
-            if check_halving
-            else None
-        )
+        curve, halved = _simpson_curves(n1, n2, (l1, l2), T_grid, dt, check_halving)
         for pos, T in enumerate(T_grid):
             params = {"n1": n1, "n2": n2, "T": float(T), "offset1": l1, "offset2": l2,
                       "dt": dt}

@@ -10,6 +10,17 @@ with w = exp(2*pi*i/n).  On a product lattice Z_{n_1} x ... x Z_{n_d} the
 normalized adjacency is the average (1/d) * sum_k H_k of the per-coordinate
 generators, and the propagator factorizes into per-cycle amplitudes with time
 scale 1/d each.
+
+Every amplitude route runs on the folded form of that sum.  Since
+lambda_j = lambda_{n-j}, the indices fall into n//2 + 1 mirror classes
+a = min(j, n-j), and w^(l*j) + w^(-l*j) = 2*cos(2*pi*l*j/n), so
+
+    <l| exp(i*Abar*t*s) |0> = sum_{a <= n/2} (c_a(l)/n) * exp(i*t*s*lambda_a),
+
+with the real coefficients c_a(l) = mult_a * cos(2*pi*l*a/n), where mult_a is
+1 for a = 0 (and for a = n/2 when n is even) and 2 otherwise.  class_table(n)
+holds lambda_a and c_a(l) once per cycle; the kernels, the oscillatory sums
+and the sampler all read it.
 """
 
 from __future__ import annotations
@@ -29,6 +40,10 @@ HALF = 0.5
 
 # Largest vertex count for which dense first columns are built.
 MAX_DENSE_VERTICES = 1_000_000
+
+# Nodes per block of cycle_amplitude_grid.  Every block starts from an exact
+# exponential anchor, so phase error never accumulates past one block.
+_GRID_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -88,6 +103,20 @@ class EigenphaseTable:
 
 
 @dataclass(frozen=True)
+class ClassTable:
+    """Mirror classes a = 0..n//2 of the cycle Z_n.
+
+    lambdas[a] is the class eigenvalue lambda_a; cosines[l, a] is the real
+    coefficient c_a(l) = mult_a*cos(2*pi*l*a/n) of offset l, shape
+    (n, n//2 + 1).
+    """
+
+    n: int
+    lambdas: np.ndarray
+    cosines: np.ndarray
+
+
+@dataclass(frozen=True)
 class AmplitudeVector:
     """One column <q|U(t)|p> of a cycle walk operator, indexed by q."""
 
@@ -126,6 +155,24 @@ def eigenphases(n: int) -> EigenphaseTable:
     return EigenphaseTable(n=n, lambdas=lambdas, unit_roots=unit_roots)
 
 
+@functools.lru_cache(maxsize=64)
+def class_table(n: int) -> ClassTable:
+    """Folded spectral table of Z_n, shared by every amplitude route.
+
+    The class eigenvalues are read from eigenphases(n), so they match the
+    unfolded ones bitwise.
+    """
+    n = _check_cycle(n)
+    classes = np.arange(n // 2 + 1)
+    lambdas = eigenphases(n).lambdas[classes]
+    mult = np.where((classes == 0) | (2 * classes == n), 1.0, 2.0)
+    # l*a is reduced mod n first, so the cosine argument stays below 2*pi
+    cosines = mult * np.cos(2.0 * np.pi * (np.outer(np.arange(n), classes) % n) / n)
+    lambdas.setflags(write=False)
+    cosines.setflags(write=False)
+    return ClassTable(n=n, lambdas=lambdas, cosines=cosines)
+
+
 def cycle_amplitude(n: int, source: int, t: float, scale: float = FULL) -> AmplitudeVector:
     """Amplitude column of exp(i*Abar*t*scale) on Z_n from vertex `source`.
 
@@ -137,11 +184,12 @@ def cycle_amplitude(n: int, source: int, t: float, scale: float = FULL) -> Ampli
         raise ValueError(f"time must be finite, got {t}")
     if not (np.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be positive and finite, got {scale}")
-    table = eigenphases(n)
+    table = class_table(n)
     phases = np.exp(1j * float(t) * float(scale) * table.lambdas)
-    # entry_l = (1/n) sum_j phases_j * w^(l*j): an inverse DFT of the phases.
-    powers = np.outer(np.arange(n), np.arange(n)) % n
-    base = (table.unit_roots[powers] @ phases) / n
+    # entry_l = sum_a c_a(l)/n * phases_a: the real table times the (re, im)
+    # pairs of the phases, a real product with no complex copy of the table
+    pairs = table.cosines @ phases.view(float).reshape(-1, 2)
+    base = pairs.view(complex).ravel() / n
     entries = np.roll(base, int(source) % n)
     entries.setflags(write=False)
     return AmplitudeVector(entries=entries, t=float(t), source=int(source) % n, scale=float(scale))
@@ -155,10 +203,9 @@ def cycle_amplitude_at(n: int, offset: int, ts: np.ndarray, scale: float) -> np.
     """
     n = _check_cycle(n)
     ts = np.asarray(ts, dtype=float)
-    table = eigenphases(n)
-    weights = table.unit_roots[(int(offset) % n) * np.arange(n) % n]
-    phases = np.exp(1j * float(scale) * np.multiply.outer(ts, table.lambdas))
-    return phases @ weights / n
+    table = class_table(n)
+    coeff = table.cosines[int(offset) % n] / n
+    return np.exp(1j * float(scale) * np.multiply.outer(ts, table.lambdas)) @ coeff
 
 
 def cycle_amplitude_grid(
@@ -166,27 +213,26 @@ def cycle_amplitude_grid(
 ) -> np.ndarray:
     """Amplitude at one offset over the uniform time grid t0 + h*arange(count).
 
-    Equal spacing lets the phase factors advance by elementwise powers of
-    z_j = exp(i*scale*h*lambda_j): one block of exponentials is reused across
-    the whole grid via a broadcast multiply per chunk, which is what makes
-    long quadrature runs affordable.  Chunk anchors are recomputed from exact
-    exponentials so no phase drift accumulates.
+    The grid is cut into blocks of R = _GRID_BLOCK nodes t0 + h*(b*R + k).
+    Block b's exact anchor exp(i*scale*(t0 + b*R*h)*lambda_a) is folded into
+    its class coefficients, so the whole grid is one complex product
+    (anchors * c(l)/n) @ base with base[a, k] = exp(i*scale*k*h*lambda_a).
+    Anchors are exact exponentials, so no phase drift accumulates.
     """
     n = _check_cycle(n)
     count = int(count)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    table = eigenphases(n)
-    lam = table.lambdas
-    weights = table.unit_roots[(int(offset) % n) * np.arange(n) % n] / n
-    out = np.empty(count, dtype=complex)
-    block = 8192
-    base = np.exp(1j * float(scale) * h * np.outer(np.arange(min(block, count)), lam))
-    for lo in range(0, count, block):
-        hi = min(lo + block, count)
-        anchor = np.exp(1j * float(scale) * (t0 + lo * h) * lam)
-        out[lo:hi] = (base[: hi - lo] * anchor) @ weights
-    return out
+    if count == 0:
+        return np.empty(0, dtype=complex)
+    table = class_table(n)
+    freq = float(scale) * table.lambdas
+    coeff = table.cosines[int(offset) % n] / n
+    block = min(_GRID_BLOCK, count)
+    starts = t0 + h * np.arange(0, count, block)
+    anchors = np.exp(1j * np.multiply.outer(starts, freq)) * coeff
+    base = np.exp(1j * h * np.multiply.outer(freq, np.arange(block)))
+    return (anchors @ base).ravel()[:count]
 
 
 def product_amplitude(lattice: LatticeSpec, source: tuple[int, ...], t: float) -> np.ndarray:

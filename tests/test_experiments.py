@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from latticemix import experiments
 from latticemix.distances import tv_distance, uniform
 from latticemix.experiments import (
     coordinate_wise_run,
@@ -55,6 +56,16 @@ class TestRepeatedMeasurement:
             trajectories=2_000, seed=3,
         )
         assert np.array_equal(a.curves["empirical"], b.curves["empirical"])
+
+    def test_sampler_chunking_keeps_the_counts(self, monkeypatch):
+        # times and draws are taken for all trajectories before chunking, so
+        # the chunk size cannot move a single trajectory
+        lattice = LatticeSpec((23, 5))
+        monkeypatch.setattr(experiments, "_SAMPLE_CHUNK", 7)
+        chunked = experiments._sample_repeated(lattice, 9.0, 3, 1_000, 11)
+        monkeypatch.setattr(experiments, "_SAMPLE_CHUNK", 1_000)
+        whole = experiments._sample_repeated(lattice, 9.0, 3, 1_000, 11)
+        assert np.array_equal(chunked, whole)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -128,6 +128,22 @@ class TestProductIntegral:
         rel = np.abs(coarse - fine) / np.maximum(np.abs(fine), 1e-30)
         assert rel.max() <= 1e-5
 
+    def test_halved_curve_is_the_half_step_curve(self):
+        # segment lengths 10 and 90 are multiples of dt, so the halving
+        # sweep's fine node set is exactly the node set of dt/2
+        grid = [10.0, 100.0]
+        curve, halved = oscsums._simpson_curves(19, 5, (0, 0), grid, 0.02, True)
+        plain = product_integral_curve(19, 5, (0, 0), grid, 0.02)
+        fine = product_integral_curve(19, 5, (0, 0), grid, 0.01)
+        assert np.all(np.abs(curve - plain) <= 1e-12 * np.abs(plain))
+        assert np.all(np.abs(halved - fine) <= 1e-12 * np.abs(fine))
+
+    def test_halving_off_the_dt_lattice(self):
+        # 12.345 is no multiple of dt: the coarse step is 12.345/618, and
+        # the halved curve runs at exactly half of it
+        reports = bound_sweep([(19, 5)], [12.345], dt=0.02, check_halving=True)
+        assert reports[0].params["halving_rel"] <= 1e-5
+
     def test_exact_path_size_guard(self):
         with pytest.raises(ValueError):
             product_integral_exact(103, 101, (0, 0), 10.0)

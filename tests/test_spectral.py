@@ -9,6 +9,7 @@ from latticemix.spectral import (
     cycle_amplitude,
     cycle_amplitude_at,
     cycle_amplitude_grid,
+    class_table,
     eigenphases,
     product_amplitude,
     spectral_gap,
@@ -86,15 +87,42 @@ class TestCycleAmplitude:
             cycle_amplitude(5, 0, np.inf)
 
     def test_offset_and_grid_forms_agree(self):
-        ts = np.linspace(0.0, 11.0, 23)
-        for offset in (0, 3):
+        # the 805-node grids span 3 full blocks of 256 nodes and a ragged
+        # fourth, from an off-origin start, on odd and even cycles
+        cases = ((9, 0, 0.0, 0.5, 23), (9, 3, 0.0, 0.5, 23),
+                 (19, 4, 7.25, 0.013, 805), (20, 13, 7.25, 0.013, 805),
+                 (20, 10, 7.25, 0.013, 805))
+        for n, offset, t0, h, count in cases:
+            ts = t0 + h * np.arange(count)
             full = np.array(
-                [cycle_amplitude(9, 0, t, HALF).entries[offset] for t in ts]
+                [cycle_amplitude(n, 0, t, HALF).entries[offset] for t in ts]
             )
-            at = cycle_amplitude_at(9, offset, ts, HALF)
-            grid = cycle_amplitude_grid(9, offset, 0.0, 11.0 / 22.0, 23, HALF)
+            at = cycle_amplitude_at(n, offset, ts, HALF)
+            grid = cycle_amplitude_grid(n, offset, t0, h, count, HALF)
+            assert grid.shape == (count,)
             assert np.abs(full - at).max() < 1e-12
             assert np.abs(full - grid).max() < 1e-11
+        assert cycle_amplitude_grid(19, 4, 7.25, 0.013, 0, HALF).size == 0
+
+
+class TestClassTable:
+    def test_cosines_sum_each_mirror_class(self):
+        # c_a(l) is the sum of w^(l*j) over the indices j in class a
+        for n in (9, 10):
+            table = class_table(n)
+            roots = eigenphases(n).unit_roots
+            j = np.arange(n)
+            classes = np.minimum(j, n - j)
+            assert table.cosines.shape == (n, n // 2 + 1)
+            for l in range(n):
+                sums = np.zeros(n // 2 + 1, dtype=complex)
+                np.add.at(sums, classes, roots[(l * j) % n])
+                assert np.abs(table.cosines[l] - sums).max() < 1e-12
+
+    def test_class_eigenvalues_are_the_unfolded_ones(self):
+        for n in (9, 10):
+            table = class_table(n)
+            assert np.array_equal(table.lambdas, eigenphases(n).lambdas[: n // 2 + 1])
 
 
 class TestProductAmplitude:
