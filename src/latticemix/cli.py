@@ -81,6 +81,13 @@ def _parse_positive(text: str) -> int:
     return value
 
 
+def _parse_horizon(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError("must be finite and > 0")
+    return value
+
+
 def _parse_bool(text: str) -> bool:
     word = text.lower()
     if word not in ("true", "false"):
@@ -521,7 +528,7 @@ _COMMANDS = {
         _Option("--range", _parse_pair, (10, 100), help="lo,hi bounds for the cycle lengths"),
         _Option("--pairs", _parse_positive, help="sample size (>= 1); omit for every pair"),
         _Option("--seed", int, 0),
-        _Option("--T-max", float, 10_000.0),
+        _Option("--T-max", _parse_horizon, 10_000.0),
         _Option("--dt", float, 0.02, help="quadrature step"),
         _Option("--offset", _parse_pair, (0, 0), help="per-factor offsets, e.g. 0,0"),
         _Option("--halving", _parse_bool, False,

@@ -20,7 +20,8 @@ Three constructions are provided:
   (1/T)*integral_0^T exp(i*omega*t) dt = g(omega*T) enters only through
   Re g(x) = sin(x)/x, and the whole construction is real.  Joint terms of
   a d=2 lattice multiply across factors, with weight sin(x)/x at
-  x = (omega1 + omega2)*T.
+  x = (omega1 + omega2)*T.  The class-pair frequencies and coefficients are
+  spectral.class_pair_table(n, scale), shared with the oscillatory sums.
 * averaged_kernel_quadrature: the same average by composite Simpson over a
   time grid, kept deliberately independent of the per-frequency path so the
   two can cross-check each other.
@@ -31,7 +32,6 @@ through the circulant diagonalization.
 
 from __future__ import annotations
 
-import functools
 import os
 import tempfile
 from dataclasses import dataclass
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParityError, ResolutionError, SizeError
-from .spectral import LatticeSpec, class_table, product_amplitude
+from .spectral import LatticeSpec, class_pair_table, product_amplitude
 
 MAX_DENSE_MATRIX = 2048
 MAX_QUADRATURE_DT = 0.05
@@ -122,21 +122,6 @@ def instantaneous_kernel(lattice: LatticeSpec, t: float) -> Kernel:
     return Kernel(lattice=lattice, first_column=col, kind=f"instant(t={t})")
 
 
-def uniform_time_average(x: np.ndarray) -> np.ndarray:
-    """g(x) = (exp(ix) - 1)/(ix), the average of exp(i*omega*t) with x = omega*T.
-
-    Evaluated as sin(x)/x + i*(1 - cos(x))/x in cancellation-free form;
-    g(0) = 1 exactly, so frequency pairs that cancel identically (j = k and
-    the mirrored j + k = n pairs, whose eigenvalues match bitwise) land on the
-    exact time-independent value.
-    """
-    x = np.asarray(x, dtype=float)
-    re = np.sinc(x / np.pi)
-    half = np.sin(0.5 * x)
-    im = np.divide(2.0 * half * half, x, out=np.zeros_like(x), where=x != 0.0)
-    return re + 1j * im
-
-
 def _sinc_average(x: np.ndarray) -> np.ndarray:
     """Re g(x) = sin(x)/x, the weight of a conjugate-symmetric term pair.
 
@@ -147,25 +132,8 @@ def _sinc_average(x: np.ndarray) -> np.ndarray:
     return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
-@functools.lru_cache(maxsize=64)
-def _folded_table(n: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies and real coefficients of one odd cycle's class pairs.
-
-    Returns omega[(a, b)] = scale*(lambda_a - lambda_b) and
-    C[l, (a, b)] = c_a(l)*c_b(l)/n^2 over the class pairs a, b <= (n-1)/2,
-    flattened row-major in (a, b), both built from spectral.class_table(n).
-    """
-    table = class_table(n)
-    lam, c = table.lambdas, table.cosines
-    omega = scale * np.subtract.outer(lam, lam).ravel()
-    coeff = (c[:, :, None] * c[:, None, :]).reshape(n, -1) / float(n) ** 2
-    omega.setflags(write=False)
-    coeff.setflags(write=False)
-    return omega, coeff
-
-
 def _averaged_column_1d(n: int, T: float) -> np.ndarray:
-    omega, coeff = _folded_table(n, 1.0)
+    omega, coeff = class_pair_table(n, 1.0)
     return coeff @ _sinc_average(omega * T)
 
 
@@ -220,8 +188,8 @@ def _averaged_column_2d(
     bit.
     """
     scale = 0.5
-    omega1, coeff1 = _folded_table(n1, scale)
-    omega2, coeff2 = _folded_table(n2, scale)
+    omega1, coeff1 = class_pair_table(n1, scale)
+    omega2, coeff2 = class_pair_table(n2, scale)
     c2t = np.ascontiguousarray(coeff2.T)  # (((n2+1)/2)^2, n2)
     p1_count = omega1.size
     blocks = range(0, p1_count, block_size)
@@ -299,7 +267,7 @@ def averaged_return_probability(lattice: LatticeSpec, horizons) -> np.ndarray:
     scale = 1.0 / lattice.d
     omega, coeff = np.zeros(1), np.ones(1)
     for n in lattice.dims:
-        factor_omega, factor_coeff = _folded_table(n, scale)
+        factor_omega, factor_coeff = class_pair_table(n, scale)
         omega = np.add.outer(omega, factor_omega).ravel()
         coeff = np.multiply.outer(coeff, factor_coeff[0]).ravel()
     out = np.empty(horizons.size)
@@ -310,16 +278,26 @@ def averaged_return_probability(lattice: LatticeSpec, horizons) -> np.ndarray:
     return out
 
 
-def simpson_grid(T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Simpson nodes and weights for the average (1/T) * integral over [0, T]."""
-    intervals = int(np.ceil(T / dt))
-    intervals += intervals % 2
-    intervals = max(intervals, 2)
-    h = T / intervals
-    nodes = np.linspace(0.0, T, intervals + 1)
-    weights = np.full(intervals + 1, 2.0)
+def simpson_intervals(length: float, dt: float) -> int:
+    """Fewest intervals for composite Simpson over `length`: even, >= 2, each <= dt."""
+    intervals = max(2, int(np.ceil(length / dt)))
+    return intervals + intervals % 2
+
+
+def simpson_weights(count: int) -> np.ndarray:
+    """Composite Simpson weights 1, 4, 2, ..., 2, 4, 1 over an odd node count."""
+    weights = np.full(count, 2.0)
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
+    return weights
+
+
+def simpson_grid(T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Simpson nodes and weights for the average (1/T) * integral over [0, T]."""
+    intervals = simpson_intervals(T, dt)
+    h = T / intervals
+    nodes = np.linspace(0.0, T, intervals + 1)
+    weights = simpson_weights(intervals + 1)
     weights *= h / (3.0 * T)
     return nodes, weights
 

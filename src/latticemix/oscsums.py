@@ -6,15 +6,22 @@ probability expands into a constant part and the oscillatory remainder
     osc(t) = sum over j != k, j + k != n of
              exp(-i*t*sin(pi*(j+k)/n)*sin(pi*(j-k)/n)) * w^(l*(j-k)),
 
-so that n^2 * P_t(0, l) = n + (n*[l == 0] - 1) + osc(t).  The terms pair up
-into conjugates, hence osc(t) is real; at t = 0 it equals (n-1)^2 for l = 0
-and 1 - n otherwise.
+so that n^2 * P_t(0, l) = n + (n*[l == 0] - 1) + osc(t).  At t = 0 it equals
+(n-1)^2 for l = 0 and 1 - n otherwise.
+
+The excluded pairs j = k and j + k = n are exactly those inside one mirror
+class a = min(j, n-j), so folded onto the classes osc(t) is the real cosine
+series over the class pairs a != b of spectral.class_pair_table(n, 1/2),
+
+    osc(t) = sum_{a != b} c_a(l)*c_b(l) * cos(t*(lambda_a - lambda_b)/2),
+
+and the exact and closed-form routes below are contractions of it.
 
 Everything here revolves around two facts checked numerically throughout the
 test suite:
 
 * |integral_0^T osc(t) dt| <= 32*(n*log(n))^2, uniformly in T and l, via the
-  exact per-pair primitive;
+  exact termwise primitive;
 * the integral of a product of such sums from coprime odd cycles appears to
   satisfy an analogous additive bound (the sweep below hunts for violations).
 """
@@ -28,9 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParityError, ResolutionError
-from .spectral import HALF, cycle_amplitude_at, cycle_amplitude_grid, eigenphases
+from .kernels import _sinc_average, simpson_intervals, simpson_weights
+from .spectral import HALF, class_pair_table, cycle_amplitude_at, cycle_amplitude_grid
 
 MAX_PRODUCT_DT = 0.02
+
+# Largest n1*n2 product_integral_exact accepts; its cost is quadratic in it.
+MAX_EXACT_PRODUCT = 10_000
 
 
 def _check_odd(n: int) -> int:
@@ -40,28 +51,29 @@ def _check_odd(n: int) -> int:
     return n
 
 
-def _pair_sines(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ordered index pairs (j, k), j < k, j + k != n, with their sine products."""
-    j, k = np.triu_indices(n, k=1)
-    keep = j + k != n
-    j, k = j[keep], k[keep]
-    sines = np.sin(np.pi * (j + k) / n) * np.sin(np.pi * (k - j) / n)
-    return j, k, sines
+def _check_horizon(T: float) -> float:
+    T = float(T)
+    if not (np.isfinite(T) and T >= 0):
+        raise ValueError(f"horizon must be finite and >= 0, got {T}")
+    return T
+
+
+def _osc_series(n: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies f and coefficients C with osc(t) = C @ cos(f*t).
+
+    Row `offset` of the half-scale class-pair table, scaled by n^2, without
+    the same-class pairs a = b (the j = k and j + k = n terms).
+    """
+    omega, coeff = class_pair_table(n, HALF)
+    keep = ~np.eye((n + 1) // 2, dtype=bool).ravel()
+    return omega[keep], coeff[int(offset) % n, keep] * float(n) ** 2
 
 
 def osc_sum_direct(n: int, offset: int, t: float) -> float:
-    """O(n^2) evaluation straight from the pair sum; the reference path."""
+    """O(n^2) evaluation of the class-pair cosine series; the reference path."""
     n = _check_odd(n)
-    j = np.arange(n)
-    jj, kk = np.meshgrid(j, j, indexing="ij")
-    mask = (jj != kk) & (jj + kk != n)
-    jj, kk = jj[mask], kk[mask]
-    phase = np.sin(np.pi * (jj + kk) / n) * np.sin(np.pi * (jj - kk) / n)
-    roots = eigenphases(n).unit_roots
-    total = np.sum(np.exp(-1j * t * phase) * roots[(offset * (jj - kk)) % n])
-    if abs(total.imag) > 1e-9:
-        raise AssertionError(f"pair sum has imaginary part {total.imag}")
-    return float(total.real)
+    freq, coeff = _osc_series(n, offset)
+    return float(coeff @ np.cos(freq * t))
 
 
 def osc_sum_fast(n: int, offset: int, t):
@@ -85,19 +97,15 @@ def _osc_on_grid(n: int, offset: int, t0: float, h: float, count: int) -> np.nda
 
 
 def integrated_osc_sum(n: int, offset: int, T: float) -> float:
-    """Signed integral_0^T osc(t) dt from the exact per-pair primitive.
+    """Signed integral_0^T osc(t) dt from the exact termwise primitive.
 
-    Each conjugate pair j < k contributes 2*cos(t*s - theta) with
-    s = sin(pi*(j+k)/n)*sin(pi*(k-j)/n) and theta = 2*pi*l*(k-j)/n, whose
-    integral is 2*(sin(T*s - theta) + sin(theta))/s.
+    Each term C*cos(f*t) integrates to C*T*sin(f*T)/(f*T), so the sum is
+    T * C @ sinc(f*T), which keeps full relative accuracy as T -> 0.
     """
     n = _check_odd(n)
-    if not (np.isfinite(T) and T >= 0):
-        raise ValueError(f"horizon must be finite and >= 0, got {T}")
-    j, k, sines = _pair_sines(n)
-    theta = 2.0 * np.pi * (int(offset) % n) * (k - j) / n
-    terms = 2.0 * (np.sin(T * sines - theta) + np.sin(theta)) / sines
-    return float(terms.sum())
+    T = _check_horizon(T)
+    freq, coeff = _osc_series(n, offset)
+    return float(T * (coeff @ _sinc_average(freq * T)))
 
 
 def integrated_osc_bound(n: int) -> float:
@@ -117,10 +125,7 @@ def _check_coprime_pair(n1: int, n2: int) -> tuple[int, int]:
 
 def _simpson(vals: np.ndarray, h: float) -> float:
     """Composite Simpson sum over an odd number of nodes spaced h apart."""
-    weights = np.full(vals.size, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    return float(weights @ vals) * h / 3.0
+    return float(simpson_weights(vals.size) @ vals) * h / 3.0
 
 
 def _simpson_curves(
@@ -148,8 +153,11 @@ def _simpson_curves(
     grid = np.asarray(T_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("need a non-empty 1-D horizon grid")
-    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("horizons must be positive and strictly increasing")
+    bad = grid[~np.isfinite(grid) | (np.diff(grid, prepend=0.0) <= 0)]
+    if bad.size:
+        raise ValueError(
+            f"horizons must be finite, positive and strictly increasing, got T = {bad[0]}"
+        )
 
     split = 2 if halving else 1
     partials, fine_partials = [], []
@@ -158,8 +166,7 @@ def _simpson_curves(
     prev = 0.0
     for idx, horizon in enumerate(grid):
         length = horizon - prev
-        intervals = max(2, int(np.ceil(length / dt)))
-        intervals += intervals % 2
+        intervals = simpson_intervals(length, dt)
         h = length / intervals / split
         count = intervals * split + 1
         vals = _osc_on_grid(n1, l1, prev, h, count) * _osc_on_grid(n2, l2, prev, h, count)
@@ -191,49 +198,27 @@ def product_integral(n1: int, n2: int, offsets: tuple[int, int], T: float, dt: f
     return float(product_integral_curve(n1, n2, offsets, [T], dt)[0])
 
 
-def _signed_terms(n: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """All ordered pair terms of osc: frequencies sigma and unit coefficients."""
-    j = np.arange(n)
-    jj, kk = np.meshgrid(j, j, indexing="ij")
-    mask = (jj != kk) & (jj + kk != n)
-    jj, kk = jj[mask], kk[mask]
-    sigma = np.sin(np.pi * (jj + kk) / n) * np.sin(np.pi * (jj - kk) / n)
-    coeff = eigenphases(n).unit_roots[(offset * (jj - kk)) % n]
-    return sigma, coeff
+def product_integral_exact(n1: int, n2: int, offsets: tuple[int, int], T: float) -> float:
+    """Signed integral_0^T osc_1(t)*osc_2(t) dt in closed form.
 
-
-def product_integral_exact(
-    n1: int,
-    n2: int,
-    offsets: tuple[int, int],
-    T: float,
-    max_product: int = 10_000,
-) -> float:
-    """Signed product integral by exact integration of all 4-index terms.
-
-    integral_0^T exp(-i*t*(sigma1+sigma2)) dt = T*g(-(sigma1+sigma2)*T) with
-    the entire function g(x) = (exp(ix) - 1)/(ix), whose real part weights
-    the averaged kernels, so no frequency thresholding is involved.  Quadratic in n1*n2; refuse above max_product.
+    cos(f1*t)*cos(f2*t) integrates to T*(sinc((f1+f2)*T) + sinc((f1-f2)*T))/2
+    with sinc(x) = sin(x)/x.  Both series are symmetric under f -> -f, so the
+    two halves are equal and the integral is T * C1 @ sinc((f1+f2)*T) @ C2,
+    with no frequency thresholding.  Quadratic in n1*n2; refused above
+    MAX_EXACT_PRODUCT.
     """
-    from .kernels import uniform_time_average
-
     n1, n2 = _check_coprime_pair(n1, n2)
-    if n1 * n2 > max_product:
-        raise ValueError(f"n1*n2 = {n1 * n2} exceeds exact-path cap {max_product}")
-    sigma1, coeff1 = _signed_terms(n1, int(offsets[0]) % n1)
-    sigma2, coeff2 = _signed_terms(n2, int(offsets[1]) % n2)
-    total = 0.0 + 0.0j
-    block = max(1, 4_000_000 // sigma2.size)
-    for lo in range(0, sigma1.size, block):
-        hi = min(lo + block, sigma1.size)
-        weights = uniform_time_average(
-            -(sigma1[lo:hi, None] + sigma2[None, :]) * T
-        )
-        total += coeff1[lo:hi] @ weights @ coeff2
-    total *= T
-    if abs(total.imag) > 1e-6 * max(1.0, abs(total.real)):
-        raise AssertionError(f"product integral has imaginary part {total.imag}")
-    return float(total.real)
+    T = _check_horizon(T)
+    if n1 * n2 > MAX_EXACT_PRODUCT:
+        raise ValueError(f"n1*n2 = {n1 * n2} exceeds exact-path cap {MAX_EXACT_PRODUCT}")
+    freq1, coeff1 = _osc_series(n1, offsets[0])
+    freq2, coeff2 = _osc_series(n2, offsets[1])
+    total = 0.0
+    block = max(1, 4_000_000 // freq2.size)
+    for lo in range(0, freq1.size, block):
+        weights = _sinc_average((freq1[lo : lo + block, None] + freq2[None, :]) * T)
+        total += coeff1[lo : lo + block] @ weights @ coeff2
+    return float(T * total)
 
 
 def product_integral_bound(dims) -> float:

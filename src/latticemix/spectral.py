@@ -20,7 +20,10 @@ a = min(j, n-j), and w^(l*j) + w^(-l*j) = 2*cos(2*pi*l*j/n), so
 with the real coefficients c_a(l) = mult_a * cos(2*pi*l*a/n), where mult_a is
 1 for a = 0 (and for a = n/2 when n is even) and 2 otherwise.  class_table(n)
 holds lambda_a and c_a(l) once per cycle; the kernels, the oscillatory sums
-and the sampler all read it.
+and the sampler all read it.  Squared amplitudes pair the classes up:
+class_pair_table(n, scale) holds the frequency scale*(lambda_a - lambda_b)
+and the real coefficient c_a(l)*c_b(l)/n^2 of every class pair (a, b), and
+the averaged kernels and the exact oscillatory sums are contractions of it.
 """
 
 from __future__ import annotations
@@ -95,11 +98,10 @@ class LatticeSpec:
 
 @dataclass(frozen=True)
 class EigenphaseTable:
-    """Eigenvalues cos(2*pi*j/n) and roots of unity w^j for one cycle."""
+    """Eigenvalues cos(2*pi*j/n) of one cycle, j = 0..n-1."""
 
     n: int
     lambdas: np.ndarray
-    unit_roots: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -149,10 +151,8 @@ def eigenphases(n: int) -> EigenphaseTable:
     j = np.arange(n)
     mirrored = np.minimum(j, n - j)
     lambdas = np.cos(2.0 * np.pi * mirrored / n)
-    unit_roots = np.exp(2j * np.pi * j / n)
     lambdas.setflags(write=False)
-    unit_roots.setflags(write=False)
-    return EigenphaseTable(n=n, lambdas=lambdas, unit_roots=unit_roots)
+    return EigenphaseTable(n=n, lambdas=lambdas)
 
 
 @functools.lru_cache(maxsize=64)
@@ -171,6 +171,23 @@ def class_table(n: int) -> ClassTable:
     lambdas.setflags(write=False)
     cosines.setflags(write=False)
     return ClassTable(n=n, lambdas=lambdas, cosines=cosines)
+
+
+@functools.lru_cache(maxsize=64)
+def class_pair_table(n: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies and real coefficients of one odd cycle's class pairs.
+
+    Returns omega[(a, b)] = scale*(lambda_a - lambda_b) and
+    C[l, (a, b)] = c_a(l)*c_b(l)/n^2 over the class pairs a, b <= (n-1)/2,
+    flattened row-major in (a, b), both built from class_table(n).
+    """
+    table = class_table(n)
+    lam, c = table.lambdas, table.cosines
+    omega = scale * np.subtract.outer(lam, lam).ravel()
+    coeff = (c[:, :, None] * c[:, None, :]).reshape(n, -1) / float(n) ** 2
+    omega.setflags(write=False)
+    coeff.setflags(write=False)
+    return omega, coeff
 
 
 def cycle_amplitude(n: int, source: int, t: float, scale: float = FULL) -> AmplitudeVector:

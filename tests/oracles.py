@@ -63,6 +63,41 @@ def unfolded_averaged_column(dims: tuple[int, ...], T: float) -> np.ndarray:
     return (coeffs[0] @ weights @ coeffs[1].T).real.ravel()
 
 
+def _unfolded_osc_terms(n: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies sigma_jk and unit coefficients w^(l*(j-k)) of every osc term.
+
+    The index pairs are all (j, k) with j != k and j + k != n, with
+    sigma_jk = sin(pi*(j+k)/n)*sin(pi*(j-k)/n) and the roots of unity taken
+    straight from their definition.
+    """
+    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    keep = (j != k) & (j + k != n)
+    j, k = j[keep], k[keep]
+    sigma = np.sin(np.pi * (j + k) / n) * np.sin(np.pi * (j - k) / n)
+    roots = np.exp(2j * np.pi * ((offset * (j - k)) % n) / n)
+    return sigma, roots
+
+
+def unfolded_osc_sum(n: int, offset: int, t: float) -> complex:
+    """osc(t) as the plain sum of exp(-i*t*sigma_jk)*w^(l*(j-k)) over index pairs."""
+    sigma, roots = _unfolded_osc_terms(n, offset)
+    return complex(np.sum(np.exp(-1j * t * sigma) * roots))
+
+
+def unfolded_product_integral(n1: int, n2: int, offsets: tuple[int, int], T: float) -> complex:
+    """integral_0^T osc_1(t)*osc_2(t) dt, summed over all 4-index terms.
+
+    Each term integrates to T*g(x) at x = -(sigma1 + sigma2)*T, with the
+    complex g(x) = (exp(ix) - 1)/(ix) = sin(x)/x + i*(1 - cos(x))/x.
+    """
+    sigma1, roots1 = _unfolded_osc_terms(n1, offsets[0])
+    sigma2, roots2 = _unfolded_osc_terms(n2, offsets[1])
+    x = -np.add.outer(sigma1, sigma2) * T
+    half = np.sin(0.5 * x)
+    im = np.divide(2.0 * half * half, x, out=np.zeros_like(x), where=x != 0.0)
+    return complex(T * (roots1 @ (np.sinc(x / np.pi) + 1j * im) @ roots2))
+
+
 def allpairs_column_distance(matrix: np.ndarray) -> float:
     """Max pairwise column tv by scanning every column pair."""
     n = matrix.shape[1]

@@ -210,6 +210,18 @@ class TestConfigResolution:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and key in err
 
+    @pytest.mark.parametrize("horizon", ["inf", "nan"])
+    def test_non_finite_horizon_refused_before_sweep(self, tmp_path, capsys, monkeypatch,
+                                                     horizon):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("non-finite horizon reached the sweep")
+
+        monkeypatch.setattr(cli, "bound_sweep", must_not_run)
+        assert run("conjecture", "--pairs", "1", "--T-max", horizon,
+                   "--out", str(tmp_path / "c.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--T-max" in err
+
     def test_worker_count_capped_at_cores(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.delenv("LATTICEMIX_PARALLEL", raising=False)

@@ -10,7 +10,6 @@ from latticemix.kernels import (
     instantaneous_kernel,
     kernel_power,
     uniform_kernel,
-    uniform_time_average,
 )
 from latticemix.oscsums import integrated_osc_sum, product_integral_exact
 from latticemix.spectral import LatticeSpec
@@ -23,21 +22,6 @@ def assert_doubly_stochastic(kernel, tol=1e-9):
     assert np.abs(matrix.sum(axis=0) - 1.0).max() <= tol
     assert np.abs(matrix.sum(axis=1) - 1.0).max() <= tol
     assert np.abs(matrix - matrix.T).max() <= 1e-12
-
-
-class TestTimeAverageWeight:
-    def test_zero_frequency_is_exactly_one(self):
-        assert uniform_time_average(np.array([0.0]))[0] == 1.0
-
-    def test_matches_direct_formula(self):
-        x = np.array([0.5, -3.0, 40.0])
-        direct = (np.exp(1j * x) - 1.0) / (1j * x)
-        assert np.abs(uniform_time_average(x) - direct).max() < 1e-14
-
-    def test_stable_near_zero(self):
-        x = np.array([1e-18, -1e-12, 1e-7])
-        out = uniform_time_average(x)
-        assert np.abs(out - (1.0 + 1j * x / 2.0)).max() < 1e-13
 
 
 class TestInstantaneousKernel:

@@ -21,7 +21,9 @@ from latticemix.oscsums import (
 )
 from latticemix.spectral import HALF, cycle_amplitude
 
-from oracles import simpson_integral
+from oracles import simpson_integral, unfolded_osc_sum, unfolded_product_integral
+
+HORIZONS = (1e-9, 7.0, 1e3, 1e4)
 
 
 class TestPointEvaluations:
@@ -36,6 +38,13 @@ class TestPointEvaluations:
 
     def test_fast_equals_direct_on_spec_point(self):
         assert abs(osc_sum_fast(19, 2, 7.3) - osc_sum_direct(19, 2, 7.3)) <= 1e-9
+
+    @pytest.mark.parametrize("n", [3, 5, 19, 23])
+    def test_direct_matches_unfolded_pair_sum(self, n):
+        for offset in (0, 1, n // 2):
+            for t in HORIZONS:
+                oracle = unfolded_osc_sum(n, offset, t)
+                assert abs(osc_sum_direct(n, offset, t) - oracle) <= 1e-9
 
     def test_fast_equals_direct_on_random_samples(self):
         rng = np.random.default_rng(23)
@@ -80,6 +89,14 @@ class TestIntegratedSum:
             quad = simpson_integral(lambda ts: osc_sum_fast(n, l, ts), 0.0, T, 0.01)
             assert abs(exact - quad) <= 1e-5 * max(1.0, abs(quad))
 
+    def test_small_horizon_is_linear(self):
+        # the integral is T*osc(0) = T*(1 - n) to first order in T, and the
+        # closed form must keep full relative accuracy there
+        T = 1e-9
+        for n in range(3, 99, 2):
+            value = integrated_osc_sum(n, n // 2, T)
+            assert abs(value - T * (1 - n)) <= 1e-12 * T * (n - 1)
+
     def test_bound_formula_values(self):
         assert abs(integrated_osc_bound(5) - 32 * (5 * math.log(5)) ** 2) == 0.0
         assert abs(integrated_osc_bound(5) - 2072.23) < 0.01
@@ -115,6 +132,21 @@ class TestProductIntegral:
             quad = product_integral(19, 5, (0, 0), T, 0.02)
             exact = product_integral_exact(19, 5, (0, 0), T)
             assert abs(quad - exact) <= 1e-4 * max(1.0, abs(exact))
+
+    @pytest.mark.parametrize("pair", [(19, 5), (13, 11), (23, 21)])
+    def test_exact_matches_unfolded_product(self, pair):
+        for offsets in ((0, 0), (4, 3)):
+            for T in HORIZONS:
+                exact = product_integral_exact(*pair, offsets, T)
+                oracle = unfolded_product_integral(*pair, offsets, T)
+                assert abs(exact - oracle) <= 1e-9 * abs(oracle)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -5.0])
+    def test_closed_forms_refuse_bad_horizon(self, T):
+        with pytest.raises(ValueError):
+            product_integral_exact(19, 5, (0, 0), T)
+        with pytest.raises(ValueError):
+            integrated_osc_sum(19, 0, T)
 
     def test_nonzero_offsets_agree_too(self):
         quad = product_integral(13, 11, (4, 7), 50.0, 0.02)
@@ -157,6 +189,9 @@ class TestProductIntegral:
             product_integral(8, 5, (0, 0), 10.0, 0.02)        # parity
         with pytest.raises(ResolutionError):
             product_integral(19, 5, (0, 0), 10.0, 0.1)        # dt too big
+        for T in (math.nan, math.inf):                        # not finite
+            with pytest.raises(ValueError, match=f"T = {T}"):
+                product_integral_curve(19, 5, (0, 0), [10.0, T], 0.02)
 
 
 class TestProductBound:

@@ -24,10 +24,10 @@ pytestmark = pytest.mark.slow
 
 def _factor_probabilities_on_grid(n, offsets, t0, h, count, scale):
     """(count, len(offsets)) measurement probabilities on a uniform time grid."""
-    table = eigenphases(n)
-    lam = table.lambdas
+    lam = eigenphases(n).lambdas
+    j = np.arange(n)
     weights = np.stack(
-        [table.unit_roots[(l * np.arange(n)) % n] / n for l in offsets], axis=1
+        [np.exp(2j * np.pi * ((l * j) % n) / n) / n for l in offsets], axis=1
     )
     out = np.empty((count, len(offsets)))
     block = 8192
