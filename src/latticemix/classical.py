@@ -6,6 +6,27 @@ when a cycle has length 2).  The chain is doubly stochastic with uniform
 stationary distribution, and its epsilon-mixing time is bounded by
 2*d*n1^2*ceil(log(d/epsilon)) steps, n1 the longest cycle, via a coupling of
 two walkers that meet coordinate by coordinate.
+
+The walk is diagonal in the Fourier basis, with eigenvalue
+mu_a = 1/2 + sum_k lambda_{a_k}/(2d) on the mirror-class tuple a, so its
+curves from a vertex are read off spectral.class_table in closed form:
+
+    p_t(l) - 1/N = (1/N) * sum_{a != 0} mu_a^t * prod_k c_{a_k}(l_k),
+
+which leaves out the stationary class a = 0 and so gives the deviation from
+uniform with no cancellation.  p_t is even in every coordinate, so the tv to
+uniform sums the offset classes l <= n/2 with their multiplicities c_l(0).
+
+lazy_curves evaluates this in time blocks.  One step costs O(M * sum_k m_k)
+for m_k = n_k//2 + 1 classes per cycle and M = prod_k m_k, about
+N*(n1 + n2)/8 on two cycles, against O(N) for one stencil step on the grid,
+so the gain shrinks as the cycles grow.  Measured with one BLAS thread on a
+2-core VM (BENCH_classical.json), the closed form takes 2.3 us per step on
+(15, 14), 0.9 us on (5, 4, 3) and 15 us on (45, 43), against 73-106 us per
+stencil step; the two are about even near (101, 99), at 136-157 us per
+step.  On (301, 299) the closed form took 1.0-1.2 ms per step and the
+stencil 1-3.3 ms, varying between runs on a shared VM.  Every curve the
+tests, the demos and the benchmark draw has at most 23 x 21 vertices.
 """
 
 from __future__ import annotations
@@ -15,9 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import tv_distance, uniform
 from .kernels import Kernel
-from .spectral import LatticeSpec
+from .spectral import LatticeSpec, class_table
+
+# Steps per exact power anchor of lazy_curves: within a run the powers are
+# the anchor times a shared base mu^k, k < _POWER_RUN.
+_POWER_RUN = 256
+
+# Entries of one time block of class powers in lazy_curves.
+_CURVE_BLOCK = 2**18
 
 
 def lazy_kernel(lattice: LatticeSpec) -> Kernel:
@@ -34,15 +61,6 @@ def lazy_kernel(lattice: LatticeSpec) -> Kernel:
     return Kernel(lattice=lattice, first_column=grid.ravel(), kind="lazy")
 
 
-def lazy_step(grid: np.ndarray) -> np.ndarray:
-    """One lazy-walk update of a distribution laid out on the lattice grid."""
-    d = grid.ndim
-    out = 0.5 * grid
-    for axis in range(d):
-        out += (np.roll(grid, 1, axis) + np.roll(grid, -1, axis)) / (4 * d)
-    return out
-
-
 def lazy_mixing_bound(lattice: LatticeSpec, epsilon: float) -> int:
     """Step count 2*d*n1^2*ceil(log(d/epsilon)) guaranteeing tv <= epsilon.
 
@@ -55,21 +73,54 @@ def lazy_mixing_bound(lattice: LatticeSpec, epsilon: float) -> int:
     return 2 * d * n1 * n1 * math.ceil(math.log(d / epsilon))
 
 
-def mixing_curve(lattice: LatticeSpec, t_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact tv to uniform of the lazy walk from a vertex, steps 0..t_max."""
+def lazy_curves(lattice: LatticeSpec, t_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tv to uniform and return probability of the lazy walk, steps 0..t_max.
+
+    Closed form on the folded class tables (see the module docstring).
+    Steps go through in time blocks of about _CURVE_BLOCK class powers (one
+    step per block once a step alone has more classes), so memory stays
+    bounded for any t_max; each block is contracted with one factor's table
+    at a time.
+    """
     lattice.check_dense()
     t_max = int(t_max)
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    u = uniform(lattice.size)
-    grid = np.zeros(lattice.dims)
-    grid[(0,) * lattice.d] = 1.0
-    tvs = np.empty(t_max + 1)
-    tvs[0] = tv_distance(grid.ravel(), u)
-    for t in range(1, t_max + 1):
-        grid = lazy_step(grid)
-        tvs[t] = tv_distance(grid.ravel(), u)
-    return np.arange(t_max + 1), tvs
+    d = lattice.d
+    tables = [class_table(n) for n in lattice.dims]
+    # rows l <= n/2 of each table: p_t is even, so the offset classes suffice
+    rows = [table.cosines[: table.lambdas.size] for table in tables]
+    shape = [table.lambdas.size for table in tables]
+    mu = np.full(1, 0.5)
+    mult = np.ones(1)
+    for table, row in zip(tables, rows):
+        mu = np.add.outer(mu, table.lambdas / (2 * d)).ravel()
+        mult = np.multiply.outer(mult, row[0]).ravel()
+
+    steps = t_max + 1
+    run = max(1, min(_POWER_RUN, steps, _CURVE_BLOCK // mu.size))
+    base = np.power(mu, np.arange(run)[:, None])
+    base[:, 0] = 0.0  # the stationary class a = 0
+    span = run * max(1, _CURVE_BLOCK // (run * mu.size))
+    tv = np.empty(steps)
+    returns = np.empty(steps)
+    for lo in range(0, steps, span):
+        hi = min(lo + span, steps)
+        anchors = np.power(mu, np.arange(lo, hi, run)[:, None])
+        block = (anchors[:, None, :] * base).reshape(-1, *shape)[: hi - lo]
+        for row in rows:
+            block = np.tensordot(block, row, axes=([1], [1]))
+        # N times the deviation from uniform, per offset class
+        dev = block.reshape(hi - lo, -1)
+        tv[lo:hi] = (np.abs(dev) @ mult) / (2 * lattice.size)
+        returns[lo:hi] = (1.0 + dev[:, 0]) / lattice.size
+    return tv, returns
+
+
+def mixing_curve(lattice: LatticeSpec, t_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact tv to uniform of the lazy walk from a vertex, steps 0..t_max."""
+    tv, _ = lazy_curves(lattice, t_max)
+    return np.arange(tv.size), tv
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ refuse to run without ``--tier slow``.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -556,7 +557,13 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole option tree, built once per process.
+
+    parse_args leaves the parser unchanged and returns a fresh namespace,
+    so every main() call can share it.
+    """
     parser = _Parser(prog="latticemix", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="command")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import lazy_step, mixing_curve
+from .classical import lazy_curves
 from .distances import (
     distance_to_uniform,
     pairwise_column_distance,
@@ -355,18 +355,11 @@ def return_probability_curves(
     quantum[0] = 1.0
     quantum[1:] = averaged_return_probability(lattice, np.arange(1, t_max + 1))
 
-    grid = np.zeros(lattice.dims)
-    grid[0, 0] = 1.0
-    returns = np.empty(t_max + 1)
-    returns[0] = 1.0
-    for t in range(1, t_max + 1):
-        grid = lazy_step(grid)
-        returns[t] = grid[0, 0]
-    classical = np.cumsum(returns) / np.arange(1, t_max + 2)
+    tvs, returns = lazy_curves(lattice, max(t_max, square_time))
+    classical = np.cumsum(returns[: t_max + 1]) / np.arange(1, t_max + 2)
 
     mark = n1 + n2
     u = 1.0 / (n1 * n2)
-    _, tvs = mixing_curve(lattice, square_time)
 
     record = ExperimentRecord(
         config={"dims": (n1, n2), "t_max": t_max},
@@ -381,7 +374,7 @@ def return_probability_curves(
             "square_time": square_time,
             "quantum_gap_at_mark": abs(quantum[mark] - u) if mark <= t_max else np.nan,
             "classical_gap_at_mark": abs(classical[mark] - u) if mark <= t_max else np.nan,
-            "classical_tv_at_square_time": float(tvs[-1]),
+            "classical_tv_at_square_time": float(tvs[square_time]),
         },
     )
     if mark <= t_max:
@@ -391,6 +384,6 @@ def return_probability_curves(
         record.verdicts["quantum_closer_than_classical_at_mark"] = bool(
             abs(quantum[mark] - u) < abs(classical[mark] - u)
         )
-    record.verdicts["classical_mixed_at_square_time"] = bool(tvs[-1] <= 0.1)
+    record.verdicts["classical_mixed_at_square_time"] = bool(tvs[square_time] <= 0.1)
     record.wall_clock = time.perf_counter() - start
     return record

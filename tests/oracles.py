@@ -98,6 +98,27 @@ def unfolded_product_integral(n1: int, n2: int, offsets: tuple[int, int], T: flo
     return complex(T * (roots1 @ (np.sinc(x / np.pi) + 1j * im) @ roots2))
 
 
+def stepped_lazy_curve(lattice: LatticeSpec, t_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tv to uniform and return probability of the lazy walk, steps 0..t_max.
+
+    Steps a point mass at the origin with the np.roll stencil: stay with
+    probability 1/2, shift by +1 or -1 along each axis with 1/(4d) each.
+    """
+    d = lattice.d
+    grid = np.zeros(lattice.dims)
+    grid[(0,) * d] = 1.0
+    tv = np.empty(t_max + 1)
+    returns = np.empty(t_max + 1)
+    for t in range(t_max + 1):
+        tv[t] = 0.5 * np.abs(grid - 1.0 / lattice.size).sum()
+        returns[t] = grid[(0,) * d]
+        out = 0.5 * grid
+        for axis in range(d):
+            out += (np.roll(grid, 1, axis) + np.roll(grid, -1, axis)) / (4 * d)
+        grid = out
+    return tv, returns
+
+
 def allpairs_column_distance(matrix: np.ndarray) -> float:
     """Max pairwise column tv by scanning every column pair."""
     n = matrix.shape[1]

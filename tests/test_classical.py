@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from latticemix import classical
 from latticemix.classical import (
     coupling_simulation,
+    lazy_curves,
     lazy_kernel,
     lazy_mixing_bound,
     mixing_curve,
 )
 from latticemix.spectral import LatticeSpec
 
-from oracles import expected_meeting_time
+from oracles import expected_meeting_time, stepped_lazy_curve
 
 
 class TestLazyKernel:
@@ -59,6 +61,34 @@ class TestMixingCurve:
         _, tvs = mixing_curve(LatticeSpec((5,)), 400)
         assert np.all(np.diff(tvs) <= 1e-12)
         assert tvs[-1] < 1e-10
+
+    @pytest.mark.parametrize("dims", [
+        (2,), (3,), (12,), (2, 2), (4, 6), (13, 2), (11, 9), (15, 14), (5, 4, 3),
+    ])
+    @pytest.mark.parametrize("run, block", [(256, 2**18), (7, 100)])
+    def test_matches_stepped_oracle(self, monkeypatch, dims, run, block):
+        # short runs and blocks put 600 steps through many partial time blocks
+        monkeypatch.setattr(classical, "_POWER_RUN", run)
+        monkeypatch.setattr(classical, "_CURVE_BLOCK", block)
+        lattice = LatticeSpec(dims)
+        want_tv, want_returns = stepped_lazy_curve(lattice, 600)
+        times, tvs = mixing_curve(lattice, 600)
+        _, returns = lazy_curves(lattice, 600)
+        assert np.array_equal(times, np.arange(601))
+        assert np.abs(tvs - want_tv).max() <= 1e-12
+        assert np.abs(returns - want_returns).max() <= 1e-12
+
+    def test_default_blocks_match_stepped_oracle(self):
+        # 64 classes: time blocks of 4096 steps, so 9000 steps take three
+        lattice = LatticeSpec((15, 14))
+        want_tv, want_returns = stepped_lazy_curve(lattice, 9000)
+        tvs, returns = lazy_curves(lattice, 9000)
+        assert np.abs(tvs - want_tv).max() <= 1e-12
+        assert np.abs(returns - want_returns).max() <= 1e-12
+
+    def test_negative_steps_refused(self):
+        with pytest.raises(ValueError):
+            mixing_curve(LatticeSpec((3,)), -1)
 
     @pytest.mark.parametrize("dims", [(9, 5), (7, 7), (5, 3, 3)])
     @pytest.mark.parametrize("epsilon", [0.25, 0.1])

@@ -210,6 +210,33 @@ class TestConfigResolution:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and key in err
 
+    def test_shared_parser_matches_fresh_parser(self, tmp_path):
+        config = tmp_path / "job.cfg"
+        config.write_text("n=19\nT=100\n")
+        jobs = [
+            ("mix-classical", "--dims", "7,4", "--t-max", "50", "--out", "{out}.csv"),
+            ("lemma2", "--config", str(config), "--offset", "2", "--out", "{out}.json"),
+            ("kernel", "--dims", "5,3", "--T", "-1", "--out", "{out}.csv"),
+            ("spectrum", "--dims", "5,3", "--out", "{out}.csv"),
+            ("fig1", "--dims", "9,5", "--t-max", "20", "--out", "{out}.svg"),
+        ]
+
+        def run_all(tag, fresh):
+            results = []
+            for index, job in enumerate(jobs):
+                if fresh:
+                    build_parser.cache_clear()
+                out = str(tmp_path / f"{tag}{index}")
+                argv = [part.format(out=out) for part in job]
+                code = run(*argv)
+                target = argv[argv.index("--out") + 1]
+                results.append((code, read(target) if os.path.exists(target) else None))
+            return results
+
+        shared = run_all("shared", fresh=False)
+        assert [code for code, _ in shared] == [0, 0, 1, 0, 2]
+        assert shared == run_all("fresh", fresh=True)
+
     @pytest.mark.parametrize("horizon", ["inf", "nan"])
     def test_non_finite_horizon_refused_before_sweep(self, tmp_path, capsys, monkeypatch,
                                                      horizon):

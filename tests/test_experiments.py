@@ -16,6 +16,8 @@ from latticemix.experiments import (
 from latticemix.kernels import averaged_kernel_analytic
 from latticemix.spectral import FULL, LatticeSpec, cycle_amplitude
 
+from oracles import stepped_lazy_curve
+
 
 class TestRepeatedMeasurement:
     def test_vanishing_horizon_keeps_the_walker_home(self):
@@ -204,3 +206,10 @@ class TestReturnProbabilityCurves:
         assert record.scalars["square_time"] == 386
         assert record.scalars["classical_tv_at_square_time"] <= 0.1
         assert record.verdicts["classical_mixed_at_square_time"]
+
+    def test_classical_curves_match_stepped_oracle(self):
+        record = return_probability_curves(19, 5, t_max=30)
+        tv, returns = stepped_lazy_curve(LatticeSpec((19, 5)), 386)
+        running = np.cumsum(returns[:31]) / np.arange(1, 32)
+        assert np.abs(record.curves["classical_return"] - running).max() <= 1e-12
+        assert abs(record.scalars["classical_tv_at_square_time"] - tv[386]) <= 1e-12
