@@ -61,7 +61,7 @@ class ExperimentRecord:
 
 
 def _averaged_kernel(lattice: LatticeSpec, T: float, dt: float | None) -> Kernel:
-    if lattice.all_odd and lattice.d <= 2:
+    if lattice.all_odd:
         return averaged_kernel_analytic(lattice, T)
     return averaged_kernel_quadrature(lattice, T, dt if dt is not None else 0.02)
 
@@ -77,6 +77,8 @@ def repeated_measurement_run(
 ) -> ExperimentRecord:
     """Measure-evolve-measure walk for `rounds` rounds of horizon T.
 
+    The averaged kernel is analytic when every cycle length is odd (dt is
+    then ignored) and Simpson quadrature at step dt (default 0.02) otherwise.
     Exact mode composes the averaged kernel with itself and reports, per
     round count k, the distance of the column to uniform, the pairwise column
     distance d(P_T^k) and the submultiplicative cap d(P_T)^k.  Sampled mode

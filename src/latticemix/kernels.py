@@ -19,9 +19,12 @@ Three constructions are provided:
   The pairs (a, b) and (b, a) are complex conjugates, so the time average
   (1/T)*integral_0^T exp(i*omega*t) dt = g(omega*T) enters only through
   Re g(x) = sin(x)/x, and the whole construction is real.  Joint terms of
-  a d=2 lattice multiply across factors, with weight sin(x)/x at
-  x = (omega1 + omega2)*T.  The class-pair frequencies and coefficients are
-  spectral.class_pair_table(n, scale), shared with the oscillatory sums.
+  a d-factor lattice multiply across factors, with weight sin(x)/x at
+  x = (omega_1 + ... + omega_d)*T and scale 1/d per factor; any d works.
+  The class-pair frequencies and coefficients are
+  spectral.class_pair_table(n, scale), and _class_pair_sum contracts them
+  factor by factor; the return curve and the exact oscillatory sums are
+  contractions of the same kind.
 * averaged_kernel_quadrature: the same average by composite Simpson over a
   time grid, kept deliberately independent of the per-frequency path so the
   two can cross-check each other.
@@ -32,6 +35,7 @@ through the circulant diagonalization.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -132,11 +136,6 @@ def _sinc_average(x: np.ndarray) -> np.ndarray:
     return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
-def _averaged_column_1d(n: int, T: float) -> np.ndarray:
-    omega, coeff = class_pair_table(n, 1.0)
-    return coeff @ _sinc_average(omega * T)
-
-
 def _load_checkpoint(path: str, meta: tuple) -> tuple[int, np.ndarray] | None:
     if path is None or not os.path.exists(path):
         return None
@@ -168,49 +167,59 @@ def _save_checkpoint(path: str, meta: tuple, next_block: int, partial: np.ndarra
             os.remove(tmp)
 
 
-def _averaged_column_2d(
-    n1: int,
-    n2: int,
-    T: float,
+def _class_pair_sum(
+    tables,
+    horizons,
     block_size: int,
-    checkpoint: str | None,
-    checkpoint_every: int,
+    checkpoint: str | None = None,
+    checkpoint_every: int = 4,
 ) -> np.ndarray:
-    """First column of the d=2 averaged kernel by factor-block contraction.
+    """Sum over class-pair tuples p of prod_k C_k[l_k, p_k] * sin(x)/x.
 
-    Factor-1 class pairs are processed in blocks; for each block the joint
-    weights sin(x)/x at x = (omega1 + omega2) * T are contracted against
-    factor 2's coefficient matrix, accumulating
-    partial[p1, l2] = sum_p2 C2[l2, p2] * weight[p1, p2].  The column is then
-    C1 @ partial.  Partial sums are checkpointable so a long run survives
-    interruption; the block order is fixed, so a resumed run adds the same
-    terms in the same order and reproduces the uninterrupted result bit for
-    bit.
+    Here x = T * sum_k omega_k[p_k] for each horizon T in `horizons`, and
+    `tables` holds one (omega_k, C_k) pair per factor: the class-pair
+    frequencies of spectral.class_pair_table and a (rows_k, pairs_k) block
+    of its coefficient rows.  The leading factors' frequencies are summed
+    into one axis; the last factor is contracted against it in blocks of
+    `block_size` leading rows, partial[T, p_lead, l_d] =
+    sum_p_d sin(x)/x * C_d[l_d, p_d] for every horizon T; then each leading
+    factor's table is contracted in turn.  The result is flattened
+    row-major over (T, l_1, ..., l_d).
+
+    Partial sums are checkpointable so a long run survives interruption;
+    the block order is fixed, so a resumed run adds the same terms in the
+    same order and reproduces the uninterrupted result bit for bit.
     """
-    scale = 0.5
-    omega1, coeff1 = class_pair_table(n1, scale)
-    omega2, coeff2 = class_pair_table(n2, scale)
-    c2t = np.ascontiguousarray(coeff2.T)  # (((n2+1)/2)^2, n2)
-    p1_count = omega1.size
-    blocks = range(0, p1_count, block_size)
+    horizons = np.asarray(horizons, dtype=float).ravel()
+    *leading, (omega_last, coeff_last) = tables
+    lead = np.zeros(1)
+    for omega, _ in leading:
+        lead = np.add.outer(lead, omega).ravel()
+    c_last_t = np.ascontiguousarray(coeff_last.T)
 
-    meta = (_CHECKPOINT_VERSION, n1, n2, float(T), block_size)
+    meta = (_CHECKPOINT_VERSION, *(c.shape[0] for _, c in tables), *horizons, block_size)
     start = 0
-    partial = np.zeros((p1_count, n2))
+    partial = np.zeros((horizons.size * lead.size, coeff_last.shape[0]))
     resumed = _load_checkpoint(checkpoint, meta) if checkpoint else None
     if resumed is not None:
         start, partial = resumed
+    # a view, so block writes land in the partial sums the checkpoint saves
+    blocks = partial.reshape(horizons.size, lead.size, -1)
 
-    for count, lo in enumerate(blocks):
+    for count, lo in enumerate(range(0, lead.size, block_size)):
         if lo < start:
             continue
-        hi = min(lo + block_size, p1_count)
-        joint = (omega1[lo:hi, None] + omega2[None, :]) * T
-        partial[lo:hi] = _sinc_average(joint) @ c2t
-        if checkpoint and (count + 1) % checkpoint_every == 0 and hi < p1_count:
+        hi = min(lo + block_size, lead.size)
+        joint = np.multiply.outer(horizons, lead[lo:hi, None] + omega_last)
+        weights = _sinc_average(joint).reshape(-1, omega_last.size)
+        blocks[:, lo:hi] = (weights @ c_last_t).reshape(horizons.size, hi - lo, -1)
+        if checkpoint and (count + 1) % checkpoint_every == 0 and hi < lead.size:
             _save_checkpoint(checkpoint, meta, hi, partial)
 
-    col = coeff1 @ partial
+    col, done = partial, horizons.size
+    for _, coeff in leading:
+        col = np.matmul(coeff, col.reshape(done, coeff.shape[1], -1))
+        done *= coeff.shape[0]
     if checkpoint and os.path.exists(checkpoint):
         os.remove(checkpoint)
     return col.ravel()
@@ -219,8 +228,6 @@ def _averaged_column_2d(
 def _check_analytic_lattice(lattice: LatticeSpec) -> None:
     if not lattice.all_odd:
         raise ParityError(f"analytic averaged kernel needs odd dims, got {lattice.dims}")
-    if lattice.d > 2:
-        raise SizeError("analytic averaged kernel supports d <= 2; use quadrature")
 
 
 def averaged_kernel_analytic(
@@ -233,20 +240,16 @@ def averaged_kernel_analytic(
     """Time-averaged kernel P_T built from exact per-frequency integrals.
 
     Requires every cycle length odd (the time-independent part of the
-    expansion collapses only for odd n) and d <= 2; the quadrature builder
-    covers everything else.
+    expansion collapses only for odd n); the quadrature builder covers
+    everything else.  Any number of factors, each with time scale 1/d.
     """
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"averaging horizon must be positive, got {T}")
     _check_analytic_lattice(lattice)
     lattice.check_dense()
 
-    if lattice.d == 1:
-        col = _averaged_column_1d(lattice.dims[0], T)
-    else:
-        col = _averaged_column_2d(
-            lattice.dims[0], lattice.dims[1], T, block_size, checkpoint, checkpoint_every
-        )
+    tables = [class_pair_table(n, 1.0 / lattice.d) for n in lattice.dims]
+    col = _class_pair_sum(tables, [T], block_size, checkpoint, checkpoint_every)
     _check_stochastic(col, 1e-9, f"analytic averaged kernel T={T}")
     return Kernel(lattice=lattice, first_column=col, kind=f"averaged(T={T})")
 
@@ -256,25 +259,23 @@ def averaged_return_probability(lattice: LatticeSpec, horizons) -> np.ndarray:
 
     Matches averaged_kernel_analytic(lattice, T).first_column[0] for every T
     in `horizons`.  The origin entry needs only row 0 of each factor's folded
-    table, so the joint terms are formed once and each horizon costs one dot
-    product with their sin(x)/x weights; horizons go through in chunks that
-    keep the weight block near _WEIGHT_BLOCK entries.
+    table, so each horizon costs one pass over the joint class pairs;
+    horizons go through in chunks, and each chunk's leading rows in blocks,
+    that keep the weight block near _WEIGHT_BLOCK entries.
     """
     horizons = np.asarray(horizons, dtype=float).ravel()
     if not np.all(np.isfinite(horizons) & (horizons > 0)):
         raise ValueError("averaging horizons must be positive and finite")
     _check_analytic_lattice(lattice)
     scale = 1.0 / lattice.d
-    omega, coeff = np.zeros(1), np.ones(1)
-    for n in lattice.dims:
-        factor_omega, factor_coeff = class_pair_table(n, scale)
-        omega = np.add.outer(omega, factor_omega).ravel()
-        coeff = np.multiply.outer(coeff, factor_coeff[0]).ravel()
+    tables = [(omega, coeff[:1]) for omega, coeff in
+              (class_pair_table(n, scale) for n in lattice.dims)]
+    pairs = math.prod(omega.size for omega, _ in tables)
+    step = max(1, _WEIGHT_BLOCK // pairs)
+    block = max(1, _WEIGHT_BLOCK // (step * tables[-1][0].size))
     out = np.empty(horizons.size)
-    step = max(1, _WEIGHT_BLOCK // omega.size)
     for lo in range(0, horizons.size, step):
-        hi = min(lo + step, horizons.size)
-        out[lo:hi] = _sinc_average(np.multiply.outer(horizons[lo:hi], omega)) @ coeff
+        out[lo : lo + step] = _class_pair_sum(tables, horizons[lo : lo + step], block)
     return out
 
 

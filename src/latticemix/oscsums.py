@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParityError, ResolutionError
-from .kernels import _sinc_average, simpson_intervals, simpson_weights
+from .kernels import _class_pair_sum, simpson_intervals, simpson_weights
 from .spectral import HALF, class_pair_table, cycle_amplitude_at, cycle_amplitude_grid
 
 MAX_PRODUCT_DT = 0.02
@@ -59,21 +59,21 @@ def _check_horizon(T: float) -> float:
 
 
 def _osc_series(n: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies f and coefficients C with osc(t) = C @ cos(f*t).
+    """Frequencies f and the one-row table C with osc(t) = C[0] @ cos(f*t).
 
     Row `offset` of the half-scale class-pair table, scaled by n^2, without
     the same-class pairs a = b (the j = k and j + k = n terms).
     """
     omega, coeff = class_pair_table(n, HALF)
     keep = ~np.eye((n + 1) // 2, dtype=bool).ravel()
-    return omega[keep], coeff[int(offset) % n, keep] * float(n) ** 2
+    return omega[keep], coeff[[int(offset) % n]][:, keep] * float(n) ** 2
 
 
 def osc_sum_direct(n: int, offset: int, t: float) -> float:
     """O(n^2) evaluation of the class-pair cosine series; the reference path."""
     n = _check_odd(n)
     freq, coeff = _osc_series(n, offset)
-    return float(coeff @ np.cos(freq * t))
+    return float(coeff[0] @ np.cos(freq * t))
 
 
 def osc_sum_fast(n: int, offset: int, t):
@@ -104,8 +104,7 @@ def integrated_osc_sum(n: int, offset: int, T: float) -> float:
     """
     n = _check_odd(n)
     T = _check_horizon(T)
-    freq, coeff = _osc_series(n, offset)
-    return float(T * (coeff @ _sinc_average(freq * T)))
+    return float(T * _class_pair_sum([_osc_series(n, offset)], [T], 1)[0])
 
 
 def integrated_osc_bound(n: int) -> float:
@@ -211,14 +210,9 @@ def product_integral_exact(n1: int, n2: int, offsets: tuple[int, int], T: float)
     T = _check_horizon(T)
     if n1 * n2 > MAX_EXACT_PRODUCT:
         raise ValueError(f"n1*n2 = {n1 * n2} exceeds exact-path cap {MAX_EXACT_PRODUCT}")
-    freq1, coeff1 = _osc_series(n1, offsets[0])
-    freq2, coeff2 = _osc_series(n2, offsets[1])
-    total = 0.0
-    block = max(1, 4_000_000 // freq2.size)
-    for lo in range(0, freq1.size, block):
-        weights = _sinc_average((freq1[lo : lo + block, None] + freq2[None, :]) * T)
-        total += coeff1[lo : lo + block] @ weights @ coeff2
-    return float(T * total)
+    tables = [_osc_series(n1, offsets[0]), _osc_series(n2, offsets[1])]
+    block = max(1, 4_000_000 // tables[1][0].size)
+    return float(T * _class_pair_sum(tables, [T], block)[0])
 
 
 def product_integral_bound(dims) -> float:

@@ -42,25 +42,25 @@ def expm_amplitude_column(lattice: LatticeSpec, source_index: int, t: float) -> 
 def unfolded_averaged_column(dims: tuple[int, ...], T: float) -> np.ndarray:
     """First column of the averaged kernel P_T as the plain sum over index pairs.
 
-    P_T(0, l) = sum over all index pairs (j_k, m_k) of every factor of
-    prod_k w_k^(l_k*(j_k - m_k))/n_k^2 * Re g(x), with x = T * sum_k omega_k,
+    P_T(0, l) = sum over all tuples of index pairs ((j_1, m_1), ..., (j_d, m_d))
+    of prod_k w_k^(l_k*(j_k - m_k))/n_k^2 * Re g(x), with x = T * sum_k omega_k,
     omega_k = (lambda_j - lambda_m)/d and Re g(x) = sin(x)/x: the unfolded
-    n1^2 * n2^2 route, with eigenvalues cos(2*pi*j/n) taken straight from
-    their definition.  Only for d <= 2.
+    route over prod_k n_k^2 terms, with eigenvalues cos(2*pi*j/n) taken
+    straight from their definition.
     """
     d = len(dims)
-    omegas, coeffs = [], []
+    x = np.zeros(())
+    for n in dims:
+        lam = np.cos(2.0 * np.pi * np.arange(n) / n)
+        x = np.add.outer(x, np.subtract.outer(lam, lam).ravel() / d)
+    column = np.sinc(x * T / np.pi)
     for n in dims:
         j = np.arange(n)
-        lam = np.cos(2.0 * np.pi * j / n)
-        omegas.append((np.subtract.outer(lam, lam) / d).ravel())
         delta = np.subtract.outer(j, j).ravel()
-        coeffs.append(np.exp(2j * np.pi * np.outer(j, delta) / n) / n**2)
-    if d == 1:
-        weights = np.sinc(omegas[0] * T / np.pi)
-        return (coeffs[0] @ weights).real
-    weights = np.sinc(np.add.outer(omegas[0], omegas[1]) * T / np.pi)
-    return (coeffs[0] @ weights @ coeffs[1].T).real.ravel()
+        roots = np.exp(2j * np.pi * np.outer(j, delta) / n) / n**2
+        # contract the leading index-pair axis; the offset axis goes last
+        column = np.tensordot(column, roots, axes=([0], [1]))
+    return column.real.ravel()
 
 
 def _unfolded_osc_terms(n: int, offset: int) -> tuple[np.ndarray, np.ndarray]:

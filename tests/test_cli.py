@@ -134,6 +134,17 @@ class TestOutputs:
         assert probs.size == 95
         assert abs(probs.sum() - 1.0) < 1e-9
 
+    def test_three_factor_averaged_kernel_matches_quadrature(self, tmp_path):
+        columns = []
+        for kind in ("averaged", "averaged-quad"):
+            out = str(tmp_path / f"{kind}.csv")
+            assert run("kernel", "--dims", "7,5,3", "--kind", kind, "--T", "9",
+                       "--out", out) == 0
+            rows = read(out).decode().splitlines()[1:]
+            columns.append(np.array([float(r.split(",")[-1]) for r in rows]))
+        assert columns[0].size == 105
+        assert np.abs(columns[0] - columns[1]).max() <= 1e-6
+
     def test_kernel_power_zero_is_identity(self, tmp_path):
         out = str(tmp_path / "k.json")
         assert run("kernel", "--dims", "5,3", "--T", "2", "--power", "0",

@@ -35,6 +35,7 @@ def assorted_kernels():
     yield instantaneous_kernel(LatticeSpec((3, 4, 5)), 0.7)
     yield averaged_kernel_analytic(LatticeSpec((9, 5)), 7.0)
     yield averaged_kernel_analytic(LatticeSpec((13,)), 40.0)
+    yield averaged_kernel_analytic(LatticeSpec((7, 5, 3)), 9.0)
     yield uniform_kernel(LatticeSpec((8,)))
     yield identity_kernel(LatticeSpec((6,)))
 

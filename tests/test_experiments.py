@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from latticemix import experiments
-from latticemix.distances import tv_distance, uniform
+from latticemix.distances import (
+    distance_to_uniform,
+    pairwise_column_distance,
+    tv_distance,
+    uniform,
+)
 from latticemix.experiments import (
     coordinate_wise_run,
     deviation_time,
@@ -13,7 +18,11 @@ from latticemix.experiments import (
     spread_constant,
     uniformity_case_check,
 )
-from latticemix.kernels import averaged_kernel_analytic
+from latticemix.kernels import (
+    averaged_kernel_analytic,
+    averaged_kernel_quadrature,
+    kernel_power,
+)
 from latticemix.spectral import FULL, LatticeSpec, cycle_amplitude
 
 from oracles import stepped_lazy_curve
@@ -68,6 +77,18 @@ class TestRepeatedMeasurement:
         monkeypatch.setattr(experiments, "_SAMPLE_CHUNK", 1_000)
         whole = experiments._sample_repeated(lattice, 9.0, 3, 1_000, 11)
         assert np.array_equal(chunked, whole)
+
+    def test_three_factor_run_matches_quadrature_kernel(self):
+        # odd d = 3 runs on the analytic kernel; quadrature is the reference
+        lattice = LatticeSpec((7, 5, 3))
+        record = repeated_measurement_run(lattice, 9.0, rounds=3)
+        analytic = averaged_kernel_analytic(lattice, 9.0)
+        assert record.curves["tv_to_uniform"][0] == distance_to_uniform(analytic)
+        quad = averaged_kernel_quadrature(lattice, 9.0, 0.02)
+        tvs = [distance_to_uniform(kernel_power(quad, k)) for k in (1, 2, 3)]
+        assert np.abs(record.curves["tv_to_uniform"] - tvs).max() <= 1e-6
+        assert abs(record.scalars["kernel_contraction"]
+                   - pairwise_column_distance(quad)) <= 1e-6
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from latticemix.kernels import (
     Kernel,
     averaged_kernel_analytic,
     averaged_kernel_quadrature,
+    averaged_return_probability,
     identity_kernel,
     instantaneous_kernel,
     kernel_power,
@@ -50,16 +51,24 @@ class TestAveragedKernels:
 
     @pytest.mark.parametrize("T", [1.0, 24.0, 100.0])
     def test_analytic_matches_quadrature(self, T):
-        lattice = LatticeSpec((19, 5))
-        analytic = averaged_kernel_analytic(lattice, T).first_column
-        quad = averaged_kernel_quadrature(lattice, T, 0.02).first_column
-        assert np.abs(analytic - quad).max() <= 1e-6
+        for dims in ((19, 5), (7, 5, 3)):
+            lattice = LatticeSpec(dims)
+            analytic = averaged_kernel_analytic(lattice, T).first_column
+            quad = averaged_kernel_quadrature(lattice, T, 0.02).first_column
+            assert np.abs(analytic - quad).max() <= 1e-6
 
-    @pytest.mark.parametrize("dims", [(19, 5), (23, 21), (9,)])
+    @pytest.mark.parametrize("dims", [(19, 5), (23, 21), (9,), (7, 5, 3)])
     @pytest.mark.parametrize("T", [1e-9, 7.0, 24.0, 6.2e6])
     def test_folded_analytic_matches_unfolded_sum(self, dims, T):
         folded = averaged_kernel_analytic(LatticeSpec(dims), T).first_column
         assert np.abs(folded - unfolded_averaged_column(dims, T)).max() <= 1e-12
+
+    def test_three_factor_return_probability_matches_kernel_origin_entries(self):
+        lattice = LatticeSpec((7, 5, 3))
+        horizons = [1e-9, 1.0, 7.5, 24.0, 6.2e6]
+        per_T = [averaged_kernel_analytic(lattice, T).first_column[0] for T in horizons]
+        curve = averaged_return_probability(lattice, horizons)
+        assert np.abs(curve - per_T).max() <= 1e-12
 
     def test_one_dimensional_analytic_matches_quadrature(self):
         lattice = LatticeSpec((9,))
@@ -82,8 +91,7 @@ class TestAveragedKernels:
             averaged_kernel_analytic(LatticeSpec((4,)), 1.0)
         with pytest.raises(ParityError):
             averaged_kernel_analytic(LatticeSpec((19, 4)), 1.0)
-        with pytest.raises(SizeError):
-            averaged_kernel_analytic(LatticeSpec((7, 5, 3)), 1.0)
+        assert_doubly_stochastic(averaged_kernel_analytic(LatticeSpec((7, 5, 3)), 1.0))
         with pytest.raises(ValueError):
             averaged_kernel_analytic(LatticeSpec((5,)), 0.0)
 
@@ -119,33 +127,35 @@ class TestCheckpointing:
     def test_interrupted_run_resumes_to_identical_column(self, tmp_path, monkeypatch):
         import latticemix.kernels as kernels_module
 
-        # (19, 5) has 10^2 factor-1 class pairs: two blocks of at most 64
-        lattice = LatticeSpec((19, 5))
-        reference = averaged_kernel_analytic(lattice, 24.0, block_size=64).first_column
-
         real = kernels_module._sinc_average
-        calls = {"count": 0}
+        # (19, 5) has 10^2 leading class pairs, two blocks of at most 64;
+        # (7, 5, 3) has 4^2 * 3^2 = 144, three blocks
+        for dims in ((19, 5), (7, 5, 3)):
+            lattice = LatticeSpec(dims)
+            reference = averaged_kernel_analytic(lattice, 24.0, block_size=64).first_column
 
-        def flaky(x):
-            calls["count"] += 1
-            if calls["count"] == 2:
-                raise KeyboardInterrupt
-            return real(x)
+            calls = {"count": 0}
 
-        path = str(tmp_path / "partial.npz")
-        monkeypatch.setattr(kernels_module, "_sinc_average", flaky)
-        with pytest.raises(KeyboardInterrupt):
-            averaged_kernel_analytic(
+            def flaky(x):
+                calls["count"] += 1
+                if calls["count"] == 2:
+                    raise KeyboardInterrupt
+                return real(x)
+
+            path = str(tmp_path / "partial.npz")
+            monkeypatch.setattr(kernels_module, "_sinc_average", flaky)
+            with pytest.raises(KeyboardInterrupt):
+                averaged_kernel_analytic(
+                    lattice, 24.0, block_size=64, checkpoint=path, checkpoint_every=1
+                )
+            monkeypatch.setattr(kernels_module, "_sinc_average", real)
+            assert (tmp_path / "partial.npz").exists()
+
+            resumed = averaged_kernel_analytic(
                 lattice, 24.0, block_size=64, checkpoint=path, checkpoint_every=1
-            )
-        monkeypatch.setattr(kernels_module, "_sinc_average", real)
-        assert (tmp_path / "partial.npz").exists()
-
-        resumed = averaged_kernel_analytic(
-            lattice, 24.0, block_size=64, checkpoint=path, checkpoint_every=1
-        ).first_column
-        assert np.array_equal(resumed, reference)
-        assert not (tmp_path / "partial.npz").exists()
+            ).first_column
+            assert np.array_equal(resumed, reference)
+            assert not (tmp_path / "partial.npz").exists()
 
     def test_checkpoint_rejects_mismatched_parameters(self, tmp_path):
         from latticemix.kernels import _save_checkpoint
