@@ -61,11 +61,10 @@ from .oscsums import (
 from .spectral import (
     FULL,
     HALF,
-    AmplitudeVector,
-    EigenphaseTable,
+    ClassTable,
     LatticeSpec,
+    class_table,
     cycle_amplitude,
-    eigenphases,
     product_amplitude,
     spectral_gap,
 )

@@ -43,7 +43,7 @@ from .oscsums import (
     sample_coprime_odd_pairs,
 )
 from .output import write_csv, write_json, write_manifest, write_svg
-from .spectral import LatticeSpec, eigenphases, spectral_gap
+from .spectral import LatticeSpec, class_table, spectral_gap
 
 ENV_WORKERS = "LATTICEMIX_PARALLEL"
 
@@ -205,11 +205,11 @@ def _run_spectrum(resolved) -> int:
     rows = []
     factors = []
     for axis, n in enumerate(lattice.dims):
-        lambdas = eigenphases(n).lambdas
+        # lambda_j = lambda_{n-j}: index j reads its mirror class min(j, n-j)
+        index = np.arange(n)
+        lambdas = class_table(n).lambdas[np.minimum(index, n - index)]
         factors.append({"n": n, "eigenvalues": lambdas})
-        rows.extend(
-            (axis, n, j, lambdas[j], gap) for j in range(n)
-        )
+        rows.extend((axis, n, j, lambdas[j], gap) for j in range(n))
     payload = {"dims": list(lattice.dims), "spectral_gap": gap, "factors": factors}
     _emit(resolved, "spectrum", payload,
           ["factor", "n", "j", "eigenvalue", "joint_gap"], rows)
@@ -376,6 +376,8 @@ def _run_conjecture(resolved) -> int:
         pairs = coprime_odd_pairs(lo, hi)
     else:
         pairs = sample_coprime_odd_pairs(lo, hi, resolved["pairs"], resolved["seed"])
+    if not pairs:
+        raise ValueError(f"range {lo},{hi} holds no coprime odd pair n1 > n2 >= 3")
     grid = _decade_grid(resolved["T_max"])
     reports = bound_sweep(
         pairs, grid, dt=resolved["dt"], offsets=(resolved["offset"],),
@@ -506,7 +508,7 @@ _COMMANDS = {
     "mix-coordinate": _Command(_run_mix_coordinate, "coordinate-at-a-time measured walk", (
         _DIMS,
         _Option("--epsilon", float, 0.1),
-        _Option("--rounds", int),
+        _Option("--rounds", _parse_count),
         *_io("json"),
     )),
     "mix-repeated": _Command(_run_mix_repeated, "repeated-measurement walk, exact or sampled", (

@@ -175,7 +175,7 @@ def spread_constant(n: int, t: float) -> float:
     c is n times the ceil(2n/3)-th largest entry of |<q|U(t)|0>|^2 at full
     time scale; the recorded value, positive whenever the walk spreads.
     """
-    probs = np.sort(cycle_amplitude(n, 0, t, FULL).probabilities)[::-1]
+    probs = np.sort(np.abs(cycle_amplitude(n, 0, t, FULL)) ** 2)[::-1]
     qualifying = math.ceil(2 * n / 3)
     return float(n * probs[qualifying - 1])
 
@@ -192,13 +192,17 @@ def coordinate_wise_run(
     each through the cycle measurement kernel Q_k(t_k) with entries
     |<q|exp(i*Abar_k*t_k)|p>|^2.  With rounds=None each coordinate runs
     rounds_to_threshold(d(Q_k)) sweeps, the count that drives its column
-    distance below 1/(2e).  Evolution times default to n_k/3; times outside
-    [n_k/3, n_k/2] are flagged in the record's warnings, not rejected, since
-    the interval is sufficient rather than necessary.
+    distance below 1/(2e); a given rounds must be >= 0.  Evolution times
+    default to n_k/3; times outside [n_k/3, n_k/2] are flagged in the
+    record's warnings, not rejected, since the interval is sufficient rather
+    than necessary.
     """
     start = time.perf_counter()
+    lattice.check_dense()
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if rounds is not None and rounds < 0:
+        raise ValueError(f"rounds must be >= 0, got {rounds}")
     if times is None:
         times = [n / 3.0 for n in lattice.dims]
     times = [float(t) for t in times]
@@ -216,7 +220,7 @@ def coordinate_wise_run(
             record.warnings.append(
                 f"evolution time {t} outside [{n / 3.0:.6g}, {n / 2.0:.6g}] on Z_{n}"
             )
-        col = cycle_amplitude(n, 0, t, FULL).probabilities
+        col = np.abs(cycle_amplitude(n, 0, t, FULL)) ** 2
         cycle = Kernel(LatticeSpec((n,)), col, kind=f"cycle(n={n},t={t})")
         columns.append(cycle)
         alphas.append(pairwise_column_distance(cycle))
@@ -272,7 +276,6 @@ def uniformity_case_check(
     T: float | None = None,
     strict: bool | None = None,
     checkpoint: str | None = None,
-    block_size: int = 256,
 ) -> list[BoundReport]:
     """Deviation of the d=2 averaged kernel from uniform, entry class by class.
 
@@ -294,9 +297,7 @@ def uniformity_case_check(
     if T is None:
         T = deviation_time(n1, n2)
 
-    kernel = averaged_kernel_analytic(
-        lattice, T, block_size=block_size, checkpoint=checkpoint
-    )
+    kernel = averaged_kernel_analytic(lattice, T, checkpoint=checkpoint)
     grid = kernel.grid
     u = 1.0 / (n1 * n2)
     gaps = np.abs(grid - u)

@@ -21,10 +21,10 @@ Three constructions are provided:
   Re g(x) = sin(x)/x, and the whole construction is real.  Joint terms of
   a d-factor lattice multiply across factors, with weight sin(x)/x at
   x = (omega_1 + ... + omega_d)*T and scale 1/d per factor; any d works.
-  The class-pair frequencies and coefficients are
-  spectral.class_pair_table(n, scale), and _class_pair_sum contracts them
-  factor by factor; the return curve and the exact oscillatory sums are
-  contractions of the same kind.
+  The class-pair frequencies and coefficients are the pair_omega (times
+  the scale) and pair_coeff of spectral.class_table(n), and _class_pair_sum
+  contracts them factor by factor; the return curve and the exact
+  oscillatory sums are contractions of the same kind.
 * averaged_kernel_quadrature: the same average by composite Simpson over a
   time grid, kept deliberately independent of the per-frequency path so the
   two can cross-check each other.
@@ -43,12 +43,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParityError, ResolutionError, SizeError
-from .spectral import LatticeSpec, class_pair_table, product_amplitude
+from .spectral import LatticeSpec, class_table, product_amplitude
 
 MAX_DENSE_MATRIX = 2048
 MAX_QUADRATURE_DT = 0.05
 
 _CHECKPOINT_VERSION = 2
+
+# Leading class-pair rows per block of the analytic kernel's contraction,
+# and blocks per checkpoint write.  The block size is part of the
+# checkpoint's meta, so a file resumes only under the size that wrote it.
+_BLOCK_SIZE = 256
+_CHECKPOINT_EVERY = 4
+
+# Largest class-pair partial-sum array _class_pair_sum allocates, in
+# doubles (2 GiB).
+MAX_PARTIAL_ENTRIES = 2**28
 
 # Entries of one block of sin(x)/x weights in averaged_return_probability.
 _WEIGHT_BLOCK = 2**18
@@ -172,19 +182,20 @@ def _class_pair_sum(
     horizons,
     block_size: int,
     checkpoint: str | None = None,
-    checkpoint_every: int = 4,
 ) -> np.ndarray:
     """Sum over class-pair tuples p of prod_k C_k[l_k, p_k] * sin(x)/x.
 
     Here x = T * sum_k omega_k[p_k] for each horizon T in `horizons`, and
-    `tables` holds one (omega_k, C_k) pair per factor: the class-pair
-    frequencies of spectral.class_pair_table and a (rows_k, pairs_k) block
-    of its coefficient rows.  The leading factors' frequencies are summed
+    `tables` holds one (omega_k, C_k) pair per factor: the scaled class-pair
+    frequencies of spectral.class_table and a (rows_k, pairs_k) block of its
+    pair_coeff rows.  The leading factors' frequencies are summed
     into one axis; the last factor is contracted against it in blocks of
     `block_size` leading rows, partial[T, p_lead, l_d] =
     sum_p_d sin(x)/x * C_d[l_d, p_d] for every horizon T; then each leading
     factor's table is contracted in turn.  The result is flattened
-    row-major over (T, l_1, ..., l_d).
+    row-major over (T, l_1, ..., l_d).  A partial-sum array of more than
+    MAX_PARTIAL_ENTRIES doubles is refused with SizeError before anything
+    is allocated.
 
     Partial sums are checkpointable so a long run survives interruption;
     the block order is fixed, so a resumed run adds the same terms in the
@@ -192,6 +203,14 @@ def _class_pair_sum(
     """
     horizons = np.asarray(horizons, dtype=float).ravel()
     *leading, (omega_last, coeff_last) = tables
+    lead_rows = math.prod(omega.size for omega, _ in leading)
+    entries = horizons.size * lead_rows * coeff_last.shape[0]
+    if entries > MAX_PARTIAL_ENTRIES:
+        raise SizeError(
+            f"class-pair partial sums need {entries} doubles "
+            f"({entries * 8 / 2**30:.1f} GiB), over the cap of "
+            f"{MAX_PARTIAL_ENTRIES} ({MAX_PARTIAL_ENTRIES * 8 / 2**30:.0f} GiB)"
+        )
     lead = np.zeros(1)
     for omega, _ in leading:
         lead = np.add.outer(lead, omega).ravel()
@@ -213,7 +232,7 @@ def _class_pair_sum(
         joint = np.multiply.outer(horizons, lead[lo:hi, None] + omega_last)
         weights = _sinc_average(joint).reshape(-1, omega_last.size)
         blocks[:, lo:hi] = (weights @ c_last_t).reshape(horizons.size, hi - lo, -1)
-        if checkpoint and (count + 1) % checkpoint_every == 0 and hi < lead.size:
+        if checkpoint and (count + 1) % _CHECKPOINT_EVERY == 0 and hi < lead.size:
             _save_checkpoint(checkpoint, meta, hi, partial)
 
     col, done = partial, horizons.size
@@ -231,25 +250,25 @@ def _check_analytic_lattice(lattice: LatticeSpec) -> None:
 
 
 def averaged_kernel_analytic(
-    lattice: LatticeSpec,
-    T: float,
-    block_size: int = 256,
-    checkpoint: str | None = None,
-    checkpoint_every: int = 4,
+    lattice: LatticeSpec, T: float, *, checkpoint: str | None = None
 ) -> Kernel:
     """Time-averaged kernel P_T built from exact per-frequency integrals.
 
     Requires every cycle length odd (the time-independent part of the
     expansion collapses only for odd n); the quadrature builder covers
     everything else.  Any number of factors, each with time scale 1/d.
+    With `checkpoint`, the partial sums are saved to that .npz file every
+    _CHECKPOINT_EVERY blocks of _BLOCK_SIZE rows, a run resumes from it, and
+    it is deleted on success.
     """
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"averaging horizon must be positive, got {T}")
     _check_analytic_lattice(lattice)
     lattice.check_dense()
 
-    tables = [class_pair_table(n, 1.0 / lattice.d) for n in lattice.dims]
-    col = _class_pair_sum(tables, [T], block_size, checkpoint, checkpoint_every)
+    scale = 1.0 / lattice.d
+    tables = [(scale * t.pair_omega, t.pair_coeff) for t in map(class_table, lattice.dims)]
+    col = _class_pair_sum(tables, [T], _BLOCK_SIZE, checkpoint)
     _check_stochastic(col, 1e-9, f"analytic averaged kernel T={T}")
     return Kernel(lattice=lattice, first_column=col, kind=f"averaged(T={T})")
 
@@ -268,8 +287,7 @@ def averaged_return_probability(lattice: LatticeSpec, horizons) -> np.ndarray:
         raise ValueError("averaging horizons must be positive and finite")
     _check_analytic_lattice(lattice)
     scale = 1.0 / lattice.d
-    tables = [(omega, coeff[:1]) for omega, coeff in
-              (class_pair_table(n, scale) for n in lattice.dims)]
+    tables = [(scale * t.pair_omega, t.pair_coeff[:1]) for t in map(class_table, lattice.dims)]
     pairs = math.prod(omega.size for omega, _ in tables)
     step = max(1, _WEIGHT_BLOCK // pairs)
     block = max(1, _WEIGHT_BLOCK // (step * tables[-1][0].size))

@@ -11,7 +11,8 @@ so that n^2 * P_t(0, l) = n + (n*[l == 0] - 1) + osc(t).  At t = 0 it equals
 
 The excluded pairs j = k and j + k = n are exactly those inside one mirror
 class a = min(j, n-j), so folded onto the classes osc(t) is the real cosine
-series over the class pairs a != b of spectral.class_pair_table(n, 1/2),
+series over the class pairs a != b of spectral.class_table(n), with the
+pair frequencies lambda_a - lambda_b at the half time scale,
 
     osc(t) = sum_{a != b} c_a(l)*c_b(l) * cos(t*(lambda_a - lambda_b)/2),
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import ParityError, ResolutionError
 from .kernels import _class_pair_sum, simpson_intervals, simpson_weights
-from .spectral import HALF, class_pair_table, cycle_amplitude_at, cycle_amplitude_grid
+from .spectral import HALF, class_table, cycle_amplitude_at, cycle_amplitude_grid
 
 MAX_PRODUCT_DT = 0.02
 
@@ -61,12 +62,13 @@ def _check_horizon(T: float) -> float:
 def _osc_series(n: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies f and the one-row table C with osc(t) = C[0] @ cos(f*t).
 
-    Row `offset` of the half-scale class-pair table, scaled by n^2, without
-    the same-class pairs a = b (the j = k and j + k = n terms).
+    Row `offset` of the class-pair table at the half time scale, scaled by
+    n^2, without the same-class pairs a = b (the j = k and j + k = n terms).
     """
-    omega, coeff = class_pair_table(n, HALF)
+    table = class_table(n)
     keep = ~np.eye((n + 1) // 2, dtype=bool).ravel()
-    return omega[keep], coeff[[int(offset) % n]][:, keep] * float(n) ** 2
+    coeff = table.pair_coeff[[int(offset) % n]][:, keep] * float(n) ** 2
+    return HALF * table.pair_omega[keep], coeff
 
 
 def osc_sum_direct(n: int, offset: int, t: float) -> float:

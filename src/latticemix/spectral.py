@@ -19,11 +19,13 @@ a = min(j, n-j), and w^(l*j) + w^(-l*j) = 2*cos(2*pi*l*j/n), so
 
 with the real coefficients c_a(l) = mult_a * cos(2*pi*l*a/n), where mult_a is
 1 for a = 0 (and for a = n/2 when n is even) and 2 otherwise.  class_table(n)
-holds lambda_a and c_a(l) once per cycle; the kernels, the oscillatory sums
-and the sampler all read it.  Squared amplitudes pair the classes up:
-class_pair_table(n, scale) holds the frequency scale*(lambda_a - lambda_b)
-and the real coefficient c_a(l)*c_b(l)/n^2 of every class pair (a, b), and
-the averaged kernels and the exact oscillatory sums are contractions of it.
+is the one spectral table per cycle; the kernels, the oscillatory sums, the
+sampler and the spectral gap all read it.  It holds lambda_a from the start
+and builds the rest on first use: the cosines c_a(l), and for squared
+amplitudes the class pairs (a, b) with their unscaled frequency
+lambda_a - lambda_b and real coefficient c_a(l)*c_b(l)/n^2.  Callers scale
+the pair frequencies by their own time scale; the averaged kernels and the
+exact oscillatory sums are contractions of the pair data.
 """
 
 from __future__ import annotations
@@ -97,39 +99,41 @@ class LatticeSpec:
 
 
 @dataclass(frozen=True)
-class EigenphaseTable:
-    """Eigenvalues cos(2*pi*j/n) of one cycle, j = 0..n-1."""
-
-    n: int
-    lambdas: np.ndarray
-
-
-@dataclass(frozen=True)
 class ClassTable:
     """Mirror classes a = 0..n//2 of the cycle Z_n.
 
-    lambdas[a] is the class eigenvalue lambda_a; cosines[l, a] is the real
-    coefficient c_a(l) = mult_a*cos(2*pi*l*a/n) of offset l, shape
-    (n, n//2 + 1).
+    lambdas[a] is the class eigenvalue lambda_a = cos(2*pi*a/n), built
+    eagerly; the tables below are built on first use, so a long cycle that
+    needs only its eigenvalues never allocates the O(n^2) ones.
     """
 
     n: int
     lambdas: np.ndarray
-    cosines: np.ndarray
+
+    @functools.cached_property
+    def cosines(self) -> np.ndarray:
+        """c_a(l) = mult_a*cos(2*pi*l*a/n) at [l, a], shape (n, n//2 + 1)."""
+        n = self.n
+        classes = np.arange(n // 2 + 1)
+        mult = np.where((classes == 0) | (2 * classes == n), 1.0, 2.0)
+        # l*a is reduced mod n first, so the cosine argument stays below 2*pi
+        return _frozen(mult * np.cos(2.0 * np.pi * (np.outer(np.arange(n), classes) % n) / n))
+
+    @functools.cached_property
+    def pair_omega(self) -> np.ndarray:
+        """lambda_a - lambda_b over the class pairs (a, b), flattened row-major."""
+        return _frozen(np.subtract.outer(self.lambdas, self.lambdas).ravel())
+
+    @functools.cached_property
+    def pair_coeff(self) -> np.ndarray:
+        """c_a(l)*c_b(l)/n^2 at [l, (a, b)], the pairs flattened row-major."""
+        c = self.cosines
+        return _frozen((c[:, :, None] * c[:, None, :]).reshape(self.n, -1) / float(self.n) ** 2)
 
 
-@dataclass(frozen=True)
-class AmplitudeVector:
-    """One column <q|U(t)|p> of a cycle walk operator, indexed by q."""
-
-    entries: np.ndarray
-    t: float
-    source: int
-    scale: float
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.entries) ** 2
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _check_cycle(n: int) -> int:
@@ -139,62 +143,24 @@ def _check_cycle(n: int) -> int:
     return n
 
 
-@functools.lru_cache(maxsize=512)
-def eigenphases(n: int) -> EigenphaseTable:
-    """Spectral table for the cycle Z_n.
-
-    lambda_j is evaluated at min(j, n-j) so the mirror identity
-    lambda_j == lambda_{n-j} holds bitwise; downstream frequency differences
-    that vanish identically then vanish exactly in floating point too.
-    """
-    n = _check_cycle(n)
-    j = np.arange(n)
-    mirrored = np.minimum(j, n - j)
-    lambdas = np.cos(2.0 * np.pi * mirrored / n)
-    lambdas.setflags(write=False)
-    return EigenphaseTable(n=n, lambdas=lambdas)
-
-
 @functools.lru_cache(maxsize=64)
 def class_table(n: int) -> ClassTable:
-    """Folded spectral table of Z_n, shared by every amplitude route.
+    """Folded spectral table of Z_n, shared by every spectral route.
 
-    The class eigenvalues are read from eigenphases(n), so they match the
-    unfolded ones bitwise.
+    lambda_j = lambda_{n-j} holds bitwise, since the unfolded eigenvalue of
+    index j is read as lambdas[min(j, n-j)]; frequency differences that
+    vanish identically then vanish exactly in floating point too.
     """
     n = _check_cycle(n)
-    classes = np.arange(n // 2 + 1)
-    lambdas = eigenphases(n).lambdas[classes]
-    mult = np.where((classes == 0) | (2 * classes == n), 1.0, 2.0)
-    # l*a is reduced mod n first, so the cosine argument stays below 2*pi
-    cosines = mult * np.cos(2.0 * np.pi * (np.outer(np.arange(n), classes) % n) / n)
-    lambdas.setflags(write=False)
-    cosines.setflags(write=False)
-    return ClassTable(n=n, lambdas=lambdas, cosines=cosines)
+    return ClassTable(n=n, lambdas=_frozen(np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)))
 
 
-@functools.lru_cache(maxsize=64)
-def class_pair_table(n: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies and real coefficients of one odd cycle's class pairs.
+def cycle_amplitude(n: int, source: int, t: float, scale: float = FULL) -> np.ndarray:
+    """Amplitude column <q|exp(i*Abar*t*scale)|source> on Z_n, indexed by q.
 
-    Returns omega[(a, b)] = scale*(lambda_a - lambda_b) and
-    C[l, (a, b)] = c_a(l)*c_b(l)/n^2 over the class pairs a, b <= (n-1)/2,
-    flattened row-major in (a, b), both built from class_table(n).
-    """
-    table = class_table(n)
-    lam, c = table.lambdas, table.cosines
-    omega = scale * np.subtract.outer(lam, lam).ravel()
-    coeff = (c[:, :, None] * c[:, None, :]).reshape(n, -1) / float(n) ** 2
-    omega.setflags(write=False)
-    coeff.setflags(write=False)
-    return omega, coeff
-
-
-def cycle_amplitude(n: int, source: int, t: float, scale: float = FULL) -> AmplitudeVector:
-    """Amplitude column of exp(i*Abar*t*scale) on Z_n from vertex `source`.
-
-    The vector for source 0 is computed once and rolled, so translation
-    invariance holds exactly (identical arithmetic path for every source).
+    Returns a read-only complex array.  The vector for source 0 is computed
+    once and rolled, so translation invariance holds exactly (identical
+    arithmetic path for every source).
     """
     n = _check_cycle(n)
     if not np.isfinite(t):
@@ -207,9 +173,7 @@ def cycle_amplitude(n: int, source: int, t: float, scale: float = FULL) -> Ampli
     # pairs of the phases, a real product with no complex copy of the table
     pairs = table.cosines @ phases.view(float).reshape(-1, 2)
     base = pairs.view(complex).ravel() / n
-    entries = np.roll(base, int(source) % n)
-    entries.setflags(write=False)
-    return AmplitudeVector(entries=entries, t=float(t), source=int(source) % n, scale=float(scale))
+    return _frozen(np.roll(base, int(source) % n))
 
 
 def cycle_amplitude_at(n: int, offset: int, ts: np.ndarray, scale: float) -> np.ndarray:
@@ -264,9 +228,7 @@ def product_amplitude(lattice: LatticeSpec, source: tuple[int, ...], t: float) -
     if len(source) != lattice.d:
         raise ValueError(f"source {source} does not match dims {lattice.dims}")
     scale = 1.0 / lattice.d
-    factors = [
-        cycle_amplitude(n, p, t, scale).entries for n, p in zip(lattice.dims, source)
-    ]
+    factors = [cycle_amplitude(n, p, t, scale) for n, p in zip(lattice.dims, source)]
     out = factors[0]
     for vec in factors[1:]:
         out = np.multiply.outer(out, vec)
@@ -276,16 +238,14 @@ def product_amplitude(lattice: LatticeSpec, source: tuple[int, ...], t: float) -
 def spectral_gap(lattice: LatticeSpec) -> float:
     """Gap 1 - max of the walk spectrum off the top joint eigenvalue.
 
-    Joint eigenvalues are (1/d) * sum_k cos(2*pi*j_k/n_k); the maximum is
-    taken over all index tuples except (0, ..., 0).
+    Joint eigenvalues are (1/d) * sum_k cos(2*pi*j_k/n_k).  Every index
+    tuple has the eigenvalue of its class tuple a_k = min(j_k, n_k - j_k),
+    so the maximum is taken over the class tuples except (0, ..., 0).
     """
     lattice.check_dense()
-    joint = np.zeros(lattice.dims)
-    for axis, n in enumerate(lattice.dims):
-        shape = [1] * lattice.d
-        shape[axis] = n
-        joint = joint + eigenphases(n).lambdas.reshape(shape)
-    joint = joint.ravel() / lattice.d
-    second = np.max(joint[1:]) if joint.size > 1 else -np.inf
-    # index 0 of the raveled tensor is the all-zero tuple with eigenvalue 1
-    return float(1.0 - second)
+    joint = np.zeros(1)
+    for n in lattice.dims:
+        joint = np.add.outer(joint, class_table(n).lambdas).ravel()
+    # index 0 is the all-zero tuple with eigenvalue 1; every n >= 2 has a
+    # second class, so joint[1:] is never empty
+    return float(1.0 - np.max(joint[1:] / lattice.d))

@@ -54,7 +54,7 @@ def test_criterion_01_unitarity_and_stochasticity():
         lattice = LatticeSpec((n,))
         for t in (0.0, 1.0, n / 3.0, 17.3):
             amp = cycle_amplitude(n, 0, t, FULL)
-            worst_norm = max(worst_norm, abs(amp.probabilities.sum() - 1.0))
+            worst_norm = max(worst_norm, abs((np.abs(amp) ** 2).sum() - 1.0))
             kernel = instantaneous_kernel(lattice, t)
             matrix = kernel.full_matrix()
             worst_sum = max(

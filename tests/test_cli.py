@@ -71,11 +71,38 @@ class TestExitCodes:
         ("conjecture", "--pairs", "0"),
         ("conjecture", "--pairs", "-3"),
         ("kernel", "--dims", "5,3", "--T", "2", "--power", "-1"),
+        ("mix-coordinate", "--dims", "5,3", "--rounds", "-1"),
     ])
     def test_out_of_range_count_is_one(self, tmp_path, capsys, argv):
         out = str(tmp_path / "a.csv")
         assert run(*argv, "--out", out) == 1
         assert capsys.readouterr().err.count("\n") == 1
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("mix-coordinate", "--dims", "1000000,2"), "exceeds dense limit"),
+        (("kernel", "--dims", "101,99,97", "--kind", "averaged", "--T", "5"),
+         "class-pair partial sums need 630742500 doubles (4.7 GiB)"),
+    ])
+    def test_oversized_job_is_one_line(self, tmp_path, capsys, argv, message):
+        out = str(tmp_path / "a.json")
+        assert run(*argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("bounds", ["100,10", "9,10"])
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    def test_empty_conjecture_range_is_one(self, tmp_path, capsys, monkeypatch, bounds, fmt):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("empty range reached the sweep")
+
+        monkeypatch.setattr(cli, "bound_sweep", must_not_run)
+        out = str(tmp_path / f"c.{fmt}")
+        assert run("conjecture", "--range", bounds, "--pairs", "1", "--format", fmt,
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"range {bounds} holds no coprime odd pair" in err
         assert not os.path.exists(out)
 
     def test_slow_tier_refusal(self, tmp_path):
@@ -152,6 +179,23 @@ class TestOutputs:
         payload = json.loads(read(out))
         assert payload["first_column"] == [1.0] + [0.0] * 14
         assert payload["column_distance"] == 1.0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_spectrum_eigenvalues_mirror_bitwise(self, tmp_path, fmt):
+        # lambda_j = lambda_{n-j} exactly, odd and even cycles alike
+        out = str(tmp_path / f"s.{fmt}")
+        dims = (19, 8, 2)
+        assert run("spectrum", "--dims", ",".join(map(str, dims)), "--format", fmt,
+                   "--out", out) == 0
+        if fmt == "json":
+            tables = [f["eigenvalues"] for f in json.loads(read(out))["factors"]]
+        else:
+            rows = [line.split(",") for line in read(out).decode().splitlines()[1:]]
+            tables = [[row[3] for row in rows if row[0] == str(axis)]
+                      for axis in range(len(dims))]
+        for n, lam in zip(dims, tables):
+            assert len(lam) == n and float(lam[0]) == 1.0
+            assert all(lam[j] == lam[n - j] for j in range(1, n))
 
     def test_svg_output(self, tmp_path):
         out = str(tmp_path / "fig1.svg")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from latticemix import experiments
+from latticemix.errors import SizeError
 from latticemix.distances import (
     distance_to_uniform,
     pairwise_column_distance,
@@ -118,6 +119,12 @@ class TestCoordinateWise:
         record = coordinate_wise_run(LatticeSpec((9,)), times=[1.0], rounds=3)
         assert record.warnings
 
+    def test_rejects_negative_rounds_and_oversized_lattice(self):
+        with pytest.raises(ValueError, match="rounds must be >= 0"):
+            coordinate_wise_run(LatticeSpec((5, 3)), rounds=-1)
+        with pytest.raises(SizeError, match="dense limit"):
+            coordinate_wise_run(LatticeSpec((1_000_000, 2)))
+
     def test_product_state_matches_full_joint_propagation(self):
         # oracle: push the full joint distribution through each coordinate's
         # measurement kernel along its own axis
@@ -130,7 +137,7 @@ class TestCoordinateWise:
         joint[0, 0] = 1.0
         for _ in range(rounds):
             for axis, (n, t) in enumerate(zip(lattice.dims, times)):
-                col = cycle_amplitude(n, 0, t, FULL).probabilities
+                col = np.abs(cycle_amplitude(n, 0, t, FULL)) ** 2
                 circulant = col[np.subtract.outer(np.arange(n), np.arange(n)) % n]
                 joint = np.moveaxis(
                     np.tensordot(circulant, joint, axes=([1], [axis])), 0, axis
@@ -141,7 +148,7 @@ class TestCoordinateWise:
     def test_spread_constant_definition(self):
         n = 19
         c = spread_constant(n, n / 3.0)
-        probs = cycle_amplitude(n, 0, n / 3.0, FULL).probabilities
+        probs = np.abs(cycle_amplitude(n, 0, n / 3.0, FULL)) ** 2
         qualifying = np.sum(probs >= c / n - 1e-15)
         assert qualifying >= math.ceil(2 * n / 3)
         assert c > 0
@@ -156,7 +163,7 @@ class TestCoordinateWise:
         worst = 0
         for n in range(5, 102, 2):
             for t in (n / 3.0, 5.0 * n / 12.0, n / 2.0):
-                col = cycle_amplitude(n, 0, t, FULL).probabilities
+                col = np.abs(cycle_amplitude(n, 0, t, FULL)) ** 2
                 alpha = pairwise_column_distance(
                     Kernel(LatticeSpec((n,)), col, kind="cycle")
                 )

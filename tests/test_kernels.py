@@ -123,16 +123,42 @@ class TestAveragedKernels:
             assert abs((n1 * n2) ** 2 * column[l1, l2] - expansion) <= 1e-6
 
 
+class TestPartialSumCap:
+    def test_oversized_partial_sums_refused_before_allocation(self, monkeypatch):
+        import latticemix.kernels as kernels_module
+
+        # (101, 99, 97) passes the dense limit, but its partial sums would
+        # hold 51^2 * 50^2 * 97 doubles, 4.7 GiB
+        def must_not_run(x):
+            raise AssertionError("oversized contraction started")
+
+        monkeypatch.setattr(kernels_module, "_sinc_average", must_not_run)
+        with pytest.raises(SizeError, match=r"630742500 doubles \(4\.7 GiB\)"):
+            averaged_kernel_analytic(LatticeSpec((101, 99, 97)), 5.0)
+
+    def test_cap_counts_horizons_and_rows(self, monkeypatch):
+        import latticemix.kernels as kernels_module
+
+        # (7, 5): 4^2 leading class pairs times 5 rows per horizon
+        monkeypatch.setattr(kernels_module, "MAX_PARTIAL_ENTRIES", 80)
+        averaged_kernel_analytic(LatticeSpec((7, 5)), 3.0)
+        monkeypatch.setattr(kernels_module, "MAX_PARTIAL_ENTRIES", 79)
+        with pytest.raises(SizeError, match="80 doubles"):
+            averaged_kernel_analytic(LatticeSpec((7, 5)), 3.0)
+
+
 class TestCheckpointing:
     def test_interrupted_run_resumes_to_identical_column(self, tmp_path, monkeypatch):
         import latticemix.kernels as kernels_module
 
         real = kernels_module._sinc_average
+        monkeypatch.setattr(kernels_module, "_BLOCK_SIZE", 64)
+        monkeypatch.setattr(kernels_module, "_CHECKPOINT_EVERY", 1)
         # (19, 5) has 10^2 leading class pairs, two blocks of at most 64;
         # (7, 5, 3) has 4^2 * 3^2 = 144, three blocks
         for dims in ((19, 5), (7, 5, 3)):
             lattice = LatticeSpec(dims)
-            reference = averaged_kernel_analytic(lattice, 24.0, block_size=64).first_column
+            reference = averaged_kernel_analytic(lattice, 24.0).first_column
 
             calls = {"count": 0}
 
@@ -145,38 +171,34 @@ class TestCheckpointing:
             path = str(tmp_path / "partial.npz")
             monkeypatch.setattr(kernels_module, "_sinc_average", flaky)
             with pytest.raises(KeyboardInterrupt):
-                averaged_kernel_analytic(
-                    lattice, 24.0, block_size=64, checkpoint=path, checkpoint_every=1
-                )
+                averaged_kernel_analytic(lattice, 24.0, checkpoint=path)
             monkeypatch.setattr(kernels_module, "_sinc_average", real)
             assert (tmp_path / "partial.npz").exists()
 
-            resumed = averaged_kernel_analytic(
-                lattice, 24.0, block_size=64, checkpoint=path, checkpoint_every=1
-            ).first_column
+            resumed = averaged_kernel_analytic(lattice, 24.0, checkpoint=path).first_column
             assert np.array_equal(resumed, reference)
             assert not (tmp_path / "partial.npz").exists()
 
-    def test_checkpoint_rejects_mismatched_parameters(self, tmp_path):
-        from latticemix.kernels import _save_checkpoint
+    def test_checkpoint_rejects_mismatched_parameters(self, tmp_path, monkeypatch):
+        import latticemix.kernels as kernels_module
 
+        monkeypatch.setattr(kernels_module, "_BLOCK_SIZE", 64)
         path = str(tmp_path / "partial.npz")
-        _save_checkpoint(path, (2, 19, 5, 23.0, 64), 64, np.zeros((100, 5)))
+        kernels_module._save_checkpoint(path, (2, 19, 5, 23.0, 64), 64, np.zeros((100, 5)))
         with pytest.raises(ValueError, match="different parameters"):
-            averaged_kernel_analytic(
-                LatticeSpec((19, 5)), 24.0, block_size=64, checkpoint=path
-            )
+            averaged_kernel_analytic(LatticeSpec((19, 5)), 24.0, checkpoint=path)
 
-    def test_checkpoint_refuses_version_one_file(self, tmp_path):
-        from latticemix.kernels import _save_checkpoint
+    def test_checkpoint_refuses_version_one_file(self, tmp_path, monkeypatch):
+        import latticemix.kernels as kernels_module
 
+        monkeypatch.setattr(kernels_module, "_BLOCK_SIZE", 64)
         # the complex layout: one row per factor-1 index pair, 19^2 of them
         path = str(tmp_path / "partial.npz")
-        _save_checkpoint(path, (1, 19, 5, 24.0, 64), 64, np.zeros((361, 5), complex))
+        kernels_module._save_checkpoint(
+            path, (1, 19, 5, 24.0, 64), 64, np.zeros((361, 5), complex)
+        )
         with pytest.raises(ValueError, match="format version 1, this build reads version 2"):
-            averaged_kernel_analytic(
-                LatticeSpec((19, 5)), 24.0, block_size=64, checkpoint=path
-            )
+            averaged_kernel_analytic(LatticeSpec((19, 5)), 24.0, checkpoint=path)
         assert (tmp_path / "partial.npz").exists()
 
 

@@ -67,7 +67,7 @@ class TestPointEvaluations:
             n = int(rng.choice(np.arange(3, 61, 2)))
             l = int(rng.integers(n))
             t = float(rng.uniform(0.0, 100.0))
-            prob = cycle_amplitude(n, 0, t, HALF).probabilities[l]
+            prob = abs(cycle_amplitude(n, 0, t, HALF)[l]) ** 2
             lhs = n * n * prob
             rhs = n + (n * (l == 0) - 1) + osc_sum_fast(n, l, t)
             assert abs(lhs - rhs) <= 1e-9

@@ -10,7 +10,6 @@ from latticemix.spectral import (
     cycle_amplitude_at,
     cycle_amplitude_grid,
     class_table,
-    eigenphases,
     product_amplitude,
     spectral_gap,
 )
@@ -19,47 +18,52 @@ from oracles import dense_walk_matrix, expm_amplitude_column
 
 
 class TestEigenphases:
+    """The class eigenvalues lambda_a = cos(2*pi*a/n), a = 0..n//2."""
+
     def test_quarter_turns(self):
-        table = eigenphases(4)
-        assert np.allclose(table.lambdas, [1.0, 0.0, -1.0, 0.0], atol=1e-15)
+        table = class_table(4)
+        assert np.allclose(table.lambdas, [1.0, 0.0, -1.0], atol=1e-15)
 
     def test_mirror_symmetry_is_exact(self):
+        # one entry per mirror class, and the same-class pair frequencies
+        # lambda_a - lambda_a vanish exactly
         for n in (5, 19, 42):
-            lam = eigenphases(n).lambdas
-            assert lam[0] == 1.0
-            for j in range(1, n):
-                assert lam[j] == lam[n - j]
+            table = class_table(n)
+            assert table.lambdas.shape == (n // 2 + 1,)
+            assert table.lambdas[0] == 1.0
+            diagonal = table.pair_omega.reshape(n // 2 + 1, -1).diagonal()
+            assert np.all(diagonal == 0.0)
 
     def test_values_match_cosine(self):
-        lam = eigenphases(5).lambdas
-        expected = np.cos(2 * np.pi * np.arange(5) / 5)
+        lam = class_table(5).lambdas
+        expected = np.cos(2 * np.pi * np.arange(3) / 5)
         assert np.abs(lam - expected).max() < 1e-12
 
     def test_top_eigenvalue_isolated_for_odd_n(self):
-        lam = eigenphases(19).lambdas
+        lam = class_table(19).lambdas
         assert lam[0] == 1.0
         assert np.all(lam[1:] < 1.0)
 
     def test_rejects_tiny_cycle(self):
         with pytest.raises(ValueError):
-            eigenphases(1)
+            class_table(1)
 
 
 class TestCycleAmplitude:
     def test_zero_time_is_identity(self):
         for scale in (FULL, HALF):
             amp = cycle_amplitude(7, 0, 0.0, scale)
-            assert np.abs(amp.entries - np.eye(7)[0]).max() < 1e-14
+            assert np.abs(amp - np.eye(7)[0]).max() < 1e-14
 
     def test_translation_is_an_exact_roll(self):
         base = cycle_amplitude(5, 0, 3.7, FULL)
         shifted = cycle_amplitude(5, 2, 3.7, FULL)
-        assert np.array_equal(shifted.entries, np.roll(base.entries, 2))
+        assert np.array_equal(shifted, np.roll(base, 2))
 
     def test_against_dense_matrix_exponential(self):
         amp = cycle_amplitude(19, 0, 19.0 / 3.0, FULL)
         oracle = expm_amplitude_column(LatticeSpec((19,)), 0, 19.0 / 3.0)
-        assert np.abs(amp.entries - oracle).max() < 1e-9
+        assert np.abs(amp - oracle).max() < 1e-9
 
     def test_unitarity_on_random_samples(self):
         rng = np.random.default_rng(7)
@@ -67,13 +71,18 @@ class TestCycleAmplitude:
             n = int(rng.integers(2, 120))
             t = float(rng.uniform(0.0, 200.0))
             amp = cycle_amplitude(n, int(rng.integers(n)), t, FULL)
-            assert abs(amp.probabilities.sum() - 1.0) <= 1e-10
+            assert abs((np.abs(amp) ** 2).sum() - 1.0) <= 1e-10
 
     def test_reflection_symmetry(self):
         # |<q|U(t)|p>| = |<p|U(t)|q>| since the generator is symmetric
-        amp = cycle_amplitude(11, 0, 4.2, FULL).entries
+        amp = cycle_amplitude(11, 0, 4.2, FULL)
         for q in range(11):
             assert abs(abs(amp[q]) - abs(amp[(-q) % 11])) < 1e-12
+
+    def test_returns_read_only_complex_array(self):
+        amp = cycle_amplitude(9, 4, 2.5, HALF)
+        assert isinstance(amp, np.ndarray) and amp.dtype == complex
+        assert amp.shape == (9,) and not amp.flags.writeable
 
     def test_rejects_bad_time(self):
         with pytest.raises(ValueError):
@@ -90,7 +99,7 @@ class TestCycleAmplitude:
         for n, offset, t0, h, count in cases:
             ts = t0 + h * np.arange(count)
             full = np.array(
-                [cycle_amplitude(n, 0, t, HALF).entries[offset] for t in ts]
+                [cycle_amplitude(n, 0, t, HALF)[offset] for t in ts]
             )
             at = cycle_amplitude_at(n, offset, ts, HALF)
             grid = cycle_amplitude_grid(n, offset, t0, h, count, HALF)
@@ -115,9 +124,34 @@ class TestClassTable:
                 assert np.abs(table.cosines[l] - sums).max() < 1e-12
 
     def test_class_eigenvalues_are_the_unfolded_ones(self):
+        # lambda_a is the eigenvalue of both indices a and n - a
         for n in (9, 10):
-            table = class_table(n)
-            assert np.array_equal(table.lambdas, eigenphases(n).lambdas[: n // 2 + 1])
+            lam = class_table(n).lambdas
+            j = np.arange(n)
+            unfolded = np.cos(2 * np.pi * j / n)
+            assert np.abs(lam[np.minimum(j, n - j)] - unfolded).max() < 1e-15
+
+    def test_pair_tables(self):
+        # pair (a, b) carries lambda_a - lambda_b and c_a(l)*c_b(l)/n^2
+        n = 7
+        table = class_table(n)
+        lam, c = table.lambdas, table.cosines
+        omega = table.pair_omega.reshape(4, 4)
+        coeff = table.pair_coeff.reshape(n, 4, 4)
+        for a in range(4):
+            for b in range(4):
+                assert omega[a, b] == lam[a] - lam[b]
+                assert np.array_equal(coeff[:, a, b], c[:, a] * c[:, b] / n**2)
+
+    def test_tables_are_built_on_first_use(self):
+        class_table.cache_clear()
+        table = class_table(11)
+        assert table.lambdas.shape == (6,)
+        assert not {"cosines", "pair_omega", "pair_coeff"} & set(vars(table))
+        table.pair_coeff
+        assert {"cosines", "pair_coeff"} <= set(vars(table))
+        assert all(not array.flags.writeable for array in
+                   (table.lambdas, table.cosines, table.pair_omega, table.pair_coeff))
 
 
 class TestProductAmplitude:
@@ -130,8 +164,8 @@ class TestProductAmplitude:
     def test_probability_factorizes(self):
         lattice = LatticeSpec((19, 5))
         amp = product_amplitude(lattice, (0, 0), 24.0)
-        f1 = cycle_amplitude(19, 0, 24.0, 0.5).probabilities
-        f2 = cycle_amplitude(5, 0, 24.0, 0.5).probabilities
+        f1 = np.abs(cycle_amplitude(19, 0, 24.0, 0.5)) ** 2
+        f2 = np.abs(cycle_amplitude(5, 0, 24.0, 0.5)) ** 2
         assert np.abs(np.abs(amp) ** 2 - np.multiply.outer(f1, f2)).max() < 1e-12
 
     def test_against_dense_matrix_exponential(self):
@@ -160,6 +194,20 @@ class TestSpectralGap:
         lattice = LatticeSpec((19, 5))
         eigs = np.sort(np.linalg.eigvalsh(dense_walk_matrix(lattice)))
         assert abs(spectral_gap(lattice) - (1.0 - eigs[-2])) < 1e-12
+
+    def test_three_factors_against_dense_eigenvalue_scan(self):
+        lattice = LatticeSpec((7, 4, 3))
+        eigs = np.sort(np.linalg.eigvalsh(dense_walk_matrix(lattice)))
+        assert abs(spectral_gap(lattice) - (1.0 - eigs[-2])) < 1e-12
+
+    def test_long_cycle_builds_no_cosine_table(self):
+        # the gap reads only lambda_a; an eager (n, n//2 + 1) cosine table
+        # would take 40 GB here
+        n = 100003
+        class_table.cache_clear()
+        gap = spectral_gap(LatticeSpec((n,)))
+        assert abs(gap - (1.0 - np.cos(2 * np.pi / n))) < 1e-15
+        assert "cosines" not in vars(class_table(n))
 
 
 class TestLatticeSpec:
