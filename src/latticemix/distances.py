@@ -57,15 +57,15 @@ def pairwise_column_distance(kernel: Kernel) -> float:
     tv between the first column and each of its N - 1 nonzero rolls is needed.
     Rolling both columns by -v shows tv(c, c rolled by v) equals
     tv(c, c rolled by -v), so the first of the leading axes (all but the
-    last) needs only shifts up to half its length.  The rolls along the last axis are gathered at once through the
-    index matrix idx[s, x] = (x - s) mod n_last, in chunks of shifts that keep
-    a block near _SHIFT_BLOCK entries, so the Python loop runs only over
+    last) needs only shifts up to half its length.  The rolls along the last
+    axis are gathered through the index rows idx[s, x] = (x - s) mod n_last,
+    built for one chunk of shifts at a time that keeps a block near
+    _SHIFT_BLOCK entries, so the Python loop runs only over chunks and the
     shifts of the leading axes.
     """
     grid = kernel.grid
     dims = kernel.lattice.dims
     x = np.arange(dims[-1])
-    idx = (x[None, :] - x[:, None]) % dims[-1]
     lead = [range(n) for n in dims[:-1]]
     if lead:
         lead[0] = range(dims[0] // 2 + 1)
@@ -73,8 +73,9 @@ def pairwise_column_distance(kernel: Kernel) -> float:
     step = max(1, _SHIFT_BLOCK // grid.size)
     best = 0.0
     for lo in range(0, dims[-1], step):
+        idx = (x[None, :] - x[lo:lo + step, None]) % dims[-1]
         # rolls[k] is the grid rolled by lo + k along the last axis
-        rolls = np.ascontiguousarray(np.moveaxis(grid[..., idx[lo:lo + step]], -2, 0))
+        rolls = np.ascontiguousarray(np.moveaxis(grid[..., idx], -2, 0))
         for shift in itertools.product(*lead):
             diff = np.roll(rolls, shift, axis=lead_axes)
             np.subtract(diff, grid, out=diff)

@@ -38,7 +38,7 @@ from .kernels import (
     kernel_power,
 )
 from .oscsums import BoundReport
-from .spectral import FULL, LatticeSpec, class_table, cycle_amplitude
+from .spectral import FULL, LatticeSpec, cycle_amplitude, cycle_amplitude_at
 
 # Trajectories per block of step probabilities in _sample_repeated.
 _SAMPLE_CHUNK = 2048
@@ -145,7 +145,7 @@ def _sample_repeated(
 
     Times and uniform draws are taken for all trajectories at once, so the
     random stream does not depend on _SAMPLE_CHUNK; the step probabilities
-    are built from the class table _SAMPLE_CHUNK trajectories at a time.
+    come from cycle_amplitude_at, _SAMPLE_CHUNK trajectories at a time.
     """
     rng = np.random.default_rng(seed)
     scale = 1.0 / lattice.d
@@ -154,13 +154,10 @@ def _sample_repeated(
         ts = rng.uniform(0.0, T, trajectories)
         # the joint step factorizes, so each coordinate is sampled on its own
         for axis, n in enumerate(lattice.dims):
-            table = class_table(n)
-            coeff = table.cosines.T / n
             draws = rng.random(trajectories)
             for lo in range(0, trajectories, _SAMPLE_CHUNK):
                 hi = min(lo + _SAMPLE_CHUNK, trajectories)
-                x = scale * np.multiply.outer(ts[lo:hi], table.lambdas)
-                probs = (np.cos(x) @ coeff) ** 2 + (np.sin(x) @ coeff) ** 2
+                probs = np.abs(cycle_amplitude_at(n, None, ts[lo:hi], scale)) ** 2
                 cum = np.cumsum(probs, axis=1)
                 step = np.minimum((draws[lo:hi, None] > cum).sum(axis=1), n - 1)
                 positions[lo:hi, axis] = (positions[lo:hi, axis] + step) % n

@@ -25,9 +25,9 @@ Three constructions are provided:
   the scale) and pair_coeff of spectral.class_table(n), and _class_pair_sum
   contracts them factor by factor; the return curve and the exact
   oscillatory sums are contractions of the same kind.
-* averaged_kernel_quadrature: the same average by composite Simpson over a
-  time grid, kept deliberately independent of the per-frequency path so the
-  two can cross-check each other.
+* averaged_kernel_quadrature: the same average by composite Simpson over
+  batched amplitudes on a time grid, kept deliberately independent of the
+  per-frequency path so the two can cross-check each other.
 
 kernel_power composes a kernel with itself (repeated measurement rounds)
 through the circulant diagonalization.
@@ -43,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParityError, ResolutionError, SizeError
-from .spectral import LatticeSpec, class_table, product_amplitude
+from .spectral import (MAX_PARTIAL_ENTRIES, LatticeSpec, _check_entries, class_table,
+                       cycle_amplitude_at, product_amplitude)
 
 MAX_DENSE_MATRIX = 2048
 MAX_QUADRATURE_DT = 0.05
@@ -56,11 +57,8 @@ _CHECKPOINT_VERSION = 2
 _BLOCK_SIZE = 256
 _CHECKPOINT_EVERY = 4
 
-# Largest class-pair partial-sum array _class_pair_sum allocates, in
-# doubles (2 GiB).
-MAX_PARTIAL_ENTRIES = 2**28
-
-# Entries of one block of sin(x)/x weights in averaged_return_probability.
+# Entries of one block of sin(x)/x weights in averaged_return_probability,
+# and of node probabilities in averaged_kernel_quadrature.
 _WEIGHT_BLOCK = 2**18
 
 
@@ -106,10 +104,11 @@ class Kernel:
         return out
 
 
-def _check_stochastic(col: np.ndarray, tol: float, what: str) -> None:
-    total = float(col.sum())
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"{what}: column sums to {total}, off 1 by > {tol}")
+def _check_stochastic(cols: np.ndarray, tol: float, what: str) -> None:
+    totals = np.atleast_1d(cols.sum(axis=-1))
+    worst = float(totals[np.argmax(np.abs(totals - 1.0))])
+    if abs(worst - 1.0) > tol:
+        raise ValueError(f"{what}: column sums to {worst}, off 1 by > {tol}")
 
 
 def uniform_kernel(lattice: LatticeSpec) -> Kernel:
@@ -205,12 +204,7 @@ def _class_pair_sum(
     *leading, (omega_last, coeff_last) = tables
     lead_rows = math.prod(omega.size for omega, _ in leading)
     entries = horizons.size * lead_rows * coeff_last.shape[0]
-    if entries > MAX_PARTIAL_ENTRIES:
-        raise SizeError(
-            f"class-pair partial sums need {entries} doubles "
-            f"({entries * 8 / 2**30:.1f} GiB), over the cap of "
-            f"{MAX_PARTIAL_ENTRIES} ({MAX_PARTIAL_ENTRIES * 8 / 2**30:.0f} GiB)"
-        )
+    _check_entries(entries, "class-pair partial sums", MAX_PARTIAL_ENTRIES)
     lead = np.zeros(1)
     for omega, _ in leading:
         lead = np.add.outer(lead, omega).ravel()
@@ -287,7 +281,7 @@ def averaged_return_probability(lattice: LatticeSpec, horizons) -> np.ndarray:
         raise ValueError("averaging horizons must be positive and finite")
     _check_analytic_lattice(lattice)
     scale = 1.0 / lattice.d
-    tables = [(scale * t.pair_omega, t.pair_coeff[:1]) for t in map(class_table, lattice.dims)]
+    tables = [(scale * t.pair_omega, t.pair_rows([0])) for t in map(class_table, lattice.dims)]
     pairs = math.prod(omega.size for omega, _ in tables)
     step = max(1, _WEIGHT_BLOCK // pairs)
     block = max(1, _WEIGHT_BLOCK // (step * tables[-1][0].size))
@@ -303,22 +297,15 @@ def simpson_intervals(length: float, dt: float) -> int:
     return intervals + intervals % 2
 
 
-def simpson_weights(count: int) -> np.ndarray:
-    """Composite Simpson weights 1, 4, 2, ..., 2, 4, 1 over an odd node count."""
-    weights = np.full(count, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
+def simpson_weights(lo: int, hi: int, count: int) -> np.ndarray:
+    """Weights of nodes lo..hi-1 of the rule 1, 4, 2, ..., 2, 4, 1 on an odd `count` nodes."""
+    weights = np.full(hi - lo, 2.0)
+    weights[(lo + 1) % 2 :: 2] = 4.0
+    if lo == 0:
+        weights[0] = 1.0
+    if hi == count:
+        weights[-1] = 1.0
     return weights
-
-
-def simpson_grid(T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Simpson nodes and weights for the average (1/T) * integral over [0, T]."""
-    intervals = simpson_intervals(T, dt)
-    h = T / intervals
-    nodes = np.linspace(0.0, T, intervals + 1)
-    weights = simpson_weights(intervals + 1)
-    weights *= h / (3.0 * T)
-    return nodes, weights
 
 
 def averaged_kernel_quadrature(lattice: LatticeSpec, T: float, dt: float) -> Kernel:
@@ -326,17 +313,26 @@ def averaged_kernel_quadrature(lattice: LatticeSpec, T: float, dt: float) -> Ker
 
     dt must not exceed 0.05: joint phase frequencies are bounded by 2 rad per
     unit time (each factor contributes at most scale * 2 = 2/d), so this keeps
-    >= 60 nodes per period of the fastest term.
+    >= 60 nodes per period of the fastest term.  A chunk of nodes takes one
+    cycle_amplitude_at call per factor; every node's column must sum to 1.
     """
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"averaging horizon must be positive, got {T}")
     if not (0 < dt <= MAX_QUADRATURE_DT):
         raise ResolutionError(f"dt must lie in (0, {MAX_QUADRATURE_DT}], got {dt}")
     lattice.check_dense()
-    nodes, weights = simpson_grid(T, dt)
+    intervals = simpson_intervals(T, dt)
+    h, step = T / intervals, max(1, _WEIGHT_BLOCK // lattice.size)
     col = np.zeros(lattice.size)
-    for t, w in zip(nodes, weights):
-        col += w * instantaneous_kernel(lattice, t).first_column
+    for lo in range(0, intervals + 1, step):
+        ts = h * np.arange(lo, min(lo + step, intervals + 1))
+        probs = np.ones((ts.size, 1))
+        for n in lattice.dims:
+            factor = np.abs(cycle_amplitude_at(n, None, ts, 1.0 / lattice.d)) ** 2
+            probs = (probs[:, :, None] * factor[:, None, :]).reshape(ts.size, -1)
+        _check_stochastic(probs, 1e-9, f"instantaneous kernels at t = {ts[0]}..{ts[-1]}")
+        col += simpson_weights(lo, lo + ts.size, intervals + 1) @ probs
+    col *= h / (3.0 * T)
     _check_stochastic(col, 1e-8, f"quadrature averaged kernel T={T}")
     return Kernel(lattice=lattice, first_column=col, kind=f"averaged_quad(T={T},dt={dt})")
 

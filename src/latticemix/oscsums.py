@@ -44,6 +44,10 @@ MAX_PRODUCT_DT = 0.02
 # Largest n1*n2 product_integral_exact accepts; its cost is quadratic in it.
 MAX_EXACT_PRODUCT = 10_000
 
+# Nodes per chunk of a _simpson_curves segment.  Even, so every chunk of a
+# halving sweep starts on a coarse node.
+_CURVE_CHUNK = 2**17
+
 
 def _check_odd(n: int) -> int:
     n = int(n)
@@ -67,7 +71,7 @@ def _osc_series(n: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
     """
     table = class_table(n)
     keep = ~np.eye((n + 1) // 2, dtype=bool).ravel()
-    coeff = table.pair_coeff[[int(offset) % n]][:, keep] * float(n) ** 2
+    coeff = table.pair_rows([int(offset) % n])[:, keep] * float(n) ** 2
     return HALF * table.pair_omega[keep], coeff
 
 
@@ -86,7 +90,7 @@ def osc_sum_fast(n: int, offset: int, t):
     n = _check_odd(n)
     offset = int(offset) % n
     ts = np.asarray(t, dtype=float)
-    amp = cycle_amplitude_at(n, offset, ts.ravel(), HALF).reshape(ts.shape)
+    amp = cycle_amplitude_at(n, offset, ts, HALF)
     constant = n + (n * (offset == 0) - 1)
     out = n * n * np.abs(amp) ** 2 - constant
     return float(out) if np.isscalar(t) else out
@@ -124,11 +128,6 @@ def _check_coprime_pair(n1: int, n2: int) -> tuple[int, int]:
     return n1, n2
 
 
-def _simpson(vals: np.ndarray, h: float) -> float:
-    """Composite Simpson sum over an odd number of nodes spaced h apart."""
-    return float(simpson_weights(vals.size) @ vals) * h / 3.0
-
-
 def _simpson_curves(
     n1: int,
     n2: int,
@@ -141,11 +140,13 @@ def _simpson_curves(
 
     Composite Simpson segment by segment between consecutive horizons: each
     segment gets an even number of intervals of length h <= dt, and node
-    values come from the O(n) folded form on a uniform grid.  With halving,
+    values come from the O(n) folded form on a uniform grid, _CURVE_CHUNK
+    nodes at a time, so memory stays bounded for any horizon.  With halving,
     the nodes are evaluated once at step h/2; the curve uses every other
     node and the halved curve, returned second, all of them, so it is at
-    exactly h/2 on every segment.  Segment totals are combined with
-    math.fsum so half a million accumulation steps do not erode the result.
+    exactly h/2 on every segment.  Chunk and segment totals are combined
+    with math.fsum so half a million accumulation steps do not erode the
+    result.
     """
     n1, n2 = _check_coprime_pair(n1, n2)
     if not (0 < dt <= MAX_PRODUCT_DT):
@@ -170,11 +171,20 @@ def _simpson_curves(
         intervals = simpson_intervals(length, dt)
         h = length / intervals / split
         count = intervals * split + 1
-        vals = _osc_on_grid(n1, l1, prev, h, count) * _osc_on_grid(n2, l2, prev, h, count)
-        partials.append(_simpson(vals[::split], h * split))
+        sums, fine_sums = [], []
+        for lo in range(0, count, _CURVE_CHUNK):
+            hi = min(lo + _CURVE_CHUNK, count)
+            t0 = prev + h * lo
+            vals = _osc_on_grid(n1, l1, t0, h, hi - lo) * _osc_on_grid(n2, l2, t0, h, hi - lo)
+            # lo is even, so vals[::split] starts on the coarse node lo // split
+            coarse = simpson_weights(lo // split, -(-hi // split), intervals + 1)
+            sums.append(float(coarse @ vals[::split]))
+            if halving:
+                fine_sums.append(float(simpson_weights(lo, hi, count) @ vals))
+        partials.append(math.fsum(sums) * (h * split) / 3.0)
         curve[idx] = math.fsum(partials)
         if halving:
-            fine_partials.append(_simpson(vals, h))
+            fine_partials.append(math.fsum(fine_sums) * h / 3.0)
             halved[idx] = math.fsum(fine_partials)
         prev = horizon
     return curve, halved

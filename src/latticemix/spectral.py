@@ -25,7 +25,9 @@ and builds the rest on first use: the cosines c_a(l), and for squared
 amplitudes the class pairs (a, b) with their unscaled frequency
 lambda_a - lambda_b and real coefficient c_a(l)*c_b(l)/n^2.  Callers scale
 the pair frequencies by their own time scale; the averaged kernels and the
-exact oscillatory sums are contractions of the pair data.
+exact oscillatory sums are contractions of the pair data.  A table over
+MAX_PARTIAL_ENTRIES doubles is refused.  cycle_amplitude_at evaluates the sum
+at any times; cycle_amplitude_grid at one offset on a long uniform grid.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ HALF = 0.5
 
 # Largest vertex count for which dense first columns are built.
 MAX_DENSE_VERTICES = 1_000_000
+
+# Largest table or partial-sum array built in one piece, in doubles (2 GiB).
+MAX_PARTIAL_ENTRIES = 2**28
 
 # Nodes per block of cycle_amplitude_grid.  Every block starts from an exact
 # exponential anchor, so phase error never accumulates past one block.
@@ -114,6 +119,7 @@ class ClassTable:
     def cosines(self) -> np.ndarray:
         """c_a(l) = mult_a*cos(2*pi*l*a/n) at [l, a], shape (n, n//2 + 1)."""
         n = self.n
+        _check_entries(n * self.lambdas.size, f"cosines c_a(l) of Z_{n}", MAX_PARTIAL_ENTRIES)
         classes = np.arange(n // 2 + 1)
         mult = np.where((classes == 0) | (2 * classes == n), 1.0, 2.0)
         # l*a is reduced mod n first, so the cosine argument stays below 2*pi
@@ -127,8 +133,23 @@ class ClassTable:
     @functools.cached_property
     def pair_coeff(self) -> np.ndarray:
         """c_a(l)*c_b(l)/n^2 at [l, (a, b)], the pairs flattened row-major."""
-        c = self.cosines
-        return _frozen((c[:, :, None] * c[:, None, :]).reshape(self.n, -1) / float(self.n) ** 2)
+        return _frozen(self.pair_rows(slice(None)))
+
+    def pair_rows(self, offsets) -> np.ndarray:
+        """Rows `offsets` (a list or a slice) of pair_coeff, without building all of it."""
+        c = self.cosines[offsets]
+        _check_entries(c.shape[0] * c.shape[1] ** 2, f"class-pair coefficients of Z_{self.n}",
+                       MAX_PARTIAL_ENTRIES)
+        return (c[:, :, None] * c[:, None, :]).reshape(c.shape[0], -1) / float(self.n) ** 2
+
+
+def _check_entries(entries: int, what: str, cap: int) -> None:
+    """Refuse with SizeError, before allocating, an array of more than cap doubles."""
+    if entries > cap:
+        raise SizeError(
+            f"{what} need {entries} doubles ({entries * 8 / 2**30:.1f} GiB), "
+            f"over the cap of {cap} ({cap * 8 / 2**30:.0f} GiB)"
+        )
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -158,35 +179,36 @@ def class_table(n: int) -> ClassTable:
 def cycle_amplitude(n: int, source: int, t: float, scale: float = FULL) -> np.ndarray:
     """Amplitude column <q|exp(i*Abar*t*scale)|source> on Z_n, indexed by q.
 
-    Returns a read-only complex array.  The vector for source 0 is computed
-    once and rolled, so translation invariance holds exactly (identical
-    arithmetic path for every source).
+    Returns a read-only complex array.  The vector for source 0 is
+    cycle_amplitude_at at the one time t, rolled, so translation invariance
+    holds exactly (identical arithmetic path for every source).
     """
-    n = _check_cycle(n)
-    if not np.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
-    if not (np.isfinite(scale) and scale > 0):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
-    table = class_table(n)
-    phases = np.exp(1j * float(t) * float(scale) * table.lambdas)
-    # entry_l = sum_a c_a(l)/n * phases_a: the real table times the (re, im)
-    # pairs of the phases, a real product with no complex copy of the table
-    pairs = table.cosines @ phases.view(float).reshape(-1, 2)
-    base = pairs.view(complex).ravel() / n
+    base = cycle_amplitude_at(n, None, t, scale)
     return _frozen(np.roll(base, int(source) % n))
 
 
-def cycle_amplitude_at(n: int, offset: int, ts: np.ndarray, scale: float) -> np.ndarray:
-    """Amplitude at a single offset for an array of times.
+def cycle_amplitude_at(n: int, offsets, ts, scale: float) -> np.ndarray:
+    """Amplitudes <l|exp(i*Abar*t*scale)|0> on Z_n, shape ts.shape + offsets.shape.
 
-    Vectorized form of cycle_amplitude(...)[offset] used by time-grid heavy
-    callers (quadrature and oscillatory-sum evaluation); O(n) per time point.
+    `offsets` is one l, an array of them, or None for all n.  The real table
+    rows times the (re, im) pairs of the phases: one real product for every
+    time, with no complex copy of the table.
     """
     n = _check_cycle(n)
     ts = np.asarray(ts, dtype=float)
+    if not np.isfinite(ts).all():
+        raise ValueError(f"time must be finite, got {ts[~np.isfinite(ts)].flat[0]}")
+    if not (np.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     table = class_table(n)
-    coeff = table.cosines[int(offset) % n] / n
-    return np.exp(1j * float(scale) * np.multiply.outer(ts, table.lambdas)) @ coeff
+    rows = table.cosines if offsets is None else table.cosines[np.asarray(offsets) % n]
+    phases = 1j * np.multiply.outer(table.lambdas, ts.ravel() * float(scale))
+    # columns 2k and 2k + 1 of the real view are the (re, im) of time k;
+    # scaling by 1/n is the arithmetic of a complex number divided by the real n
+    amps = rows @ np.exp(phases, out=phases).view(float)
+    amps *= 1.0 / n
+    amps = amps.view(complex)
+    return amps.transpose(-1, *range(amps.ndim - 1)).reshape(ts.shape + amps.shape[:-1])
 
 
 def cycle_amplitude_grid(

@@ -85,9 +85,10 @@ class TestPairwiseColumnDistance:
             oracle = allpairs_column_distance(kernel.full_matrix())
             assert abs(shortcut - oracle) < 1e-12
 
-    @pytest.mark.parametrize("block", [7, 64])
+    @pytest.mark.parametrize("block", [7, 64, 1])
     def test_blocked_shifts_match_allpairs_scan(self, monkeypatch, block):
-        # small blocks gather the last-axis rolls a few shifts at a time
+        # small blocks build the index rows and gather the last-axis rolls a
+        # few shifts at a time, down to one shift per block
         monkeypatch.setattr(distances, "_SHIFT_BLOCK", block)
         for kernel in assorted_kernels():
             oracle = allpairs_column_distance(kernel.full_matrix())

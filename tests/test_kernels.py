@@ -10,6 +10,8 @@ from latticemix.kernels import (
     identity_kernel,
     instantaneous_kernel,
     kernel_power,
+    simpson_intervals,
+    simpson_weights,
     uniform_kernel,
 )
 from latticemix.oscsums import integrated_osc_sum, product_integral_exact
@@ -121,6 +123,57 @@ class TestAveragedKernels:
             i12 = product_integral_exact(n1, n2, (l1, l2), T) / T
             expansion = c1 * c2 + c2 * i1 + c1 * i2 + i12
             assert abs((n1 * n2) ** 2 * column[l1, l2] - expansion) <= 1e-6
+
+
+class TestSimpsonRule:
+    def test_whole_range_is_the_composite_rule(self):
+        assert simpson_weights(0, 7, 7).tolist() == [1, 4, 2, 4, 2, 4, 1]
+        assert simpson_weights(0, 3, 3).tolist() == [1, 4, 1]
+
+    def test_ranges_concatenate_to_the_whole_rule(self):
+        whole = simpson_weights(0, 11, 11)
+        for cuts in ([0, 4, 11], [0, 1, 2, 7, 11], [0, 5, 6, 10, 11]):
+            parts = [simpson_weights(lo, hi, 11) for lo, hi in zip(cuts, cuts[1:])]
+            assert np.array_equal(np.concatenate(parts), whole)
+
+
+class TestBatchedQuadrature:
+    @pytest.mark.parametrize("dims, T", [((4, 6), 3.7), ((9,), 5.0), ((7, 5, 3), 2.4)])
+    def test_equals_weighted_instantaneous_kernels(self, dims, T):
+        lattice = LatticeSpec(dims)
+        intervals = simpson_intervals(T, 0.05)
+        h = T / intervals
+        weights = np.full(intervals + 1, 2.0)
+        weights[1::2] = 4.0
+        weights[0] = weights[-1] = 1.0
+        expected = sum(
+            w * h / (3.0 * T) * instantaneous_kernel(lattice, k * h).first_column
+            for k, w in enumerate(weights)
+        )
+        got = averaged_kernel_quadrature(lattice, T, 0.05).first_column
+        assert np.abs(got - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize("block", [1, 28 * 5, 28 * 37])
+    def test_chunk_size_does_not_change_the_column(self, monkeypatch, block):
+        import latticemix.kernels as kernels_module
+
+        # (7, 4) has 28 vertices, so the chunks hold 1, 5 and 37 of 127 nodes
+        lattice = LatticeSpec((7, 4))
+        reference = averaged_kernel_quadrature(lattice, 6.3, 0.05).first_column
+        monkeypatch.setattr(kernels_module, "_WEIGHT_BLOCK", block)
+        chunked = averaged_kernel_quadrature(lattice, 6.3, 0.05).first_column
+        assert np.abs(chunked - reference).max() <= 1e-15
+
+    def test_per_node_check_catches_scaled_amplitudes(self, monkeypatch):
+        import latticemix.kernels as kernels_module
+        from latticemix.spectral import cycle_amplitude_at
+
+        def scaled(*args):
+            return cycle_amplitude_at(*args) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(kernels_module, "cycle_amplitude_at", scaled)
+        with pytest.raises(ValueError, match=r"instantaneous kernels at t = 0\.0\.\.2\.0: column sums"):
+            averaged_kernel_quadrature(LatticeSpec((5, 4)), 2.0, 0.05)
 
 
 class TestPartialSumCap:

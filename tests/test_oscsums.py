@@ -19,7 +19,8 @@ from latticemix.oscsums import (
     product_integral_exact,
     sample_coprime_odd_pairs,
 )
-from latticemix.spectral import HALF, cycle_amplitude
+from latticemix.kernels import averaged_return_probability
+from latticemix.spectral import HALF, LatticeSpec, class_table, cycle_amplitude
 
 from oracles import simpson_integral, unfolded_osc_sum, unfolded_product_integral
 
@@ -170,11 +171,31 @@ class TestProductIntegral:
         assert np.all(np.abs(curve - plain) <= 1e-12 * np.abs(plain))
         assert np.all(np.abs(halved - fine) <= 1e-12 * np.abs(fine))
 
+    def test_chunked_segments_match_one_chunk(self, monkeypatch):
+        # 64-node chunks cut every segment (500 and 1234 fine nodes) into
+        # many pieces, ragged at the end; the halved curve's coarse nodes
+        # stay on even chunk starts
+        grid = [5.0, 11.17]
+        curve, halved = oscsums._simpson_curves(19, 5, (1, 2), grid, 0.02, True)
+        plain = product_integral_curve(19, 5, (1, 2), grid, 0.02)
+        monkeypatch.setattr(oscsums, "_CURVE_CHUNK", 64)
+        curve64, halved64 = oscsums._simpson_curves(19, 5, (1, 2), grid, 0.02, True)
+        plain64 = product_integral_curve(19, 5, (1, 2), grid, 0.02)
+        assert np.all(np.abs(curve64 - curve) <= 1e-12 * np.abs(curve))
+        assert np.all(np.abs(halved64 - halved) <= 1e-12 * np.abs(halved))
+        assert np.all(np.abs(plain64 - plain) <= 1e-12 * np.abs(plain))
+
     def test_halving_off_the_dt_lattice(self):
         # 12.345 is no multiple of dt: the coarse step is 12.345/618, and
         # the halved curve runs at exactly half of it
         reports = bound_sweep([(19, 5)], [12.345], dt=0.02, check_halving=True)
         assert reports[0].params["halving_rel"] <= 1e-5
+
+    def test_one_offset_builds_only_its_class_pair_row(self):
+        # the whole pair table of Z_1001 would hold 1001 * 501^2 doubles, 1.9 GiB
+        assert integrated_osc_sum(1001, 5, 10.0) != 0.0
+        averaged_return_probability(LatticeSpec((1001,)), [3.0])
+        assert "pair_coeff" not in vars(class_table(1001))
 
     def test_exact_path_size_guard(self):
         with pytest.raises(ValueError):

@@ -109,7 +109,54 @@ class TestCycleAmplitude:
         assert cycle_amplitude_grid(19, 4, 7.25, 0.013, 0, HALF).size == 0
 
 
+class TestCycleAmplitudeAt:
+    """The one arbitrary-time route: offsets None, an int or an array."""
+
+    def test_offset_forms_agree_with_the_column_and_expm(self):
+        ts = np.array([0.0, 0.7, 5.25, 31.0])
+        for n in (2, 9, 20):
+            every = cycle_amplitude_at(n, None, ts, HALF)
+            assert every.shape == (ts.size, n) and every.dtype == complex
+            for k, t in enumerate(ts):
+                oracle = expm_amplitude_column(LatticeSpec((n,)), 0, HALF * t)
+                assert np.abs(every[k] - oracle).max() < 1e-9
+                assert np.abs(every[k] - cycle_amplitude(n, 0, t, HALF)).max() < 1e-14
+            picked = np.array([[1, n - 1], [n + 3, 0]])
+            some = cycle_amplitude_at(n, picked, ts, HALF)
+            assert some.shape == (ts.size, 2, 2)
+            assert np.abs(some - every[:, picked % n]).max() < 1e-14
+            one = cycle_amplitude_at(n, 3, ts, HALF)
+            assert one.shape == ts.shape
+            assert np.abs(one - every[:, 3 % n]).max() < 1e-14
+
+    def test_one_time_is_the_column_bitwise(self):
+        for n, t in ((7, 2.5), (20, 13.0), (1000, 333.3)):
+            assert np.array_equal(cycle_amplitude_at(n, None, t, FULL),
+                                  cycle_amplitude(n, 0, t, FULL))
+
+    def test_scalar_shapes_and_guards(self):
+        assert cycle_amplitude_at(9, None, 2.0, FULL).shape == (9,)
+        assert cycle_amplitude_at(9, 4, 2.0, FULL).shape == ()
+        with pytest.raises(ValueError, match="time must be finite, got nan"):
+            cycle_amplitude_at(9, 0, [1.0, np.nan], FULL)
+        with pytest.raises(ValueError):
+            cycle_amplitude_at(9, 0, 1.0, 0.0)
+
+
 class TestClassTable:
+    def test_pair_rows_are_the_pair_coeff_rows(self):
+        for n in (9, 10):
+            table = class_table(n)
+            assert np.array_equal(table.pair_rows([0, 3]), table.pair_coeff[[0, 3]])
+
+    def test_oversized_tables_refused_before_allocation(self):
+        with pytest.raises(SizeError, match=r"cosines c_a\(l\) of Z_200000 need 20000200000 doubles"):
+            class_table(200000).cosines
+        with pytest.raises(SizeError, match="class-pair coefficients of Z_1501 need 846565501"):
+            class_table(1501).pair_coeff
+        # the eigenvalues alone are still served
+        assert class_table(200000).lambdas.size == 100001
+
     def test_cosines_sum_each_mirror_class(self):
         # c_a(l) is the sum of w^(l*j) over the indices j in class a
         for n in (9, 10):
