@@ -287,7 +287,7 @@ def _run_mix_coordinate(resolved) -> int:
     header = ["sweep"] + [f"tv_factor{axis + 1}" for axis in range(lattice.d)]
     rows = [(sweep, *factor_tv[sweep]) for sweep in range(factor_tv.shape[0])]
     payload = {
-        "config": {**record.config, "dims": list(lattice.dims)},
+        "config": record.config,
         "scalars": record.scalars,
         "verdicts": record.verdicts,
         "warnings": record.warnings,
@@ -312,9 +312,10 @@ def _run_mix_repeated(resolved) -> int:
         trajectories=resolved["trajectories"], seed=resolved["seed"],
     )
     payload = {
-        "config": {**record.config, "dims": list(lattice.dims)},
+        "config": record.config,
         "scalars": record.scalars,
         "verdicts": record.verdicts,
+        "curves": record.curves,
     }
     if resolved["mode"] == "exact":
         header = ["rounds", "tv_to_uniform", "column_distance", "submultiplicative_cap"]
@@ -324,7 +325,6 @@ def _run_mix_repeated(resolved) -> int:
             record.curves["column_distance"],
             record.curves["submultiplicative_cap"],
         )
-        payload["curves"] = {k: v for k, v in record.curves.items()}
         svg = (
             [
                 ("tv to uniform", record.curves["rounds"], record.curves["tv_to_uniform"]),
@@ -339,7 +339,6 @@ def _run_mix_repeated(resolved) -> int:
             (i, record.curves["empirical"][i], record.curves["exact"][i])
             for i in range(lattice.size)
         )
-        payload["curves"] = {k: v for k, v in record.curves.items()}
         svg = (
             [
                 ("empirical", np.arange(lattice.size), record.curves["empirical"]),
@@ -451,7 +450,7 @@ def _run_fig1(resolved) -> int:
     classical = record.curves["classical_return"]
     rows = zip(times, quantum, classical, [u] * len(times))
     payload = {
-        "config": {**record.config, "dims": list(dims)},
+        "config": record.config,
         "scalars": record.scalars,
         "verdicts": record.verdicts,
         "curves": {"T": times, "quantum_return": quantum,

@@ -7,7 +7,9 @@ Four procedures:
   P_T and its powers; sampled propagation draws trajectories.
 * coordinate_wise_run: evolve one coordinate at a time with its own cycle
   walk (full time scale) and measure that coordinate, sweeping rounds; the
-  state stays an exact product of per-cycle distributions throughout.
+  state stays an exact product of per-cycle distributions throughout, and
+  each factor after s sweeps is the first column of kernel_power of its
+  cycle's instantaneous kernel, so no n x n matrix is ever built.
 * uniformity_case_check: quantify how far the d=2 averaged kernel sits from
   uniform, entry class by entry class, against the known deviation caps.
 * return_probability_curves: time-averaged return probability of the quantum
@@ -17,7 +19,6 @@ Four procedures:
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,10 +36,11 @@ from .kernels import (
     averaged_kernel_analytic,
     averaged_kernel_quadrature,
     averaged_return_probability,
+    instantaneous_kernel,
     kernel_power,
 )
 from .oscsums import BoundReport
-from .spectral import FULL, LatticeSpec, cycle_amplitude, cycle_amplitude_at
+from .spectral import LatticeSpec, cycle_amplitude_at
 
 # Trajectories per block of step probabilities in _sample_repeated.
 _SAMPLE_CHUNK = 2048
@@ -53,7 +55,6 @@ class ExperimentRecord:
     scalars: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
-    wall_clock: float = 0.0
 
     @property
     def all_passed(self) -> bool:
@@ -86,7 +87,6 @@ def repeated_measurement_run(
     coordinate's step from its cycle kernel, and compares the empirical
     distribution with the exact column.
     """
-    start = time.perf_counter()
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"horizon must be positive, got {T}")
     rounds = int(rounds)
@@ -134,7 +134,6 @@ def repeated_measurement_run(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    record.wall_clock = time.perf_counter() - start
     return record
 
 
@@ -169,10 +168,11 @@ def _sample_repeated(
 def spread_constant(n: int, t: float) -> float:
     """c such that at least 2/3 of the cycle kernel column sits at >= c/n.
 
-    c is n times the ceil(2n/3)-th largest entry of |<q|U(t)|0>|^2 at full
-    time scale; the recorded value, positive whenever the walk spreads.
+    c is n times the ceil(2n/3)-th largest entry of the column of
+    instantaneous_kernel(Z_n, t), whose scale 1/d is FULL; the recorded
+    value, positive whenever the walk spreads.
     """
-    probs = np.sort(np.abs(cycle_amplitude(n, 0, t, FULL)) ** 2)[::-1]
+    probs = np.sort(instantaneous_kernel(LatticeSpec((n,)), t).first_column)[::-1]
     qualifying = math.ceil(2 * n / 3)
     return float(n * probs[qualifying - 1])
 
@@ -186,15 +186,15 @@ def coordinate_wise_run(
     """Exact propagation of the coordinate-at-a-time measured walk.
 
     Every coordinate k holds a distribution on its own cycle; one sweep pushes
-    each through the cycle measurement kernel Q_k(t_k) with entries
-    |<q|exp(i*Abar_k*t_k)|p>|^2.  With rounds=None each coordinate runs
+    each through the cycle measurement kernel Q_k(t_k), the instantaneous
+    kernel of Z_{n_k} at t_k, so after s sweeps the factor is the first
+    column of kernel_power(Q_k, s).  With rounds=None each coordinate runs
     rounds_to_threshold(d(Q_k)) sweeps, the count that drives its column
-    distance below 1/(2e); a given rounds must be >= 0.  Evolution times
-    default to n_k/3; times outside [n_k/3, n_k/2] are flagged in the
-    record's warnings, not rejected, since the interval is sufficient rather
-    than necessary.
+    distance below 1/(2e); a given rounds must be >= 0, and a factor holds
+    still once its own count is reached.  Evolution times default to n_k/3;
+    times outside [n_k/3, n_k/2] are flagged in the record's warnings, not
+    rejected, since the interval is sufficient rather than necessary.
     """
-    start = time.perf_counter()
     lattice.check_dense()
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -211,15 +211,14 @@ def coordinate_wise_run(
                 "rounds": rounds},
     )
 
-    columns, alphas, constants = [], [], []
+    cycles, alphas, constants = [], [], []
     for n, t in zip(lattice.dims, times):
         if not (n / 3.0 <= t <= n / 2.0):
             record.warnings.append(
                 f"evolution time {t} outside [{n / 3.0:.6g}, {n / 2.0:.6g}] on Z_{n}"
             )
-        col = np.abs(cycle_amplitude(n, 0, t, FULL)) ** 2
-        cycle = Kernel(LatticeSpec((n,)), col, kind=f"cycle(n={n},t={t})")
-        columns.append(cycle)
+        cycle = instantaneous_kernel(LatticeSpec((n,)), t)
+        cycles.append(cycle)
         alphas.append(pairwise_column_distance(cycle))
         constants.append(spread_constant(n, t))
 
@@ -228,25 +227,15 @@ def coordinate_wise_run(
         if rounds is None
         else [int(rounds)] * lattice.d
     )
-    sweeps = max(per_coord_rounds)
 
-    matrices = [
-        cycle.grid[np.subtract.outer(np.arange(n), np.arange(n)) % n]
-        for n, cycle in zip(lattice.dims, columns)
-    ]
-    factors = [np.eye(n)[0] for n in lattice.dims]
-    factor_tv = np.zeros((sweeps + 1, lattice.d))
-    for axis, n in enumerate(lattice.dims):
-        factor_tv[0, axis] = tv_distance(factors[axis], uniform(n))
-    for sweep in range(1, sweeps + 1):
-        for axis, n in enumerate(lattice.dims):
-            if sweep <= per_coord_rounds[axis]:
-                factors[axis] = matrices[axis] @ factors[axis]
-            factor_tv[sweep, axis] = tv_distance(factors[axis], uniform(n))
-
-    joint = factors[0]
-    for vec in factors[1:]:
-        joint = np.multiply.outer(joint, vec)
+    factor_tv = np.empty((max(per_coord_rounds) + 1, lattice.d))
+    joint = np.ones(())
+    for axis, (cycle, r) in enumerate(zip(cycles, per_coord_rounds)):
+        for sweep in range(r + 1):
+            powered = kernel_power(cycle, sweep)
+            factor_tv[sweep, axis] = distance_to_uniform(powered)
+        factor_tv[r + 1:, axis] = factor_tv[r, axis]
+        joint = np.multiply.outer(joint, powered.first_column)
     joint_tv = tv_distance(joint.ravel(), uniform(lattice.size))
 
     record.curves["factor_tv"] = factor_tv
@@ -258,7 +247,6 @@ def coordinate_wise_run(
     })
     record.verdicts["joint_within_epsilon"] = bool(joint_tv <= epsilon)
     record.verdicts["contractions_below_one"] = bool(max(alphas) < 1.0)
-    record.wall_clock = time.perf_counter() - start
     return record
 
 
@@ -344,7 +332,6 @@ def return_probability_curves(
     1/(n1*n2).  The record also carries the classical tv to uniform at
     n1^2 + n2^2 steps, the square-time mark.
     """
-    start = time.perf_counter()
     lattice = LatticeSpec((n1, n2))
     square_time = n1 * n1 + n2 * n2
     if t_max is None:
@@ -385,5 +372,4 @@ def return_probability_curves(
             abs(quantum[mark] - u) < abs(classical[mark] - u)
         )
     record.verdicts["classical_mixed_at_square_time"] = bool(tvs[square_time] <= 0.1)
-    record.wall_clock = time.perf_counter() - start
     return record

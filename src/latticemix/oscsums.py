@@ -29,6 +29,7 @@ test suite:
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -119,13 +120,19 @@ def integrated_osc_bound(n: int) -> float:
     return 32.0 * (n * math.log(n)) ** 2
 
 
-def _check_coprime_pair(n1: int, n2: int) -> tuple[int, int]:
-    n1, n2 = _check_odd(n1), _check_odd(n2)
-    if n1 <= n2:
-        raise ValueError(f"need n1 > n2, got {n1} <= {n2}")
-    if math.gcd(n1, n2) != 1:
-        raise ValueError(f"{n1} and {n2} are not coprime")
-    return n1, n2
+def _check_coprime_dims(dims) -> tuple[int, ...]:
+    """At least two odd cycle lengths >= 3, strictly decreasing and pairwise coprime."""
+    dims = tuple(int(n) for n in dims)
+    if len(dims) < 2:
+        raise ValueError("need at least two cycle lengths")
+    for n in dims:
+        _check_odd(n)
+    if any(a <= b for a, b in zip(dims, dims[1:])):
+        raise ValueError(f"cycle lengths must be strictly decreasing, got {dims}")
+    for a, b in itertools.combinations(dims, 2):
+        if math.gcd(a, b) != 1:
+            raise ValueError(f"{a} and {b} are not coprime")
+    return dims
 
 
 def _simpson_curves(
@@ -148,7 +155,7 @@ def _simpson_curves(
     with math.fsum so half a million accumulation steps do not erode the
     result.
     """
-    n1, n2 = _check_coprime_pair(n1, n2)
+    n1, n2 = _check_coprime_dims((n1, n2))
     if not (0 < dt <= MAX_PRODUCT_DT):
         raise ResolutionError(f"dt must lie in (0, {MAX_PRODUCT_DT}], got {dt}")
     l1, l2 = offsets
@@ -218,7 +225,7 @@ def product_integral_exact(n1: int, n2: int, offsets: tuple[int, int], T: float)
     with no frequency thresholding.  Quadratic in n1*n2; refused above
     MAX_EXACT_PRODUCT.
     """
-    n1, n2 = _check_coprime_pair(n1, n2)
+    n1, n2 = _check_coprime_dims((n1, n2))
     T = _check_horizon(T)
     if n1 * n2 > MAX_EXACT_PRODUCT:
         raise ValueError(f"n1*n2 = {n1 * n2} exceeds exact-path cap {MAX_EXACT_PRODUCT}")
@@ -233,17 +240,7 @@ def product_integral_bound(dims) -> float:
     Conjectured cap on |integral of prod_i osc_i|; at d = 2 it reads
     32*n1*(n2*log(n2))^2 + 32*n2*(n1*log(n1))^2.
     """
-    dims = [int(n) for n in dims]
-    if len(dims) < 2:
-        raise ValueError("need at least two cycle lengths")
-    for n in dims:
-        _check_odd(n)
-    if any(a <= b for a, b in zip(dims, dims[1:])):
-        raise ValueError(f"cycle lengths must be strictly decreasing, got {dims}")
-    for i, a in enumerate(dims):
-        for b in dims[i + 1 :]:
-            if math.gcd(a, b) != 1:
-                raise ValueError(f"{a} and {b} are not coprime")
+    dims = _check_coprime_dims(dims)
     d = len(dims)
     total = 0.0
     for j, n_j in enumerate(dims):

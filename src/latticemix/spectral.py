@@ -69,9 +69,7 @@ class LatticeSpec:
         if any(n < 2 for n in dims):
             raise ValueError(f"every cycle length must be >= 2, got {dims}")
         object.__setattr__(self, "dims", dims)
-        n_total = 1
-        for n in dims:
-            n_total *= n
+        n_total = math.prod(dims)
         if n_total > 2**53:
             raise SizeError(f"vertex count {n_total} exceeds machine range")
 
@@ -82,7 +80,7 @@ class LatticeSpec:
     @property
     def size(self) -> int:
         """Total vertex count N = prod(dims)."""
-        return int(np.prod(self.dims, dtype=object))
+        return math.prod(self.dims)
 
     @property
     def all_odd(self) -> bool:

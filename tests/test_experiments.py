@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from latticemix.kernels import (
     averaged_kernel_quadrature,
     kernel_power,
 )
-from latticemix.spectral import FULL, LatticeSpec, cycle_amplitude
+from latticemix.spectral import FULL, LatticeSpec, class_table, cycle_amplitude
 
 from oracles import stepped_lazy_curve
 
@@ -125,25 +126,54 @@ class TestCoordinateWise:
         with pytest.raises(SizeError, match="dense limit"):
             coordinate_wise_run(LatticeSpec((1_000_000, 2)))
 
-    def test_product_state_matches_full_joint_propagation(self):
+    @pytest.mark.parametrize("rounds", [0, 2, None])
+    @pytest.mark.parametrize("dims", [(9, 7), (4,), (6, 5, 3), (2, 2)],
+                             ids=lambda dims: "x".join(map(str, dims)))
+    def test_product_state_matches_full_joint_propagation(self, dims, rounds):
         # oracle: push the full joint distribution through each coordinate's
-        # measurement kernel along its own axis
-        lattice = LatticeSpec((9, 7))
-        rounds = 2
+        # dense measurement kernel along its own axis, for that coordinate's
+        # own number of sweeps, and read each factor off the marginals
+        lattice = LatticeSpec(dims)
         record = coordinate_wise_run(lattice, rounds=rounds)
         times = record.config["times"]
+        per_coord = record.scalars["rounds_used"]
+
+        def marginal_tvs(joint):
+            axes = range(lattice.d)
+            return [
+                tv_distance(joint.sum(axis=tuple(a for a in axes if a != axis)), uniform(n))
+                for axis, n in enumerate(lattice.dims)
+            ]
 
         joint = np.zeros(lattice.dims)
-        joint[0, 0] = 1.0
-        for _ in range(rounds):
+        joint[(0,) * lattice.d] = 1.0
+        factor_tv = [marginal_tvs(joint)]
+        for sweep in range(max(per_coord)):
             for axis, (n, t) in enumerate(zip(lattice.dims, times)):
+                if sweep >= per_coord[axis]:
+                    continue
                 col = np.abs(cycle_amplitude(n, 0, t, FULL)) ** 2
                 circulant = col[np.subtract.outer(np.arange(n), np.arange(n)) % n]
                 joint = np.moveaxis(
                     np.tensordot(circulant, joint, axes=([1], [axis])), 0, axis
                 )
+            factor_tv.append(marginal_tvs(joint))
+        np.testing.assert_allclose(record.curves["factor_tv"], factor_tv, rtol=0, atol=1e-12)
         direct_tv = tv_distance(joint.ravel(), uniform(lattice.size))
         assert abs(record.scalars["joint_tv"] - direct_tv) <= 1e-12
+
+    def test_long_cycle_builds_no_square_array(self):
+        # the cosine table is built first, so the peak counts only the run's
+        # own arrays; an n x n float circulant alone would be 72 MB
+        n = 3001
+        class_table(n).cosines
+        tracemalloc.start()
+        try:
+            coordinate_wise_run(LatticeSpec((n,)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_spread_constant_definition(self):
         n = 19
