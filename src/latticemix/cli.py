@@ -206,8 +206,8 @@ def _run_spectrum(resolved) -> int:
     factors = []
     for axis, n in enumerate(lattice.dims):
         # lambda_j = lambda_{n-j}: index j reads its mirror class min(j, n-j)
-        index = np.arange(n)
-        lambdas = class_table(n).lambdas[np.minimum(index, n - index)]
+        table = class_table(n)
+        lambdas = table.lambdas[table.mirror]
         factors.append({"n": n, "eigenvalues": lambdas})
         rows.extend((axis, n, j, lambdas[j], gap) for j in range(n))
     payload = {"dims": list(lattice.dims), "spectral_gap": gap, "factors": factors}

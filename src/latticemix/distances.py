@@ -7,7 +7,10 @@ the expensive definitions:
 * distance to the uniform matrix, (1/2) * ||P - u 1^T||_1 with the matrix
   1-norm, equals tv(first_column, uniform);
 * the maximum pairwise column distance d(P) equals the maximum over nonzero
-  lattice shifts s of tv(first_column, first_column rolled by s).
+  lattice shifts s of tv(first_column, first_column rolled by s); the
+  shifts s and -s give the same tv, and so does every sign pattern of s
+  when the column is even in each coordinate, as the analytic averaged
+  kernel's is bitwise, so one orthant of shifts suffices there.
 
 d(P) is submultiplicative under kernel composition and sits in the sandwich
 tv(c, u) <= d(P) <= 2 * tv(c, u) for doubly stochastic P.
@@ -50,31 +53,43 @@ def distance_to_uniform(kernel: Kernel) -> float:
     return tv_distance(kernel.first_column, uniform(kernel.lattice.size))
 
 
+def _is_even(grid: np.ndarray) -> bool:
+    """True iff grid[x] == grid[-x] bitwise along every axis."""
+    return all(
+        np.array_equal(grid, grid.take((-np.arange(n)) % n, axis=axis))
+        for axis, n in enumerate(grid.shape)
+    )
+
+
 def pairwise_column_distance(kernel: Kernel) -> float:
     """d(P) = max over column pairs of their tv distance.
 
     Circulant shortcut: columns are shifts of the first, so only the
     tv between the first column and each of its N - 1 nonzero rolls is needed.
     Rolling both columns by -v shows tv(c, c rolled by v) equals
-    tv(c, c rolled by -v), so the first of the leading axes (all but the
-    last) needs only shifts up to half its length.  The rolls along the last
-    axis are gathered through the index rows idx[s, x] = (x - s) mod n_last,
-    built for one chunk of shifts at a time that keeps a block near
-    _SHIFT_BLOCK entries, so the Python loop runs only over chunks and the
-    shifts of the leading axes.
+    tv(c, c rolled by -v), so the first axis needs only shifts up to half
+    its length.  When the column is even along an axis k, negating
+    coordinate k maps tv(c, c rolled by v) onto the roll by v with v_k
+    negated; so a column that is bitwise even along every axis (an O(N)
+    check) needs only the shifts 0..n_k//2 on every axis, one orthant.  The
+    rolls along the last axis are gathered through the index rows
+    idx[s, x] = (x - s) mod n_last, built for one chunk of shifts at a time
+    that keeps a block near _SHIFT_BLOCK entries, so the Python loop runs
+    only over chunks and the shifts of the leading axes.
     """
     grid = kernel.grid
     dims = kernel.lattice.dims
+    halves = [range(n // 2 + 1) for n in dims]
+    shifts = halves if _is_even(grid) else [halves[0], *map(range, dims[1:])]
+    *lead, last = shifts
     x = np.arange(dims[-1])
-    lead = [range(n) for n in dims[:-1]]
-    if lead:
-        lead[0] = range(dims[0] // 2 + 1)
     lead_axes = tuple(range(1, len(dims)))
     step = max(1, _SHIFT_BLOCK // grid.size)
     best = 0.0
-    for lo in range(0, dims[-1], step):
-        idx = (x[None, :] - x[lo:lo + step, None]) % dims[-1]
-        # rolls[k] is the grid rolled by lo + k along the last axis
+    for lo in range(0, len(last), step):
+        chunk = np.arange(lo, min(lo + step, len(last)))
+        idx = (x[None, :] - chunk[:, None]) % dims[-1]
+        # rolls[k] is the grid rolled by chunk[k] along the last axis
         rolls = np.ascontiguousarray(np.moveaxis(grid[..., idx], -2, 0))
         for shift in itertools.product(*lead):
             diff = np.roll(rolls, shift, axis=lead_axes)

@@ -24,7 +24,14 @@ Three constructions are provided:
   The class-pair frequencies and coefficients are the pair_omega (times
   the scale) and pair_coeff of spectral.class_table(n), and _class_pair_sum
   contracts them factor by factor; the return curve and the exact
-  oscillatory sums are contractions of the same kind.
+  oscillatory sums are contractions of the same kind.  Two symmetries
+  halve the work twice over.  Swapping (a, b) <-> (b, a) in every factor
+  at once negates x and keeps each coefficient, so the first factor's pairs
+  are folded onto a <= b (ClassTable.fold_omega, fold_coeff).  And
+  c_a(l) = c_a(n - l), so only the rows l <= n//2 of each factor are
+  contracted and the column is mirrored from them; it comes out bitwise
+  even in every coordinate, which lets distances.pairwise_column_distance
+  scan one orthant of shifts.
 * averaged_kernel_quadrature: the same average by composite Simpson over
   batched amplitudes on a time grid, kept deliberately independent of the
   per-frequency path so the two can cross-check each other.
@@ -49,7 +56,7 @@ from .spectral import (MAX_PARTIAL_ENTRIES, LatticeSpec, _check_entries, class_t
 MAX_DENSE_MATRIX = 2048
 MAX_QUADRATURE_DT = 0.05
 
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = 3
 
 # Leading class-pair rows per block of the analytic kernel's contraction,
 # and blocks per checkpoint write.  The block size is part of the
@@ -60,6 +67,10 @@ _CHECKPOINT_EVERY = 4
 # Entries of one block of sin(x)/x weights in averaged_return_probability,
 # and of node probabilities in averaged_kernel_quadrature.
 _WEIGHT_BLOCK = 2**18
+
+# Entries of one sub-block of sin(x)/x weights in _class_pair_sum, evaluated
+# in place in buffers that stay in cache.
+_SINC_BLOCK = 2**13
 
 
 @dataclass(frozen=True)
@@ -78,7 +89,8 @@ class Kernel:
             )
         if col.min() < -1e-12:
             raise ValueError(f"kernel entry {col.min()} below -1e-12")
-        col = np.clip(col, 0.0, None)
+        # the ufunc np.clip(col, 0.0, None) calls, without its Python wrapper
+        col = np.maximum(col, 0.0)
         col.setflags(write=False)
         object.__setattr__(self, "first_column", col)
 
@@ -105,8 +117,8 @@ class Kernel:
 
 
 def _check_stochastic(cols: np.ndarray, tol: float, what: str) -> None:
-    totals = np.atleast_1d(cols.sum(axis=-1))
-    worst = float(totals[np.argmax(np.abs(totals - 1.0))])
+    totals = cols.sum(axis=-1, keepdims=True).ravel()
+    worst = float(totals[np.abs(totals - 1.0).argmax()])
     if abs(worst - 1.0) > tol:
         raise ValueError(f"{what}: column sums to {worst}, off 1 by > {tol}")
 
@@ -135,14 +147,18 @@ def instantaneous_kernel(lattice: LatticeSpec, t: float) -> Kernel:
     return Kernel(lattice=lattice, first_column=col, kind=f"instant(t={t})")
 
 
-def _sinc_average(x: np.ndarray) -> np.ndarray:
-    """Re g(x) = sin(x)/x, the weight of a conjugate-symmetric term pair.
+def _sinc_average(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Re g(x) = sin(x)/x, the weight of a conjugate-symmetric term pair, into `out`.
 
     Exactly 1 at x = 0, so the class pairs whose frequencies cancel
-    identically (eigenvalues match bitwise) keep their full weight.
+    identically (eigenvalues match bitwise) keep their full weight.  `x` is
+    overwritten.
     """
-    x = np.asarray(x, dtype=float)
-    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+    zero = x == 0.0
+    np.sin(x, out=out)
+    np.copyto(x, 1.0, where=zero)
+    np.copyto(out, 1.0, where=zero)
+    return np.divide(out, x, out=out)
 
 
 def _load_checkpoint(path: str, meta: tuple) -> tuple[int, np.ndarray] | None:
@@ -185,12 +201,21 @@ def _class_pair_sum(
     """Sum over class-pair tuples p of prod_k C_k[l_k, p_k] * sin(x)/x.
 
     Here x = T * sum_k omega_k[p_k] for each horizon T in `horizons`, and
-    `tables` holds one (omega_k, C_k) pair per factor: the scaled class-pair
-    frequencies of spectral.class_table and a (rows_k, pairs_k) block of its
-    pair_coeff rows.  The leading factors' frequencies are summed
-    into one axis; the last factor is contracted against it in blocks of
-    `block_size` leading rows, partial[T, p_lead, l_d] =
-    sum_p_d sin(x)/x * C_d[l_d, p_d] for every horizon T; then each leading
+    `tables` holds one (table, omega_k, C_k) triple per factor: the
+    spectral.class_table of the cycle, the scaled class-pair frequencies and
+    a (rows_k, terms_k) block of class-pair coefficient rows.  The first
+    factor comes folded onto a <= b (ClassTable.fold_omega and fold), every
+    other factor over all pairs (a, b).  The fold is exact: each C_k is
+    symmetric under the swap (a, b) <-> (b, a), which negates omega_k, and
+    sin(x)/x is even, so swapping the pairs of every factor at once leaves
+    a term unchanged, and the terms with the first factor's pair swapped
+    add up to those without.
+
+    The leading factors' frequencies are summed into one axis; the last
+    factor is contracted against it in blocks of `block_size` leading rows,
+    partial[T, p_lead, l_d] = sum_p_d sin(x)/x * C_d[l_d, p_d] for every
+    horizon T, with the weights evaluated in sub-blocks of about
+    _SINC_BLOCK entries into buffers that stay in cache; then each leading
     factor's table is contracted in turn.  The result is flattened
     row-major over (T, l_1, ..., l_d).  A partial-sum array of more than
     MAX_PARTIAL_ENTRIES doubles is refused with SizeError before anything
@@ -201,36 +226,45 @@ def _class_pair_sum(
     same order and reproduces the uninterrupted result bit for bit.
     """
     horizons = np.asarray(horizons, dtype=float).ravel()
-    *leading, (omega_last, coeff_last) = tables
-    lead_rows = math.prod(omega.size for omega, _ in leading)
+    *leading, (_, omega_last, coeff_last) = tables
+    lead_rows = math.prod(omega.size for _, omega, _ in leading)
     entries = horizons.size * lead_rows * coeff_last.shape[0]
     _check_entries(entries, "class-pair partial sums", MAX_PARTIAL_ENTRIES)
     lead = np.zeros(1)
-    for omega, _ in leading:
+    for _, omega, _ in leading:
         lead = np.add.outer(lead, omega).ravel()
-    c_last_t = np.ascontiguousarray(coeff_last.T)
 
-    meta = (_CHECKPOINT_VERSION, *(c.shape[0] for _, c in tables), *horizons, block_size)
     start = 0
     partial = np.zeros((horizons.size * lead.size, coeff_last.shape[0]))
-    resumed = _load_checkpoint(checkpoint, meta) if checkpoint else None
-    if resumed is not None:
-        start, partial = resumed
+    if checkpoint:
+        meta = (_CHECKPOINT_VERSION, *(table.n for table, _, _ in tables), *horizons, block_size)
+        resumed = _load_checkpoint(checkpoint, meta)
+        if resumed is not None:
+            start, partial = resumed
     # a view, so block writes land in the partial sums the checkpoint saves
     blocks = partial.reshape(horizons.size, lead.size, -1)
 
+    pairs = omega_last.size
+    step = max(1, _SINC_BLOCK // (horizons.size * pairs))
+    weights = np.empty(horizons.size * min(block_size, lead.size) * pairs)
+    freq, x = np.empty((step, pairs)), np.empty((horizons.size, step, pairs))
     for count, lo in enumerate(range(0, lead.size, block_size)):
         if lo < start:
             continue
         hi = min(lo + block_size, lead.size)
-        joint = np.multiply.outer(horizons, lead[lo:hi, None] + omega_last)
-        weights = _sinc_average(joint).reshape(-1, omega_last.size)
-        blocks[:, lo:hi] = (weights @ c_last_t).reshape(horizons.size, hi - lo, -1)
+        block = weights[: horizons.size * (hi - lo) * pairs].reshape(horizons.size, hi - lo, pairs)
+        for sub in range(lo, hi, step):
+            rows = min(step, hi - sub)
+            np.add(lead[sub : sub + rows, None], omega_last, out=freq[:rows])
+            np.multiply(horizons[:, None, None], freq[:rows], out=x[:, :rows])
+            _sinc_average(x[:, :rows], block[:, sub - lo : sub - lo + rows])
+        sums = block.reshape(-1, pairs) @ coeff_last.T
+        blocks[:, lo:hi] = sums.reshape(horizons.size, hi - lo, -1)
         if checkpoint and (count + 1) % _CHECKPOINT_EVERY == 0 and hi < lead.size:
             _save_checkpoint(checkpoint, meta, hi, partial)
 
     col, done = partial, horizons.size
-    for _, coeff in leading:
+    for _, _, coeff in leading:
         col = np.matmul(coeff, col.reshape(done, coeff.shape[1], -1))
         done *= coeff.shape[0]
     if checkpoint and os.path.exists(checkpoint):
@@ -251,9 +285,10 @@ def averaged_kernel_analytic(
     Requires every cycle length odd (the time-independent part of the
     expansion collapses only for odd n); the quadrature builder covers
     everything else.  Any number of factors, each with time scale 1/d.
-    With `checkpoint`, the partial sums are saved to that .npz file every
-    _CHECKPOINT_EVERY blocks of _BLOCK_SIZE rows, a run resumes from it, and
-    it is deleted on success.
+    The rows l_k <= n_k//2 are contracted, and offset l_k reads row
+    min(l_k, n_k - l_k).  With `checkpoint`, the partial sums are saved to
+    that .npz file every _CHECKPOINT_EVERY blocks of _BLOCK_SIZE folded
+    leading rows, a run resumes from it, and it is deleted on success.
     """
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"averaging horizon must be positive, got {T}")
@@ -261,8 +296,15 @@ def averaged_kernel_analytic(
     lattice.check_dense()
 
     scale = 1.0 / lattice.d
-    tables = [(scale * t.pair_omega, t.pair_coeff) for t in map(class_table, lattice.dims)]
+    first, *rest = factors = [class_table(n) for n in lattice.dims]
+    tables = [(first, scale * first.fold_omega, first.fold_coeff),
+              *((t, scale * t.pair_omega, t.pair_coeff) for t in rest)]
     col = _class_pair_sum(tables, [T], _BLOCK_SIZE, checkpoint)
+    # rows l <= n//2 were contracted; offset l reads row min(l, n - l)
+    col = col.reshape([t.lambdas.size for t in factors])
+    for axis, table in enumerate(factors):
+        col = col.take(table.mirror, axis=axis)
+    col = col.ravel()
     _check_stochastic(col, 1e-9, f"analytic averaged kernel T={T}")
     return Kernel(lattice=lattice, first_column=col, kind=f"averaged(T={T})")
 
@@ -281,10 +323,12 @@ def averaged_return_probability(lattice: LatticeSpec, horizons) -> np.ndarray:
         raise ValueError("averaging horizons must be positive and finite")
     _check_analytic_lattice(lattice)
     scale = 1.0 / lattice.d
-    tables = [(scale * t.pair_omega, t.pair_rows([0])) for t in map(class_table, lattice.dims)]
-    pairs = math.prod(omega.size for omega, _ in tables)
+    first, *rest = map(class_table, lattice.dims)
+    tables = [(first, scale * first.fold_omega, first.fold(first.pair_rows([0]))),
+              *((t, scale * t.pair_omega, t.pair_rows([0])) for t in rest)]
+    pairs = math.prod(omega.size for _, omega, _ in tables)
     step = max(1, _WEIGHT_BLOCK // pairs)
-    block = max(1, _WEIGHT_BLOCK // (step * tables[-1][0].size))
+    block = max(1, _WEIGHT_BLOCK // (step * tables[-1][1].size))
     out = np.empty(horizons.size)
     for lo in range(0, horizons.size, step):
         out[lo : lo + step] = _class_pair_sum(tables, horizons[lo : lo + step], block)

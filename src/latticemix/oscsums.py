@@ -64,22 +64,29 @@ def _check_horizon(T: float) -> float:
     return T
 
 
-def _osc_series(n: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies f and the one-row table C with osc(t) = C[0] @ cos(f*t).
+def _osc_series(n: int, offset: int):
+    """The class table, frequencies f and one-row table C with osc(t) = C[0] @ cos(f*t).
 
     Row `offset` of the class-pair table at the half time scale, scaled by
-    n^2, without the same-class pairs a = b (the j = k and j + k = n terms).
+    n^2, with the same-class pairs a = b (the j = k and j + k = n terms)
+    given coefficient 0.
     """
     table = class_table(n)
-    keep = ~np.eye((n + 1) // 2, dtype=bool).ravel()
-    coeff = table.pair_rows([int(offset) % n])[:, keep] * float(n) ** 2
-    return HALF * table.pair_omega[keep], coeff
+    coeff = table.pair_rows([int(offset) % n]) * float(n) ** 2
+    coeff[:, table.pair_fold[: table.lambdas.size]] = 0.0
+    return table, HALF * table.pair_omega, coeff
+
+
+def _folded(series):
+    """An _osc_series folded onto the class pairs a <= b, to lead a contraction."""
+    table, _, coeff = series
+    return table, HALF * table.fold_omega, table.fold(coeff)
 
 
 def osc_sum_direct(n: int, offset: int, t: float) -> float:
     """O(n^2) evaluation of the class-pair cosine series; the reference path."""
     n = _check_odd(n)
-    freq, coeff = _osc_series(n, offset)
+    _, freq, coeff = _osc_series(n, offset)
     return float(coeff[0] @ np.cos(freq * t))
 
 
@@ -111,7 +118,7 @@ def integrated_osc_sum(n: int, offset: int, T: float) -> float:
     """
     n = _check_odd(n)
     T = _check_horizon(T)
-    return float(T * _class_pair_sum([_osc_series(n, offset)], [T], 1)[0])
+    return float(T * _class_pair_sum([_folded(_osc_series(n, offset))], [T], 1)[0])
 
 
 def integrated_osc_bound(n: int) -> float:
@@ -229,8 +236,8 @@ def product_integral_exact(n1: int, n2: int, offsets: tuple[int, int], T: float)
     T = _check_horizon(T)
     if n1 * n2 > MAX_EXACT_PRODUCT:
         raise ValueError(f"n1*n2 = {n1 * n2} exceeds exact-path cap {MAX_EXACT_PRODUCT}")
-    tables = [_osc_series(n1, offsets[0]), _osc_series(n2, offsets[1])]
-    block = max(1, 4_000_000 // tables[1][0].size)
+    tables = [_folded(_osc_series(n1, offsets[0])), _osc_series(n2, offsets[1])]
+    block = max(1, 4_000_000 // tables[1][1].size)
     return float(T * _class_pair_sum(tables, [T], block)[0])
 
 

@@ -23,11 +23,15 @@ is the one spectral table per cycle; the kernels, the oscillatory sums, the
 sampler and the spectral gap all read it.  It holds lambda_a from the start
 and builds the rest on first use: the cosines c_a(l), and for squared
 amplitudes the class pairs (a, b) with their unscaled frequency
-lambda_a - lambda_b and real coefficient c_a(l)*c_b(l)/n^2.  Callers scale
-the pair frequencies by their own time scale; the averaged kernels and the
-exact oscillatory sums are contractions of the pair data.  A table over
-MAX_PARTIAL_ENTRIES doubles is refused.  cycle_amplitude_at evaluates the sum
-at any times; cycle_amplitude_grid at one offset on a long uniform grid.
+lambda_a - lambda_b and real coefficient c_a(l)*c_b(l)/n^2.  Since
+c_a(l) = c_a(n - l), the pair coefficients are kept for the offsets
+l <= n//2 only, and `mirror` maps every offset to its row there; `pair_fold`
+indexes the same-class pairs (a, a) and the pairs a < b, so a contraction
+can fold (a, b) onto (b, a).  Callers scale the pair frequencies by their
+own time scale; the averaged kernels and the exact oscillatory sums are
+contractions of the pair data.  A table over MAX_PARTIAL_ENTRIES doubles is
+refused.  cycle_amplitude_at evaluates the sum at any times;
+cycle_amplitude_grid at one offset on a long uniform grid.
 """
 
 from __future__ import annotations
@@ -50,6 +54,10 @@ MAX_DENSE_VERTICES = 1_000_000
 
 # Largest table or partial-sum array built in one piece, in doubles (2 GiB).
 MAX_PARTIAL_ENTRIES = 2**28
+
+# Entries per row block of ClassTable.cosines, so that building the table
+# needs the table itself plus temporaries of one block.
+_COSINE_BLOCK = 2**16
 
 # Nodes per block of cycle_amplitude_grid.  Every block starts from an exact
 # exponential anchor, so phase error never accumulates past one block.
@@ -115,13 +123,29 @@ class ClassTable:
 
     @functools.cached_property
     def cosines(self) -> np.ndarray:
-        """c_a(l) = mult_a*cos(2*pi*l*a/n) at [l, a], shape (n, n//2 + 1)."""
-        n = self.n
-        _check_entries(n * self.lambdas.size, f"cosines c_a(l) of Z_{n}", MAX_PARTIAL_ENTRIES)
-        classes = np.arange(n // 2 + 1)
+        """c_a(l) = mult_a*cos(2*pi*l*a/n) at [l, a], shape (n, n//2 + 1).
+
+        Built in row blocks of about _COSINE_BLOCK entries, each with the
+        same per-entry formula, so the peak is the table plus one block.
+        """
+        n, width = self.n, self.lambdas.size
+        _check_entries(n * width, f"cosines c_a(l) of Z_{n}", MAX_PARTIAL_ENTRIES)
+        classes = np.arange(width)
         mult = np.where((classes == 0) | (2 * classes == n), 1.0, 2.0)
-        # l*a is reduced mod n first, so the cosine argument stays below 2*pi
-        return _frozen(mult * np.cos(2.0 * np.pi * (np.outer(np.arange(n), classes) % n) / n))
+        out = np.empty((n, width))
+        step = max(1, _COSINE_BLOCK // width)
+        for lo in range(0, n, step):
+            rows = np.arange(lo, min(lo + step, n))
+            # l*a is reduced mod n first, so the cosine argument stays below 2*pi
+            angles = 2.0 * np.pi * (np.outer(rows, classes) % n) / n
+            out[lo : lo + rows.size] = mult * np.cos(angles)
+        return _frozen(out)
+
+    @functools.cached_property
+    def mirror(self) -> np.ndarray:
+        """min(j, n - j) for j < n: the class of index j, and the row l <= n//2 equal to row j."""
+        offsets = np.arange(self.n)
+        return _frozen(np.minimum(offsets, self.n - offsets))
 
     @functools.cached_property
     def pair_omega(self) -> np.ndarray:
@@ -130,11 +154,44 @@ class ClassTable:
 
     @functools.cached_property
     def pair_coeff(self) -> np.ndarray:
-        """c_a(l)*c_b(l)/n^2 at [l, (a, b)], the pairs flattened row-major."""
-        return _frozen(self.pair_rows(slice(None)))
+        """c_a(l)*c_b(l)/n^2 at [l, (a, b)] for l <= n//2, the pairs flattened row-major."""
+        return _frozen(self.pair_rows(slice(0, self.lambdas.size)))
+
+    @functools.cached_property
+    def pair_fold(self) -> np.ndarray:
+        """Flat indices of the pairs (a, a), a = 0..n//2, then of the pairs a < b row-major."""
+        width = self.lambdas.size
+        a, b = np.triu_indices(width, 1)
+        return _frozen(np.concatenate((np.arange(width) * (width + 1), a * width + b)))
+
+    @functools.cached_property
+    def fold_omega(self) -> np.ndarray:
+        """pair_omega folded onto a <= b: 0 for all pairs (a, a), then each pair a < b."""
+        freq = self.pair_omega[self.pair_fold[self.lambdas.size - 1 :]]
+        freq[0] = 0.0
+        return _frozen(freq)
+
+    @functools.cached_property
+    def fold_coeff(self) -> np.ndarray:
+        """pair_coeff folded onto a <= b, the columns of fold_omega; see fold."""
+        return _frozen(self.fold(self.pair_rows(slice(0, self.lambdas.size))))
+
+    def fold(self, coeff: np.ndarray) -> np.ndarray:
+        """Class-pair coefficient rows folded onto the columns of fold_omega.
+
+        Column 0 is sum_a C[l, (a, a)], then 2*C[l, (a, b)] for each a < b:
+        the terms of a pair and its swap (b, a), when a contraction is even
+        under the swap.
+        """
+        same = self.lambdas.size
+        # column 0 starts as the last same-class column, then takes the sum
+        folded = np.take(coeff, self.pair_fold[same - 1 :], axis=1)
+        folded[:, 0] = np.take(coeff, self.pair_fold[:same], axis=1).sum(axis=1)
+        folded[:, 1:] *= 2.0
+        return folded
 
     def pair_rows(self, offsets) -> np.ndarray:
-        """Rows `offsets` (a list or a slice) of pair_coeff, without building all of it."""
+        """Rows `offsets` (a list or a slice) of the class-pair coefficients, any l < n."""
         c = self.cosines[offsets]
         _check_entries(c.shape[0] * c.shape[1] ** 2, f"class-pair coefficients of Z_{self.n}",
                        MAX_PARTIAL_ENTRIES)

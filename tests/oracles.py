@@ -63,6 +63,30 @@ def unfolded_averaged_column(dims: tuple[int, ...], T: float) -> np.ndarray:
     return column.real.ravel()
 
 
+def unfolded_class_pair_sum(tables, horizons) -> np.ndarray:
+    """Sum over class-pair tuples p of prod_k C_k[l_k, p_k] * sin(x)/x, unfolded.
+
+    `tables` holds one (omega_k, C_k) pair per factor over all class pairs
+    (a, b), none folded, and x = T * sum_k omega_k[p_k] for each horizon T.
+    The leading factors' frequencies are summed into one axis, one weight
+    matrix per horizon is contracted against the last factor, then each
+    leading factor's table in turn.  The result is flattened row-major over
+    (T, l_1, ..., l_d).
+    """
+    horizons = np.asarray(horizons, dtype=float).ravel()
+    *leading, (omega_last, coeff_last) = tables
+    lead = np.zeros(1)
+    for omega, _ in leading:
+        lead = np.add.outer(lead, omega).ravel()
+    x = np.multiply.outer(horizons, lead[:, None] + omega_last)
+    weights = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+    col, done = weights.reshape(-1, omega_last.size) @ coeff_last.T, horizons.size
+    for omega, coeff in leading:
+        col = np.matmul(coeff, col.reshape(done, coeff.shape[1], -1))
+        done *= coeff.shape[0]
+    return col.ravel()
+
+
 def _unfolded_osc_terms(n: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies sigma_jk and unit coefficients w^(l*(j-k)) of every osc term.
 

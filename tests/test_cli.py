@@ -81,14 +81,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, message", [
         (("mix-coordinate", "--dims", "1000000,2"), "exceeds dense limit"),
-        (("kernel", "--dims", "101,99,97", "--kind", "averaged", "--T", "5"),
-         "class-pair partial sums need 630742500 doubles (4.7 GiB)"),
+        (("kernel", "--dims", "395,165,3", "--kind", "averaged", "--T", "5"),
+         "class-pair partial sums need 268726112 doubles (2.0 GiB)"),
         (("kernel", "--dims", "200000", "--kind", "instant", "--t", "1"),
          "cosines c_a(l) of Z_200000 need 20000200000 doubles (149.0 GiB)"),
         (("mix-coordinate", "--dims", "200000"),
          "cosines c_a(l) of Z_200000 need 20000200000 doubles (149.0 GiB)"),
         (("kernel", "--dims", "1501,3", "--kind", "averaged", "--T", "10"),
-         "class-pair coefficients of Z_1501 need 846565501 doubles (6.3 GiB)"),
+         "class-pair coefficients of Z_1501 need 423564751 doubles (3.2 GiB)"),
     ])
     def test_oversized_job_is_one_line(self, tmp_path, capsys, argv, message):
         out = str(tmp_path / "a.json")

@@ -16,6 +16,7 @@ from latticemix.distances import (
     uniform,
 )
 from latticemix.kernels import (
+    Kernel,
     averaged_kernel_analytic,
     identity_kernel,
     instantaneous_kernel,
@@ -91,6 +92,36 @@ class TestPairwiseColumnDistance:
         # few shifts at a time, down to one shift per block
         monkeypatch.setattr(distances, "_SHIFT_BLOCK", block)
         for kernel in assorted_kernels():
+            oracle = allpairs_column_distance(kernel.full_matrix())
+            assert abs(pairwise_column_distance(kernel) - oracle) < 1e-12
+
+    @staticmethod
+    def random_column(dims, seed, even):
+        """A random probability column on dims, made bitwise even in every axis if `even`."""
+        grid = np.random.default_rng(seed).random(dims)
+        if even:
+            for axis, n in enumerate(dims):
+                grid = (grid + grid.take((-np.arange(n)) % n, axis=axis)) / 2.0
+        return Kernel(LatticeSpec(dims), (grid / grid.sum()).ravel(), kind="random")
+
+    @pytest.mark.parametrize("dims", [(9,), (8,), (7, 5), (6, 5), (4, 6), (5, 4, 3), (3, 3, 4)])
+    def test_orthant_scan_matches_allpairs_on_even_columns(self, dims):
+        for seed in range(3):
+            kernel = self.random_column(dims, seed, even=True)
+            assert distances._is_even(kernel.grid)
+            oracle = allpairs_column_distance(kernel.full_matrix())
+            assert abs(pairwise_column_distance(kernel) - oracle) < 1e-12
+        kernel = averaged_kernel_analytic(LatticeSpec((13, 11)), 40.0)
+        assert distances._is_even(kernel.grid)
+        oracle = allpairs_column_distance(kernel.full_matrix())
+        assert abs(pairwise_column_distance(kernel) - oracle) < 1e-12
+
+    @pytest.mark.parametrize("dims", [(9,), (8,), (7, 5), (6, 5), (5, 4, 3)])
+    def test_scan_of_columns_that_are_not_even_matches_allpairs(self, dims):
+        # the fallback; on one cycle the half scan holds for any column
+        for seed in range(3):
+            kernel = self.random_column(dims, seed, even=False)
+            assert not distances._is_even(kernel.grid)
             oracle = allpairs_column_distance(kernel.full_matrix())
             assert abs(pairwise_column_distance(kernel) - oracle) < 1e-12
 

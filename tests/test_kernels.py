@@ -15,9 +15,9 @@ from latticemix.kernels import (
     uniform_kernel,
 )
 from latticemix.oscsums import integrated_osc_sum, product_integral_exact
-from latticemix.spectral import LatticeSpec
+from latticemix.spectral import LatticeSpec, class_table
 
-from oracles import expm_amplitude_column, unfolded_averaged_column
+from oracles import expm_amplitude_column, unfolded_averaged_column, unfolded_class_pair_sum
 
 
 def assert_doubly_stochastic(kernel, tol=1e-9):
@@ -180,23 +180,24 @@ class TestPartialSumCap:
     def test_oversized_partial_sums_refused_before_allocation(self, monkeypatch):
         import latticemix.kernels as kernels_module
 
-        # (101, 99, 97) passes the dense limit, but its partial sums would
-        # hold 51^2 * 50^2 * 97 doubles, 4.7 GiB
-        def must_not_run(x):
+        # (395, 165, 3) passes the dense limit, but its partial sums would
+        # hold (1 + 198*197/2) folded class pairs of Z_395 times 83^2 class
+        # pairs of Z_165, times 2 half rows of Z_3: 268726112 doubles, 2.0 GiB
+        def must_not_run(*args):
             raise AssertionError("oversized contraction started")
 
         monkeypatch.setattr(kernels_module, "_sinc_average", must_not_run)
-        with pytest.raises(SizeError, match=r"630742500 doubles \(4\.7 GiB\)"):
-            averaged_kernel_analytic(LatticeSpec((101, 99, 97)), 5.0)
+        with pytest.raises(SizeError, match=r"268726112 doubles \(2\.0 GiB\)"):
+            averaged_kernel_analytic(LatticeSpec((395, 165, 3)), 5.0)
 
     def test_cap_counts_horizons_and_rows(self, monkeypatch):
         import latticemix.kernels as kernels_module
 
-        # (7, 5): 4^2 leading class pairs times 5 rows per horizon
-        monkeypatch.setattr(kernels_module, "MAX_PARTIAL_ENTRIES", 80)
+        # (7, 5): 1 + 4*3/2 folded leading class pairs times 3 half rows per horizon
+        monkeypatch.setattr(kernels_module, "MAX_PARTIAL_ENTRIES", 21)
         averaged_kernel_analytic(LatticeSpec((7, 5)), 3.0)
-        monkeypatch.setattr(kernels_module, "MAX_PARTIAL_ENTRIES", 79)
-        with pytest.raises(SizeError, match="80 doubles"):
+        monkeypatch.setattr(kernels_module, "MAX_PARTIAL_ENTRIES", 20)
+        with pytest.raises(SizeError, match="21 doubles"):
             averaged_kernel_analytic(LatticeSpec((7, 5)), 3.0)
 
 
@@ -204,28 +205,24 @@ class TestCheckpointing:
     def test_interrupted_run_resumes_to_identical_column(self, tmp_path, monkeypatch):
         import latticemix.kernels as kernels_module
 
-        real = kernels_module._sinc_average
-        monkeypatch.setattr(kernels_module, "_BLOCK_SIZE", 64)
+        real = kernels_module._save_checkpoint
+        monkeypatch.setattr(kernels_module, "_BLOCK_SIZE", 16)
         monkeypatch.setattr(kernels_module, "_CHECKPOINT_EVERY", 1)
-        # (19, 5) has 10^2 leading class pairs, two blocks of at most 64;
-        # (7, 5, 3) has 4^2 * 3^2 = 144, three blocks
+        # (19, 5) has 1 + 10*9/2 = 46 folded leading class pairs, three
+        # blocks of at most 16; (7, 5, 3) has (1 + 4*3/2) * 3^2 = 63, four
         for dims in ((19, 5), (7, 5, 3)):
             lattice = LatticeSpec(dims)
             reference = averaged_kernel_analytic(lattice, 24.0).first_column
 
-            calls = {"count": 0}
-
-            def flaky(x):
-                calls["count"] += 1
-                if calls["count"] == 2:
-                    raise KeyboardInterrupt
-                return real(x)
+            def interrupted(*args):
+                real(*args)
+                raise KeyboardInterrupt
 
             path = str(tmp_path / "partial.npz")
-            monkeypatch.setattr(kernels_module, "_sinc_average", flaky)
+            monkeypatch.setattr(kernels_module, "_save_checkpoint", interrupted)
             with pytest.raises(KeyboardInterrupt):
                 averaged_kernel_analytic(lattice, 24.0, checkpoint=path)
-            monkeypatch.setattr(kernels_module, "_sinc_average", real)
+            monkeypatch.setattr(kernels_module, "_save_checkpoint", real)
             assert (tmp_path / "partial.npz").exists()
 
             resumed = averaged_kernel_analytic(lattice, 24.0, checkpoint=path).first_column
@@ -235,9 +232,9 @@ class TestCheckpointing:
     def test_checkpoint_rejects_mismatched_parameters(self, tmp_path, monkeypatch):
         import latticemix.kernels as kernels_module
 
-        monkeypatch.setattr(kernels_module, "_BLOCK_SIZE", 64)
+        monkeypatch.setattr(kernels_module, "_BLOCK_SIZE", 16)
         path = str(tmp_path / "partial.npz")
-        kernels_module._save_checkpoint(path, (2, 19, 5, 23.0, 64), 64, np.zeros((100, 5)))
+        kernels_module._save_checkpoint(path, (3, 19, 5, 23.0, 16), 16, np.zeros((46, 3)))
         with pytest.raises(ValueError, match="different parameters"):
             averaged_kernel_analytic(LatticeSpec((19, 5)), 24.0, checkpoint=path)
 
@@ -245,14 +242,89 @@ class TestCheckpointing:
         import latticemix.kernels as kernels_module
 
         monkeypatch.setattr(kernels_module, "_BLOCK_SIZE", 64)
-        # the complex layout: one row per factor-1 index pair, 19^2 of them
         path = str(tmp_path / "partial.npz")
-        kernels_module._save_checkpoint(
-            path, (1, 19, 5, 24.0, 64), 64, np.zeros((361, 5), complex)
-        )
-        with pytest.raises(ValueError, match="format version 1, this build reads version 2"):
-            averaged_kernel_analytic(LatticeSpec((19, 5)), 24.0, checkpoint=path)
-        assert (tmp_path / "partial.npz").exists()
+        # version 1, the complex layout: one row per factor-1 index pair,
+        # 19^2 of them; version 2, the real layout: one row of length n2 per
+        # factor-1 class pair, 10^2 of them
+        for version, partial in ((1, np.zeros((361, 5), complex)), (2, np.zeros((100, 5)))):
+            kernels_module._save_checkpoint(path, (version, 19, 5, 24.0, 64), 64, partial)
+            with pytest.raises(ValueError,
+                               match=f"format version {version}, this build reads version 3"):
+                averaged_kernel_analytic(LatticeSpec((19, 5)), 24.0, checkpoint=path)
+            assert (tmp_path / "partial.npz").exists()
+
+
+class TestFoldedContraction:
+    """The swap-folded, half-row contraction against the unfolded oracle."""
+
+    @staticmethod
+    def unfolded_tables(dims, rows):
+        scale = 1.0 / len(dims)
+        return [(scale * class_table(n).pair_omega, class_table(n).pair_rows(rows(n)))
+                for n in dims]
+
+    @pytest.mark.parametrize("dims", [(9,), (13,), (19, 5), (23, 21), (5, 5), (9, 3),
+                                      (7, 5, 3), (5, 5, 3)])
+    @pytest.mark.parametrize("T", [1e-9, 7.0, 24.0, 1234.5, 6.2e6])
+    def test_mirrored_kernel_matches_unfolded_contraction(self, dims, T):
+        column = averaged_kernel_analytic(LatticeSpec(dims), T).first_column
+        oracle = unfolded_class_pair_sum(self.unfolded_tables(dims, lambda n: slice(None)), [T])
+        assert np.abs(column - oracle).max() <= 1e-13
+
+    def test_mirrored_column_is_bitwise_even(self):
+        dims = (9, 5, 3)
+        grid = averaged_kernel_analytic(LatticeSpec(dims), 24.0).grid
+        negated = grid[np.ix_(*((-np.arange(n)) % n for n in dims))]
+        assert np.array_equal(grid, negated)
+
+    @pytest.mark.parametrize("dims", [(11,), (9, 7), (9, 3), (7, 5, 3)])
+    def test_many_horizons_in_blocks_match_unfolded_contraction(self, monkeypatch, dims):
+        import latticemix.kernels as kernels_module
+
+        horizons = np.geomspace(1e-3, 1e7, 23)
+        first, *rest = (class_table(n) for n in dims)
+        scale = 1.0 / len(dims)
+        half = [slice(0, t.lambdas.size) for t in (first, *rest)]
+        tables = [(first, scale * first.fold_omega, first.fold(first.pair_rows(half[0]))),
+                  *((t, scale * t.pair_omega, t.pair_rows(h)) for t, h in zip(rest, half[1:]))]
+        oracle = unfolded_class_pair_sum(
+            self.unfolded_tables(dims, lambda n: slice(0, n // 2 + 1)), horizons)
+        # whole blocks, blocks of a few leading rows, and one-row sub-blocks
+        for block, sub in ((256, 2**13), (3, 2**13), (5, 1)):
+            monkeypatch.setattr(kernels_module, "_SINC_BLOCK", sub)
+            got = kernels_module._class_pair_sum(tables, horizons, block)
+            assert np.abs(got - oracle).max() <= 1e-13
+
+    @pytest.mark.parametrize("dims", [(13,), (9, 7), (7, 5, 3)])
+    def test_return_curve_matches_unfolded_contraction(self, dims):
+        horizons = np.geomspace(0.1, 1e7, 60)
+        oracle = unfolded_class_pair_sum(self.unfolded_tables(dims, lambda n: [0]), horizons)
+        curve = averaged_return_probability(LatticeSpec(dims), horizons)
+        assert np.abs(curve - oracle).max() <= 1e-13
+
+    @pytest.mark.parametrize("n, offset", [(3, 0), (5, 2), (9, 4), (21, 0), (21, 13)])
+    def test_one_row_osc_tables_match_unfolded_contraction(self, n, offset):
+        from latticemix.oscsums import _osc_series
+
+        # the sums reach about n^2, so the bound is relative to them
+        for T in (1e-6, 0.7, 24.0, 6.2e6):
+            _, freq, coeff = _osc_series(n, offset)
+            oracle = unfolded_class_pair_sum([(freq, coeff)], [T])[0]
+            got = integrated_osc_sum(n, offset, T) / T
+            assert abs(got - oracle) <= 1e-13 * max(1.0, abs(oracle))
+
+    @pytest.mark.parametrize("n1, n2, offsets", [(7, 5, (0, 0)), (11, 9, (3, 4)), (13, 5, (6, 0))])
+    def test_osc_product_integral_matches_unfolded_contraction(self, n1, n2, offsets):
+        from latticemix.oscsums import _osc_series
+
+        for T in (1e-6, 3.3, 150.0, 6.2e6):
+            tables = [_osc_series(n, l)[1:] for n, l in zip((n1, n2), offsets)]
+            oracle = unfolded_class_pair_sum(tables, [T])[0]
+            got = product_integral_exact(n1, n2, offsets, T) / T
+            assert abs(got - oracle) <= 1e-13 * max(1.0, abs(oracle))
+
+    def test_zero_horizon_osc_integral_is_zero(self):
+        assert integrated_osc_sum(5, 0, 0.0) == 0.0
 
 
 class TestKernelPower:

@@ -152,7 +152,8 @@ class TestClassTable:
     def test_oversized_tables_refused_before_allocation(self):
         with pytest.raises(SizeError, match=r"cosines c_a\(l\) of Z_200000 need 20000200000 doubles"):
             class_table(200000).cosines
-        with pytest.raises(SizeError, match="class-pair coefficients of Z_1501 need 846565501"):
+        # the 751 half rows l <= 750 of 751^2 class pairs each
+        with pytest.raises(SizeError, match="class-pair coefficients of Z_1501 need 423564751"):
             class_table(1501).pair_coeff
         # the eigenvalues alone are still served
         assert class_table(200000).lambdas.size == 100001
@@ -179,16 +180,52 @@ class TestClassTable:
             assert np.abs(lam[np.minimum(j, n - j)] - unfolded).max() < 1e-15
 
     def test_pair_tables(self):
-        # pair (a, b) carries lambda_a - lambda_b and c_a(l)*c_b(l)/n^2
+        # pair (a, b) carries lambda_a - lambda_b and c_a(l)*c_b(l)/n^2,
+        # kept for the offsets l <= n//2
         n = 7
         table = class_table(n)
         lam, c = table.lambdas, table.cosines
         omega = table.pair_omega.reshape(4, 4)
-        coeff = table.pair_coeff.reshape(n, 4, 4)
+        coeff = table.pair_coeff.reshape(4, 4, 4)
         for a in range(4):
             for b in range(4):
                 assert omega[a, b] == lam[a] - lam[b]
-                assert np.array_equal(coeff[:, a, b], c[:, a] * c[:, b] / n**2)
+                assert np.array_equal(coeff[:, a, b], c[:4, a] * c[:4, b] / n**2)
+
+    @pytest.mark.parametrize("n", [3, 7, 10])
+    def test_folded_pair_tables(self, n):
+        # fold_omega: 0, then lambda_a - lambda_b for a < b; fold_coeff:
+        # sum_a c_a(l)^2/n^2, then 2*c_a(l)*c_b(l)/n^2, for each l <= n//2
+        table = class_table(n)
+        lam, c = table.lambdas, table.cosines[: n // 2 + 1]
+        upper = [(a, b) for a in range(lam.size) for b in range(a + 1, lam.size)]
+        assert np.array_equal(table.fold_omega, [0.0] + [lam[a] - lam[b] for a, b in upper])
+        expected = np.column_stack([(c * c / n**2).sum(axis=1)]
+                                   + [2.0 * c[:, a] * c[:, b] / n**2 for a, b in upper])
+        assert np.abs(table.fold_coeff - expected).max() <= 1e-16
+        assert all(not array.flags.writeable for array in
+                   (table.fold_omega, table.fold_coeff, table.pair_fold, table.mirror))
+
+    def test_rows_mirror_onto_the_half_table(self):
+        # c_a(l) = c_a(n - l), so offset l reads row min(l, n - l)
+        for n in (9, 10):
+            table = class_table(n)
+            assert table.mirror.tolist() == [min(l, n - l) for l in range(n)]
+            assert np.abs(table.cosines - table.cosines[table.mirror]).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 9, 10, 1001, 2048])
+    def test_cosines_in_row_blocks_equal_the_one_shot_table(self, monkeypatch, n):
+        import latticemix.spectral as spectral_module
+
+        classes = np.arange(n // 2 + 1)
+        mult = np.where((classes == 0) | (2 * classes == n), 1.0, 2.0)
+        one_shot = mult * np.cos(2.0 * np.pi * (np.outer(np.arange(n), classes) % n) / n)
+        # n >= 1001 spans several blocks of the default size; then one row
+        # per block, and blocks that cut the table unevenly
+        for block in (spectral_module._COSINE_BLOCK, 1, 3 * classes.size + 1):
+            monkeypatch.setattr(spectral_module, "_COSINE_BLOCK", block)
+            assert np.array_equal(spectral_module.ClassTable(n, class_table(n).lambdas).cosines,
+                                  one_shot)
 
     def test_tables_are_built_on_first_use(self):
         class_table.cache_clear()
