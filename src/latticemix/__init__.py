@@ -51,9 +51,6 @@ from .oscsums import (
     coprime_odd_pairs,
     integrated_osc_bound,
     integrated_osc_sum,
-    osc_sum_direct,
-    osc_sum_fast,
-    product_integral,
     product_integral_bound,
     product_integral_exact,
     sample_coprime_odd_pairs,

@@ -88,8 +88,8 @@ def lazy_curves(lattice: LatticeSpec, t_max: int) -> tuple[np.ndarray, np.ndarra
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     d = lattice.d
     tables = [class_table(n) for n in lattice.dims]
-    # rows l <= n/2 of each table: p_t is even, so the offset classes suffice
-    rows = [table.cosines[: table.lambdas.size] for table in tables]
+    # each table holds the rows l <= n/2: p_t is even, so the offset classes suffice
+    rows = [table.cosines for table in tables]
     shape = [table.lambdas.size for table in tables]
     mu = np.full(1, 0.5)
     mult = np.ones(1)

@@ -4,7 +4,8 @@ Every subcommand resolves its configuration from, in order of precedence,
 command-line flags, an optional key=value config file, and built-in defaults;
 writes its artifact plus a ``<out>.manifest.json`` sidecar echoing the
 resolved configuration; and exits 0 on success, 2 when a checked bound is
-violated (the report is still written), 1 on usage errors.
+violated (the report is still written), 1 on usage errors and when memory
+runs out.
 
 Long jobs (``theorem3`` and a ``conjecture`` sweep over every pair in range)
 refuse to run without ``--tier slow``.
@@ -598,6 +599,10 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 1
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"latticemix {args.command}: {exc}\n")
+        return 1
+    except MemoryError as exc:
+        detail = str(exc) or "allocation failed"
+        sys.stderr.write(f"latticemix {args.command}: out of memory: {detail}\n")
         return 1
 
 

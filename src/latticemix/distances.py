@@ -7,10 +7,9 @@ the expensive definitions:
 * distance to the uniform matrix, (1/2) * ||P - u 1^T||_1 with the matrix
   1-norm, equals tv(first_column, uniform);
 * the maximum pairwise column distance d(P) equals the maximum over nonzero
-  lattice shifts s of tv(first_column, first_column rolled by s); the
-  shifts s and -s give the same tv, and so does every sign pattern of s
-  when the column is even in each coordinate, as the analytic averaged
-  kernel's is bitwise, so one orthant of shifts suffices there.
+  lattice shifts s of tv(first_column, first_column rolled by s); every
+  Kernel column is even in each coordinate, so every sign pattern of s
+  gives the same tv and one orthant of shifts suffices.
 
 d(P) is submultiplicative under kernel composition and sits in the sandwich
 tv(c, u) <= d(P) <= 2 * tv(c, u) for doubly stochastic P.
@@ -33,12 +32,6 @@ def uniform(size: int) -> np.ndarray:
     return np.full(int(size), 1.0 / int(size))
 
 
-def point_mass(index: int, size: int) -> np.ndarray:
-    out = np.zeros(int(size))
-    out[index] = 1.0
-    return out
-
-
 def tv_distance(a: np.ndarray, b: np.ndarray) -> float:
     """(1/2) * sum |a_i - b_i|; in [0, 1] for probability vectors."""
     a = np.asarray(a, dtype=float).ravel()
@@ -53,35 +46,22 @@ def distance_to_uniform(kernel: Kernel) -> float:
     return tv_distance(kernel.first_column, uniform(kernel.lattice.size))
 
 
-def _is_even(grid: np.ndarray) -> bool:
-    """True iff grid[x] == grid[-x] bitwise along every axis."""
-    return all(
-        np.array_equal(grid, grid.take((-np.arange(n)) % n, axis=axis))
-        for axis, n in enumerate(grid.shape)
-    )
-
-
 def pairwise_column_distance(kernel: Kernel) -> float:
     """d(P) = max over column pairs of their tv distance.
 
     Circulant shortcut: columns are shifts of the first, so only the
     tv between the first column and each of its N - 1 nonzero rolls is needed.
-    Rolling both columns by -v shows tv(c, c rolled by v) equals
-    tv(c, c rolled by -v), so the first axis needs only shifts up to half
-    its length.  When the column is even along an axis k, negating
-    coordinate k maps tv(c, c rolled by v) onto the roll by v with v_k
-    negated; so a column that is bitwise even along every axis (an O(N)
-    check) needs only the shifts 0..n_k//2 on every axis, one orthant.  The
-    rolls along the last axis are gathered through the index rows
-    idx[s, x] = (x - s) mod n_last, built for one chunk of shifts at a time
-    that keeps a block near _SHIFT_BLOCK entries, so the Python loop runs
-    only over chunks and the shifts of the leading axes.
+    The column is even along every axis k (Kernel stores it mirrored), so
+    negating coordinate k maps tv(c, c rolled by v) onto the roll by v with
+    v_k negated, and only the shifts 0..n_k//2 on every axis, one orthant,
+    are scanned.  The rolls along the last axis are gathered through the
+    index rows idx[s, x] = (x - s) mod n_last, built for one chunk of shifts
+    at a time that keeps a block near _SHIFT_BLOCK entries, so the Python
+    loop runs only over chunks and the shifts of the leading axes.
     """
     grid = kernel.grid
     dims = kernel.lattice.dims
-    halves = [range(n // 2 + 1) for n in dims]
-    shifts = halves if _is_even(grid) else [halves[0], *map(range, dims[1:])]
-    *lead, last = shifts
+    *lead, last = [range(n // 2 + 1) for n in dims]
     x = np.arange(dims[-1])
     lead_axes = tuple(range(1, len(dims)))
     step = max(1, _SHIFT_BLOCK // grid.size)

@@ -156,7 +156,7 @@ def _sample_repeated(
             draws = rng.random(trajectories)
             for lo in range(0, trajectories, _SAMPLE_CHUNK):
                 hi = min(lo + _SAMPLE_CHUNK, trajectories)
-                probs = np.abs(cycle_amplitude_at(n, None, ts[lo:hi], scale)) ** 2
+                probs = np.abs(cycle_amplitude_at(n, ts[lo:hi], scale)) ** 2
                 cum = np.cumsum(probs, axis=1)
                 step = np.minimum((draws[lo:hi, None] > cum).sum(axis=1), n - 1)
                 positions[lo:hi, axis] = (positions[lo:hi, axis] + step) % n

@@ -3,7 +3,12 @@
 Every kernel here is circulant over the lattice: the full matrix is determined
 by its first column (probabilities leaving vertex 0), with entry (p -> q)
 equal to first_column[(q - p) mod dims] coordinate-wise.  Only that column is
-ever stored.
+ever stored.  The walk's eigenvalues satisfy lambda_j = lambda_{n-j} on every
+cycle, so every kernel of it is even in each coordinate; Kernel stores the
+column mirrored through spectral.ClassTable.mirror (see mirrored), which
+makes it bitwise even, and refuses a column that is not even to within
+1e-12.  That lets distances.pairwise_column_distance scan one orthant of
+shifts.
 
 Three constructions are provided:
 
@@ -29,9 +34,7 @@ Three constructions are provided:
   at once negates x and keeps each coefficient, so the first factor's pairs
   are folded onto a <= b (ClassTable.fold_omega, fold_coeff).  And
   c_a(l) = c_a(n - l), so only the rows l <= n//2 of each factor are
-  contracted and the column is mirrored from them; it comes out bitwise
-  even in every coordinate, which lets distances.pairwise_column_distance
-  scan one orthant of shifts.
+  contracted and the column is mirrored from them.
 * averaged_kernel_quadrature: the same average by composite Simpson over
   batched amplitudes on a time grid, kept deliberately independent of the
   per-frequency path so the two can cross-check each other.
@@ -75,7 +78,10 @@ _SINC_BLOCK = 2**13
 
 @dataclass(frozen=True)
 class Kernel:
-    """Column-stochastic circulant kernel stored by its first column."""
+    """Column-stochastic circulant kernel stored by its first column.
+
+    The column is stored mirrored, bitwise even in every coordinate.
+    """
 
     lattice: LatticeSpec
     first_column: np.ndarray
@@ -91,8 +97,13 @@ class Kernel:
             raise ValueError(f"kernel entry {col.min()} below -1e-12")
         # the ufunc np.clip(col, 0.0, None) calls, without its Python wrapper
         col = np.maximum(col, 0.0)
-        col.setflags(write=False)
-        object.__setattr__(self, "first_column", col)
+        dims = self.lattice.dims
+        even = mirrored(col.reshape(dims), dims).ravel()
+        odd = np.abs(even - col).max()
+        if odd > 1e-12:
+            raise ValueError(f"kernel column differs from its mirror image by {odd} > 1e-12")
+        even.setflags(write=False)
+        object.__setattr__(self, "first_column", even)
 
     @property
     def grid(self) -> np.ndarray:
@@ -114,6 +125,18 @@ class Kernel:
         for p in range(n_total):
             out[:, p] = self.column(p)
         return out
+
+
+def mirrored(grid: np.ndarray, dims) -> np.ndarray:
+    """`grid` read at index min(x_k, n_k - x_k) along every axis k.
+
+    On an orthant-shaped grid, n_k//2 + 1 long on axis k, this expands the
+    orthant to the whole lattice; on a full grid it copies each half
+    x_k <= n_k//2 over the other.  Either way the result is bitwise even.
+    """
+    for axis, n in enumerate(dims):
+        grid = grid.take(class_table(n).mirror, axis=axis)
+    return grid
 
 
 def _check_stochastic(cols: np.ndarray, tol: float, what: str) -> None:
@@ -301,10 +324,7 @@ def averaged_kernel_analytic(
               *((t, scale * t.pair_omega, t.pair_coeff) for t in rest)]
     col = _class_pair_sum(tables, [T], _BLOCK_SIZE, checkpoint)
     # rows l <= n//2 were contracted; offset l reads row min(l, n - l)
-    col = col.reshape([t.lambdas.size for t in factors])
-    for axis, table in enumerate(factors):
-        col = col.take(table.mirror, axis=axis)
-    col = col.ravel()
+    col = mirrored(col.reshape([t.lambdas.size for t in factors]), lattice.dims).ravel()
     _check_stochastic(col, 1e-9, f"analytic averaged kernel T={T}")
     return Kernel(lattice=lattice, first_column=col, kind=f"averaged(T={T})")
 
@@ -372,7 +392,7 @@ def averaged_kernel_quadrature(lattice: LatticeSpec, T: float, dt: float) -> Ker
         ts = h * np.arange(lo, min(lo + step, intervals + 1))
         probs = np.ones((ts.size, 1))
         for n in lattice.dims:
-            factor = np.abs(cycle_amplitude_at(n, None, ts, 1.0 / lattice.d)) ** 2
+            factor = np.abs(cycle_amplitude_at(n, ts, 1.0 / lattice.d)) ** 2
             probs = (probs[:, :, None] * factor[:, None, :]).reshape(ts.size, -1)
         _check_stochastic(probs, 1e-9, f"instantaneous kernels at t = {ts[0]}..{ts[-1]}")
         col += simpson_weights(lo, lo + ts.size, intervals + 1) @ probs

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ParityError, ResolutionError
 from .kernels import _class_pair_sum, simpson_intervals, simpson_weights
-from .spectral import HALF, class_table, cycle_amplitude_at, cycle_amplitude_grid
+from .spectral import HALF, class_table, cycle_amplitude_grid
 
 MAX_PRODUCT_DT = 0.02
 
@@ -67,12 +67,12 @@ def _check_horizon(T: float) -> float:
 def _osc_series(n: int, offset: int):
     """The class table, frequencies f and one-row table C with osc(t) = C[0] @ cos(f*t).
 
-    Row `offset` of the class-pair table at the half time scale, scaled by
-    n^2, with the same-class pairs a = b (the j = k and j + k = n terms)
-    given coefficient 0.
+    The class-pair row of `offset` at the half time scale, scaled by n^2,
+    with the same-class pairs a = b (the j = k and j + k = n terms) given
+    coefficient 0.
     """
     table = class_table(n)
-    coeff = table.pair_rows([int(offset) % n]) * float(n) ** 2
+    coeff = table.pair_rows([table.mirror[int(offset) % n]]) * float(n) ** 2
     coeff[:, table.pair_fold[: table.lambdas.size]] = 0.0
     return table, HALF * table.pair_omega, coeff
 
@@ -81,27 +81,6 @@ def _folded(series):
     """An _osc_series folded onto the class pairs a <= b, to lead a contraction."""
     table, _, coeff = series
     return table, HALF * table.fold_omega, table.fold(coeff)
-
-
-def osc_sum_direct(n: int, offset: int, t: float) -> float:
-    """O(n^2) evaluation of the class-pair cosine series; the reference path."""
-    n = _check_odd(n)
-    _, freq, coeff = _osc_series(n, offset)
-    return float(coeff[0] @ np.cos(freq * t))
-
-
-def osc_sum_fast(n: int, offset: int, t):
-    """O(n) evaluation via n^2*|amplitude|^2 - n - (n*[l==0] - 1).
-
-    Accepts a scalar or an array of times.
-    """
-    n = _check_odd(n)
-    offset = int(offset) % n
-    ts = np.asarray(t, dtype=float)
-    amp = cycle_amplitude_at(n, offset, ts, HALF)
-    constant = n + (n * (offset == 0) - 1)
-    out = n * n * np.abs(amp) ** 2 - constant
-    return float(out) if np.isscalar(t) else out
 
 
 def _osc_on_grid(n: int, offset: int, t0: float, h: float, count: int) -> np.ndarray:
@@ -217,10 +196,6 @@ def product_integral_curve(
     horizons; see _simpson_curves.
     """
     return _simpson_curves(n1, n2, offsets, T_grid, dt, halving=False)[0]
-
-
-def product_integral(n1: int, n2: int, offsets: tuple[int, int], T: float, dt: float) -> float:
-    return float(product_integral_curve(n1, n2, offsets, [T], dt)[0])
 
 
 def product_integral_exact(n1: int, n2: int, offsets: tuple[int, int], T: float) -> float:

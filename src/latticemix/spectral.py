@@ -24,14 +24,15 @@ sampler and the spectral gap all read it.  It holds lambda_a from the start
 and builds the rest on first use: the cosines c_a(l), and for squared
 amplitudes the class pairs (a, b) with their unscaled frequency
 lambda_a - lambda_b and real coefficient c_a(l)*c_b(l)/n^2.  Since
-c_a(l) = c_a(n - l), the pair coefficients are kept for the offsets
-l <= n//2 only, and `mirror` maps every offset to its row there; `pair_fold`
-indexes the same-class pairs (a, a) and the pairs a < b, so a contraction
-can fold (a, b) onto (b, a).  Callers scale the pair frequencies by their
-own time scale; the averaged kernels and the exact oscillatory sums are
-contractions of the pair data.  A table over MAX_PARTIAL_ENTRIES doubles is
-refused.  cycle_amplitude_at evaluates the sum at any times;
-cycle_amplitude_grid at one offset on a long uniform grid.
+c_a(l) = c_a(n - l), every table keeps the offsets l <= n//2 only, and
+`mirror` maps every offset to its row there, so the offsets l and n - l read
+the same row; `pair_fold` indexes the same-class pairs (a, a) and the pairs
+a < b, so a contraction can fold (a, b) onto (b, a).  Callers scale the
+pair frequencies by their own time scale; the averaged kernels and the exact
+oscillatory sums are contractions of the pair data.  A table over
+MAX_PARTIAL_ENTRIES doubles is refused.  cycle_amplitude_at evaluates the
+sum at every offset and any times; cycle_amplitude_grid at one offset on a
+long uniform grid.
 """
 
 from __future__ import annotations
@@ -123,19 +124,20 @@ class ClassTable:
 
     @functools.cached_property
     def cosines(self) -> np.ndarray:
-        """c_a(l) = mult_a*cos(2*pi*l*a/n) at [l, a], shape (n, n//2 + 1).
+        """c_a(l) = mult_a*cos(2*pi*l*a/n) at [l, a] for l <= n//2, shape (n//2 + 1, n//2 + 1).
 
-        Built in row blocks of about _COSINE_BLOCK entries, each with the
-        same per-entry formula, so the peak is the table plus one block.
+        Offset l reads row mirror[l].  Built in row blocks of about
+        _COSINE_BLOCK entries, each with the same per-entry formula, so the
+        peak is the table plus one block.
         """
         n, width = self.n, self.lambdas.size
-        _check_entries(n * width, f"cosines c_a(l) of Z_{n}", MAX_PARTIAL_ENTRIES)
+        _check_entries(width * width, f"cosines c_a(l) of Z_{n}", MAX_PARTIAL_ENTRIES)
         classes = np.arange(width)
         mult = np.where((classes == 0) | (2 * classes == n), 1.0, 2.0)
-        out = np.empty((n, width))
+        out = np.empty((width, width))
         step = max(1, _COSINE_BLOCK // width)
-        for lo in range(0, n, step):
-            rows = np.arange(lo, min(lo + step, n))
+        for lo in range(0, width, step):
+            rows = np.arange(lo, min(lo + step, width))
             # l*a is reduced mod n first, so the cosine argument stays below 2*pi
             angles = 2.0 * np.pi * (np.outer(rows, classes) % n) / n
             out[lo : lo + rows.size] = mult * np.cos(angles)
@@ -143,7 +145,7 @@ class ClassTable:
 
     @functools.cached_property
     def mirror(self) -> np.ndarray:
-        """min(j, n - j) for j < n: the class of index j, and the row l <= n//2 equal to row j."""
+        """min(j, n - j) for j < n: the class of index j, and the table row of offset j."""
         offsets = np.arange(self.n)
         return _frozen(np.minimum(offsets, self.n - offsets))
 
@@ -155,7 +157,7 @@ class ClassTable:
     @functools.cached_property
     def pair_coeff(self) -> np.ndarray:
         """c_a(l)*c_b(l)/n^2 at [l, (a, b)] for l <= n//2, the pairs flattened row-major."""
-        return _frozen(self.pair_rows(slice(0, self.lambdas.size)))
+        return _frozen(self.pair_rows(slice(None)))
 
     @functools.cached_property
     def pair_fold(self) -> np.ndarray:
@@ -174,7 +176,7 @@ class ClassTable:
     @functools.cached_property
     def fold_coeff(self) -> np.ndarray:
         """pair_coeff folded onto a <= b, the columns of fold_omega; see fold."""
-        return _frozen(self.fold(self.pair_rows(slice(0, self.lambdas.size))))
+        return _frozen(self.fold(self.pair_rows(slice(None))))
 
     def fold(self, coeff: np.ndarray) -> np.ndarray:
         """Class-pair coefficient rows folded onto the columns of fold_omega.
@@ -191,7 +193,7 @@ class ClassTable:
         return folded
 
     def pair_rows(self, offsets) -> np.ndarray:
-        """Rows `offsets` (a list or a slice) of the class-pair coefficients, any l < n."""
+        """Rows `offsets` (a list or a slice) of the class-pair coefficients, l <= n//2."""
         c = self.cosines[offsets]
         _check_entries(c.shape[0] * c.shape[1] ** 2, f"class-pair coefficients of Z_{self.n}",
                        MAX_PARTIAL_ENTRIES)
@@ -238,16 +240,19 @@ def cycle_amplitude(n: int, source: int, t: float, scale: float = FULL) -> np.nd
     cycle_amplitude_at at the one time t, rolled, so translation invariance
     holds exactly (identical arithmetic path for every source).
     """
-    base = cycle_amplitude_at(n, None, t, scale)
+    base = cycle_amplitude_at(n, t, scale)
     return _frozen(np.roll(base, int(source) % n))
 
 
-def cycle_amplitude_at(n: int, offsets, ts, scale: float) -> np.ndarray:
-    """Amplitudes <l|exp(i*Abar*t*scale)|0> on Z_n, shape ts.shape + offsets.shape.
+def cycle_amplitude_at(n: int, ts, scale: float) -> np.ndarray:
+    """Amplitudes <l|exp(i*Abar*t*scale)|0> at every offset l < n, shape ts.shape + (n,).
 
-    `offsets` is one l, an array of them, or None for all n.  The real table
-    rows times the (re, im) pairs of the phases: one real product for every
-    time, with no complex copy of the table.
+    The real table rows times the (re, im) pairs of the phases: one real
+    product for every time, with no complex copy of the table.  Offset l
+    reads row mirror[l], gathered on whichever side is smaller: the rows of
+    the product when there are fewer times than classes, which makes the
+    amplitudes bitwise even in l, else the table rows, whose product may
+    round rows l and n - l apart in the last bit.
     """
     n = _check_cycle(n)
     ts = np.asarray(ts, dtype=float)
@@ -256,14 +261,16 @@ def cycle_amplitude_at(n: int, offsets, ts, scale: float) -> np.ndarray:
     if not (np.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be positive and finite, got {scale}")
     table = class_table(n)
-    rows = table.cosines if offsets is None else table.cosines[np.asarray(offsets) % n]
     phases = 1j * np.multiply.outer(table.lambdas, ts.ravel() * float(scale))
-    # columns 2k and 2k + 1 of the real view are the (re, im) of time k;
+    # columns 2k and 2k + 1 of the real view are the (re, im) of time k
+    phases = np.exp(phases, out=phases).view(float)
+    if ts.size < table.lambdas.size:
+        amps = (table.cosines @ phases)[table.mirror]
+    else:
+        amps = table.cosines[table.mirror] @ phases
     # scaling by 1/n is the arithmetic of a complex number divided by the real n
-    amps = rows @ np.exp(phases, out=phases).view(float)
     amps *= 1.0 / n
-    amps = amps.view(complex)
-    return amps.transpose(-1, *range(amps.ndim - 1)).reshape(ts.shape + amps.shape[:-1])
+    return amps.view(complex).T.reshape(ts.shape + (n,))
 
 
 def cycle_amplitude_grid(
@@ -285,7 +292,7 @@ def cycle_amplitude_grid(
         return np.empty(0, dtype=complex)
     table = class_table(n)
     freq = float(scale) * table.lambdas
-    coeff = table.cosines[int(offset) % n] / n
+    coeff = table.cosines[table.mirror[int(offset) % n]] / n
     block = min(_GRID_BLOCK, count)
     starts = t0 + h * np.arange(0, count, block)
     anchors = np.exp(1j * np.multiply.outer(starts, freq)) * coeff

@@ -2,7 +2,9 @@
 
 Everything here goes through dense matrices and generic algorithms (matrix
 exponentials, eigenvalue scans, all-pairs loops, linear solves) rather than
-the spectral shortcuts under test.
+the spectral shortcuts under test.  The helpers at the end are the
+exception: a point mass and thin evaluators of the library's own routes at
+single points, which only tests need.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from latticemix.spectral import LatticeSpec
+from latticemix.oscsums import _check_odd, _osc_series, product_integral_curve
+from latticemix.spectral import HALF, LatticeSpec, cycle_amplitude_at
 
 
 def dense_cycle_adjacency(n: int) -> np.ndarray:
@@ -197,3 +200,35 @@ def simpson_integral(fn, a: float, b: float, dt: float) -> float:
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
     return float(weights @ vals) * (b - a) / intervals / 3.0
+
+
+def point_mass(index: int, size: int) -> np.ndarray:
+    out = np.zeros(int(size))
+    out[index] = 1.0
+    return out
+
+
+def osc_sum_direct(n: int, offset: int, t: float) -> float:
+    """O(n^2) evaluation of the library's class-pair cosine series."""
+    n = _check_odd(n)
+    _, freq, coeff = _osc_series(n, offset)
+    return float(coeff[0] @ np.cos(freq * t))
+
+
+def osc_sum_fast(n: int, offset: int, t):
+    """O(n) evaluation via n^2*|amplitude|^2 - n - (n*[l==0] - 1).
+
+    Accepts a scalar or an array of times.
+    """
+    n = _check_odd(n)
+    offset = int(offset) % n
+    ts = np.asarray(t, dtype=float)
+    amp = cycle_amplitude_at(n, ts, HALF)[..., offset]
+    constant = n + (n * (offset == 0) - 1)
+    out = n * n * np.abs(amp) ** 2 - constant
+    return float(out) if np.isscalar(t) else out
+
+
+def product_integral(n1: int, n2: int, offsets: tuple[int, int], T: float, dt: float) -> float:
+    """The library's Simpson curve at the one horizon T."""
+    return float(product_integral_curve(n1, n2, offsets, [T], dt)[0])

@@ -84,9 +84,9 @@ class TestExitCodes:
         (("kernel", "--dims", "395,165,3", "--kind", "averaged", "--T", "5"),
          "class-pair partial sums need 268726112 doubles (2.0 GiB)"),
         (("kernel", "--dims", "200000", "--kind", "instant", "--t", "1"),
-         "cosines c_a(l) of Z_200000 need 20000200000 doubles (149.0 GiB)"),
+         "cosines c_a(l) of Z_200000 need 10000200001 doubles (74.5 GiB)"),
         (("mix-coordinate", "--dims", "200000"),
-         "cosines c_a(l) of Z_200000 need 20000200000 doubles (149.0 GiB)"),
+         "cosines c_a(l) of Z_200000 need 10000200001 doubles (74.5 GiB)"),
         (("kernel", "--dims", "1501,3", "--kind", "averaged", "--T", "10"),
          "class-pair coefficients of Z_1501 need 423564751 doubles (3.2 GiB)"),
     ])
@@ -95,6 +95,20 @@ class TestExitCodes:
         assert run(*argv, "--out", out) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 1.49 GiB for an array", ""],
+                             ids=["numpy", "bare"])
+    def test_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch, message):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "coordinate_wise_run", exhausted)
+        out = str(tmp_path / "a.json")
+        assert run("mix-coordinate", "--dims", "9", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("latticemix mix-coordinate: out of memory")
+        assert (message or "allocation failed") in err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("bounds", ["100,10", "9,10"])

@@ -10,7 +10,6 @@ from latticemix.distances import (
     distance_to_uniform,
     epsilon_mixing_time,
     pairwise_column_distance,
-    point_mass,
     rounds_to_threshold,
     tv_distance,
     uniform,
@@ -18,6 +17,7 @@ from latticemix.distances import (
 from latticemix.kernels import (
     Kernel,
     averaged_kernel_analytic,
+    averaged_kernel_quadrature,
     identity_kernel,
     instantaneous_kernel,
     kernel_power,
@@ -25,7 +25,7 @@ from latticemix.kernels import (
 )
 from latticemix.spectral import LatticeSpec
 
-from oracles import allpairs_column_distance, mixing_scan
+from oracles import allpairs_column_distance, mixing_scan, point_mass
 
 
 def assorted_kernels():
@@ -96,34 +96,29 @@ class TestPairwiseColumnDistance:
             assert abs(pairwise_column_distance(kernel) - oracle) < 1e-12
 
     @staticmethod
-    def random_column(dims, seed, even):
-        """A random probability column on dims, made bitwise even in every axis if `even`."""
+    def random_even_column(dims, seed):
+        """A random probability column on dims, made bitwise even in every axis."""
         grid = np.random.default_rng(seed).random(dims)
-        if even:
-            for axis, n in enumerate(dims):
-                grid = (grid + grid.take((-np.arange(n)) % n, axis=axis)) / 2.0
+        for axis, n in enumerate(dims):
+            grid = (grid + grid.take((-np.arange(n)) % n, axis=axis)) / 2.0
         return Kernel(LatticeSpec(dims), (grid / grid.sum()).ravel(), kind="random")
 
     @pytest.mark.parametrize("dims", [(9,), (8,), (7, 5), (6, 5), (4, 6), (5, 4, 3), (3, 3, 4)])
     def test_orthant_scan_matches_allpairs_on_even_columns(self, dims):
-        for seed in range(3):
-            kernel = self.random_column(dims, seed, even=True)
-            assert distances._is_even(kernel.grid)
+        # every builder's stored column is bitwise even, powers included
+        lattice = LatticeSpec(dims)
+        instant = instantaneous_kernel(lattice, 2.7)
+        analytic = averaged_kernel_analytic(LatticeSpec((13, 11)), 40.0)
+        kernels = [*(self.random_even_column(dims, seed) for seed in range(3)),
+                   instant, kernel_power(instant, 2), kernel_power(instant, 3),
+                   averaged_kernel_quadrature(lattice, 3.0, 0.05),
+                   analytic, kernel_power(analytic, 2), kernel_power(analytic, 3)]
+        for kernel in kernels:
+            grid = kernel.grid
+            negated = grid[np.ix_(*((-np.arange(n)) % n for n in grid.shape))]
+            assert np.array_equal(grid, negated), kernel.kind
             oracle = allpairs_column_distance(kernel.full_matrix())
-            assert abs(pairwise_column_distance(kernel) - oracle) < 1e-12
-        kernel = averaged_kernel_analytic(LatticeSpec((13, 11)), 40.0)
-        assert distances._is_even(kernel.grid)
-        oracle = allpairs_column_distance(kernel.full_matrix())
-        assert abs(pairwise_column_distance(kernel) - oracle) < 1e-12
-
-    @pytest.mark.parametrize("dims", [(9,), (8,), (7, 5), (6, 5), (5, 4, 3)])
-    def test_scan_of_columns_that_are_not_even_matches_allpairs(self, dims):
-        # the fallback; on one cycle the half scan holds for any column
-        for seed in range(3):
-            kernel = self.random_column(dims, seed, even=False)
-            assert not distances._is_even(kernel.grid)
-            oracle = allpairs_column_distance(kernel.full_matrix())
-            assert abs(pairwise_column_distance(kernel) - oracle) < 1e-12
+            assert abs(pairwise_column_distance(kernel) - oracle) < 1e-12, kernel.kind
 
     def test_sandwich_inequality(self):
         # tv(c, u) <= d(P) <= 2 * tv(c, u) for every kernel this package builds

@@ -259,9 +259,20 @@ class TestFoldedContraction:
 
     @staticmethod
     def unfolded_tables(dims, rows):
+        """(omega, C) over every class pair (a, b) per factor, with C at the offsets rows(n).
+
+        C[l, (a, b)] = c_a(l)*c_b(l)/n^2 with c_a(l) = mult_a*cos(2*pi*l*a/n)
+        taken straight from its definition, for any offsets l < n.
+        """
         scale = 1.0 / len(dims)
-        return [(scale * class_table(n).pair_omega, class_table(n).pair_rows(rows(n)))
-                for n in dims]
+        tables = []
+        for n in dims:
+            classes = np.arange(n // 2 + 1)
+            mult = np.where((classes == 0) | (2 * classes == n), 1.0, 2.0)
+            c = mult * np.cos(2.0 * np.pi * np.outer(np.arange(n)[rows(n)], classes) / n)
+            coeff = (c[:, :, None] * c[:, None, :]).reshape(c.shape[0], -1) / n**2
+            tables.append((scale * class_table(n).pair_omega, coeff))
+        return tables
 
     @pytest.mark.parametrize("dims", [(9,), (13,), (19, 5), (23, 21), (5, 5), (9, 3),
                                       (7, 5, 3), (5, 5, 3)])
@@ -365,8 +376,23 @@ class TestKernelType:
             Kernel(LatticeSpec((3,)), np.array([1.0, 1e-6, -1e-6]), kind="bad")
 
     def test_clips_tiny_negatives(self):
-        kernel = Kernel(LatticeSpec((3,)), np.array([1.0, 5e-13, -5e-13]), kind="ok")
+        kernel = Kernel(LatticeSpec((3,)), np.array([1.0, -5e-13, -5e-13]), kind="ok")
         assert kernel.first_column.min() == 0.0
+
+    def test_refuses_a_column_that_is_not_even(self):
+        # offsets 1 and 2 of Z_3 mirror each other, and so do 1 and 3 of Z_4
+        with pytest.raises(ValueError, match="mirror image by"):
+            Kernel(LatticeSpec((3,)), np.array([0.5, 0.25 + 2e-12, 0.25 - 2e-12]), kind="odd")
+        with pytest.raises(ValueError, match="mirror image by"):
+            Kernel(LatticeSpec((4, 3)), np.arange(12.0) / 66.0, kind="odd")
+
+    def test_stores_the_mirrored_column(self):
+        # within 1e-12 of even, the half x_k <= n_k//2 is copied over the rest
+        col = np.array([0.2, 0.25, 0.15, 0.15 + 5e-13, 0.25 - 5e-13]).repeat(2)
+        kernel = Kernel(LatticeSpec((5, 2)), col, kind="almost even")
+        assert np.array_equal(kernel.first_column,
+                              np.array([0.2, 0.25, 0.15, 0.15, 0.25]).repeat(2))
+        assert not kernel.first_column.flags.writeable
 
     def test_column_roll(self):
         kernel = instantaneous_kernel(LatticeSpec((5, 3)), 2.0)

@@ -11,9 +11,6 @@ from latticemix.oscsums import (
     coprime_odd_pairs,
     integrated_osc_bound,
     integrated_osc_sum,
-    osc_sum_direct,
-    osc_sum_fast,
-    product_integral,
     product_integral_bound,
     product_integral_curve,
     product_integral_exact,
@@ -22,7 +19,14 @@ from latticemix.oscsums import (
 from latticemix.kernels import averaged_return_probability
 from latticemix.spectral import HALF, LatticeSpec, class_table, cycle_amplitude
 
-from oracles import simpson_integral, unfolded_osc_sum, unfolded_product_integral
+from oracles import (
+    osc_sum_direct,
+    osc_sum_fast,
+    product_integral,
+    simpson_integral,
+    unfolded_osc_sum,
+    unfolded_product_integral,
+)
 
 HORIZONS = (1e-9, 7.0, 1e3, 1e4)
 

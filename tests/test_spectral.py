@@ -101,7 +101,7 @@ class TestCycleAmplitude:
             full = np.array(
                 [cycle_amplitude(n, 0, t, HALF)[offset] for t in ts]
             )
-            at = cycle_amplitude_at(n, offset, ts, HALF)
+            at = cycle_amplitude_at(n, ts, HALF)[:, offset]
             grid = cycle_amplitude_grid(n, offset, t0, h, count, HALF)
             assert grid.shape == (count,)
             assert np.abs(full - at).max() < 1e-12
@@ -110,37 +110,43 @@ class TestCycleAmplitude:
 
 
 class TestCycleAmplitudeAt:
-    """The one arbitrary-time route: offsets None, an int or an array."""
+    """The one arbitrary-time route: every offset at a time or an array of times."""
 
-    def test_offset_forms_agree_with_the_column_and_expm(self):
+    def test_agrees_with_the_column_and_expm(self):
         ts = np.array([0.0, 0.7, 5.25, 31.0])
         for n in (2, 9, 20):
-            every = cycle_amplitude_at(n, None, ts, HALF)
+            every = cycle_amplitude_at(n, ts, HALF)
             assert every.shape == (ts.size, n) and every.dtype == complex
             for k, t in enumerate(ts):
                 oracle = expm_amplitude_column(LatticeSpec((n,)), 0, HALF * t)
                 assert np.abs(every[k] - oracle).max() < 1e-9
                 assert np.abs(every[k] - cycle_amplitude(n, 0, t, HALF)).max() < 1e-14
-            picked = np.array([[1, n - 1], [n + 3, 0]])
-            some = cycle_amplitude_at(n, picked, ts, HALF)
-            assert some.shape == (ts.size, 2, 2)
-            assert np.abs(some - every[:, picked % n]).max() < 1e-14
-            one = cycle_amplitude_at(n, 3, ts, HALF)
-            assert one.shape == ts.shape
-            assert np.abs(one - every[:, 3 % n]).max() < 1e-14
+
+    @pytest.mark.parametrize("n", [2, 9, 20, 101])
+    def test_both_gathers_agree_and_are_even(self, n):
+        # fewer times than classes gather the product's rows, bitwise even;
+        # a batch of times the table's rows, even to the last bit
+        ts = np.linspace(0.0, 3.0 * n, 2 * n + 1)
+        negated = (-np.arange(n)) % n
+        batch = cycle_amplitude_at(n, ts, HALF)
+        for k, t in enumerate(ts[:5]):
+            one = cycle_amplitude_at(n, t, HALF)
+            assert np.abs(one - batch[k]).max() <= 1e-15
+            assert np.array_equal(one, one[negated])
+        assert np.abs(batch - batch[:, negated]).max() <= 1e-15
 
     def test_one_time_is_the_column_bitwise(self):
         for n, t in ((7, 2.5), (20, 13.0), (1000, 333.3)):
-            assert np.array_equal(cycle_amplitude_at(n, None, t, FULL),
+            assert np.array_equal(cycle_amplitude_at(n, t, FULL),
                                   cycle_amplitude(n, 0, t, FULL))
 
     def test_scalar_shapes_and_guards(self):
-        assert cycle_amplitude_at(9, None, 2.0, FULL).shape == (9,)
-        assert cycle_amplitude_at(9, 4, 2.0, FULL).shape == ()
+        assert cycle_amplitude_at(9, 2.0, FULL).shape == (9,)
+        assert cycle_amplitude_at(9, [[1.0, 2.0, 3.0]], FULL).shape == (1, 3, 9)
         with pytest.raises(ValueError, match="time must be finite, got nan"):
-            cycle_amplitude_at(9, 0, [1.0, np.nan], FULL)
+            cycle_amplitude_at(9, [1.0, np.nan], FULL)
         with pytest.raises(ValueError):
-            cycle_amplitude_at(9, 0, 1.0, 0.0)
+            cycle_amplitude_at(9, 1.0, 0.0)
 
 
 class TestClassTable:
@@ -150,7 +156,7 @@ class TestClassTable:
             assert np.array_equal(table.pair_rows([0, 3]), table.pair_coeff[[0, 3]])
 
     def test_oversized_tables_refused_before_allocation(self):
-        with pytest.raises(SizeError, match=r"cosines c_a\(l\) of Z_200000 need 20000200000 doubles"):
+        with pytest.raises(SizeError, match=r"cosines c_a\(l\) of Z_200000 need 10000200001 doubles"):
             class_table(200000).cosines
         # the 751 half rows l <= 750 of 751^2 class pairs each
         with pytest.raises(SizeError, match="class-pair coefficients of Z_1501 need 423564751"):
@@ -165,11 +171,11 @@ class TestClassTable:
             j = np.arange(n)
             roots = np.exp(2j * np.pi * j / n)
             classes = np.minimum(j, n - j)
-            assert table.cosines.shape == (n, n // 2 + 1)
+            assert table.cosines.shape == (n // 2 + 1, n // 2 + 1)
             for l in range(n):
                 sums = np.zeros(n // 2 + 1, dtype=complex)
                 np.add.at(sums, classes, roots[(l * j) % n])
-                assert np.abs(table.cosines[l] - sums).max() < 1e-12
+                assert np.abs(table.cosines[table.mirror[l]] - sums).max() < 1e-12
 
     def test_class_eigenvalues_are_the_unfolded_ones(self):
         # lambda_a is the eigenvalue of both indices a and n - a
@@ -207,11 +213,12 @@ class TestClassTable:
                    (table.fold_omega, table.fold_coeff, table.pair_fold, table.mirror))
 
     def test_rows_mirror_onto_the_half_table(self):
-        # c_a(l) = c_a(n - l), so offset l reads row min(l, n - l)
+        # c_a(l) = c_a(n - l), so the table keeps the rows l <= n//2 and
+        # offset l reads row min(l, n - l)
         for n in (9, 10):
             table = class_table(n)
             assert table.mirror.tolist() == [min(l, n - l) for l in range(n)]
-            assert np.abs(table.cosines - table.cosines[table.mirror]).max() < 1e-12
+            assert table.cosines.shape == (n // 2 + 1, n // 2 + 1)
 
     @pytest.mark.parametrize("n", [2, 9, 10, 1001, 2048])
     def test_cosines_in_row_blocks_equal_the_one_shot_table(self, monkeypatch, n):
@@ -219,7 +226,7 @@ class TestClassTable:
 
         classes = np.arange(n // 2 + 1)
         mult = np.where((classes == 0) | (2 * classes == n), 1.0, 2.0)
-        one_shot = mult * np.cos(2.0 * np.pi * (np.outer(np.arange(n), classes) % n) / n)
+        one_shot = mult * np.cos(2.0 * np.pi * (np.outer(classes, classes) % n) / n)
         # n >= 1001 spans several blocks of the default size; then one row
         # per block, and blocks that cut the table unevenly
         for block in (spectral_module._COSINE_BLOCK, 1, 3 * classes.size + 1):
@@ -285,8 +292,8 @@ class TestSpectralGap:
         assert abs(spectral_gap(lattice) - (1.0 - eigs[-2])) < 1e-12
 
     def test_long_cycle_builds_no_cosine_table(self):
-        # the gap reads only lambda_a; an eager (n, n//2 + 1) cosine table
-        # would take 40 GB here
+        # the gap reads only lambda_a; an eager (n//2 + 1)^2 cosine table
+        # would take 20 GB here
         n = 100003
         class_table.cache_clear()
         gap = spectral_gap(LatticeSpec((n,)))
