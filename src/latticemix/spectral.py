@@ -248,11 +248,9 @@ def cycle_amplitude_at(n: int, ts, scale: float) -> np.ndarray:
     """Amplitudes <l|exp(i*Abar*t*scale)|0> at every offset l < n, shape ts.shape + (n,).
 
     The real table rows times the (re, im) pairs of the phases: one real
-    product for every time, with no complex copy of the table.  Offset l
-    reads row mirror[l], gathered on whichever side is smaller: the rows of
-    the product when there are fewer times than classes, which makes the
-    amplitudes bitwise even in l, else the table rows, whose product may
-    round rows l and n - l apart in the last bit.
+    product for every time, with no complex copy of the table.  The product
+    fills the rows l <= n//2 and offset l > n//2 copies row n - l, so the
+    amplitudes are bitwise even in l.
     """
     n = _check_cycle(n)
     ts = np.asarray(ts, dtype=float)
@@ -264,12 +262,12 @@ def cycle_amplitude_at(n: int, ts, scale: float) -> np.ndarray:
     phases = 1j * np.multiply.outer(table.lambdas, ts.ravel() * float(scale))
     # columns 2k and 2k + 1 of the real view are the (re, im) of time k
     phases = np.exp(phases, out=phases).view(float)
-    if ts.size < table.lambdas.size:
-        amps = (table.cosines @ phases)[table.mirror]
-    else:
-        amps = table.cosines[table.mirror] @ phases
+    half = table.lambdas.size
+    amps = np.empty((n, phases.shape[1]))
+    np.matmul(table.cosines, phases, out=amps[:half])
     # scaling by 1/n is the arithmetic of a complex number divided by the real n
-    amps *= 1.0 / n
+    amps[:half] *= 1.0 / n
+    amps[half:] = amps[n - half:0:-1]
     return amps.view(complex).T.reshape(ts.shape + (n,))
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from latticemix.classical import lazy_kernel
 from latticemix.errors import ParityError, ResolutionError, SizeError
 from latticemix.kernels import (
     Kernel,
@@ -368,6 +369,19 @@ class TestKernelPower:
         )
         with pytest.raises(ValueError):
             kernel_power(kernel, -1)
+
+    @pytest.mark.parametrize("rounds", [7, 10**3, 10**5, 10**6])
+    def test_high_powers_of_a_long_cycle_stay_even(self, rounds):
+        # mix-coordinate runs 7 sweeps of the instantaneous Z_2001 kernel at
+        # t = n/3; the lazy walk is still far from uniform at 1e5 rounds,
+        # where rounding leaves the power furthest from even (2.4e-15)
+        lattice = LatticeSpec((2001,))
+        mirror = class_table(2001).mirror
+        for kernel in (instantaneous_kernel(lattice, 2001 / 3.0), lazy_kernel(lattice)):
+            raw = np.fft.ifftn(np.fft.fftn(kernel.grid) ** rounds).real
+            assert np.abs(raw - raw[mirror]).max() <= 1e-13
+            powered = kernel_power(kernel, rounds)
+            assert abs(powered.first_column.sum() - 1.0) <= 1e-9
 
 
 class TestKernelType:

@@ -123,9 +123,7 @@ class TestCycleAmplitudeAt:
                 assert np.abs(every[k] - cycle_amplitude(n, 0, t, HALF)).max() < 1e-14
 
     @pytest.mark.parametrize("n", [2, 9, 20, 101])
-    def test_both_gathers_agree_and_are_even(self, n):
-        # fewer times than classes gather the product's rows, bitwise even;
-        # a batch of times the table's rows, even to the last bit
+    def test_batch_matches_one_time_and_is_even(self, n):
         ts = np.linspace(0.0, 3.0 * n, 2 * n + 1)
         negated = (-np.arange(n)) % n
         batch = cycle_amplitude_at(n, ts, HALF)
@@ -133,7 +131,7 @@ class TestCycleAmplitudeAt:
             one = cycle_amplitude_at(n, t, HALF)
             assert np.abs(one - batch[k]).max() <= 1e-15
             assert np.array_equal(one, one[negated])
-        assert np.abs(batch - batch[:, negated]).max() <= 1e-15
+        assert np.array_equal(batch, batch[:, negated])
 
     def test_one_time_is_the_column_bitwise(self):
         for n, t in ((7, 2.5), (20, 13.0), (1000, 333.3)):
