@@ -43,7 +43,6 @@ from .kernels import (
     identity_kernel,
     instantaneous_kernel,
     kernel_power,
-    uniform_kernel,
 )
 from .oscsums import (
     BoundReport,

@@ -32,7 +32,6 @@ from .distances import (
     uniform,
 )
 from .kernels import (
-    Kernel,
     averaged_kernel_analytic,
     averaged_kernel_quadrature,
     averaged_return_probability,
@@ -61,12 +60,6 @@ class ExperimentRecord:
         return all(self.verdicts.values())
 
 
-def _averaged_kernel(lattice: LatticeSpec, T: float, dt: float | None) -> Kernel:
-    if lattice.all_odd:
-        return averaged_kernel_analytic(lattice, T)
-    return averaged_kernel_quadrature(lattice, T, dt if dt is not None else 0.02)
-
-
 def repeated_measurement_run(
     lattice: LatticeSpec,
     T: float,
@@ -74,12 +67,11 @@ def repeated_measurement_run(
     mode: str = "exact",
     trajectories: int = 100_000,
     seed: int = 0,
-    dt: float | None = None,
 ) -> ExperimentRecord:
     """Measure-evolve-measure walk for `rounds` rounds of horizon T.
 
-    The averaged kernel is analytic when every cycle length is odd (dt is
-    then ignored) and Simpson quadrature at step dt (default 0.02) otherwise.
+    The averaged kernel is analytic when every cycle length is odd and
+    Simpson quadrature at step 0.02 otherwise.
     Exact mode composes the averaged kernel with itself and reports, per
     round count k, the distance of the column to uniform, the pairwise column
     distance d(P_T^k) and the submultiplicative cap d(P_T)^k.  Sampled mode
@@ -99,7 +91,10 @@ def repeated_measurement_run(
     }
     record = ExperimentRecord(config=config)
 
-    kernel = _averaged_kernel(lattice, T, dt)
+    if lattice.all_odd:
+        kernel = averaged_kernel_analytic(lattice, T)
+    else:
+        kernel = averaged_kernel_quadrature(lattice, T, 0.02)
     contraction = pairwise_column_distance(kernel)
     record.scalars["kernel_contraction"] = contraction
 
@@ -172,9 +167,13 @@ def spread_constant(n: int, t: float) -> float:
     instantaneous_kernel(Z_n, t), whose scale 1/d is FULL; the recorded
     value, positive whenever the walk spreads.
     """
-    probs = np.sort(instantaneous_kernel(LatticeSpec((n,)), t).first_column)[::-1]
-    qualifying = math.ceil(2 * n / 3)
-    return float(n * probs[qualifying - 1])
+    return _spread(instantaneous_kernel(LatticeSpec((n,)), t).first_column)
+
+
+def _spread(column: np.ndarray) -> float:
+    """spread_constant of the cycle kernel whose first column is `column`."""
+    n = column.size
+    return float(n * np.sort(column)[::-1][math.ceil(2 * n / 3) - 1])
 
 
 def coordinate_wise_run(
@@ -220,7 +219,7 @@ def coordinate_wise_run(
         cycle = instantaneous_kernel(LatticeSpec((n,)), t)
         cycles.append(cycle)
         alphas.append(pairwise_column_distance(cycle))
-        constants.append(spread_constant(n, t))
+        constants.append(_spread(cycle.first_column))
 
     per_coord_rounds = (
         [rounds_to_threshold(a) for a in alphas]

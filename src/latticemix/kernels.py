@@ -28,12 +28,11 @@ Three constructions are provided:
   x = (omega_1 + ... + omega_d)*T and scale 1/d per factor; any d works.
   The class-pair frequencies and coefficients are the pair_omega (times
   the scale) and pair_coeff of spectral.class_table(n), and _class_pair_sum
-  contracts them factor by factor; the return curve and the exact
-  oscillatory sums are contractions of the same kind.  Two symmetries
-  halve the work twice over.  Swapping (a, b) <-> (b, a) in every factor
-  at once negates x and keeps each coefficient, so the first factor's pairs
-  are folded onto a <= b (ClassTable.fold_omega, fold_coeff).  And
-  c_a(l) = c_a(n - l), so only the rows l <= n//2 of each factor are
+  contracts them factor by factor.  It alone decides their layout: it
+  folds each pair (a, b) of the first factor with its swap (b, a), and it
+  blocks the rows and chunks the horizons.  The return curve and the exact
+  oscillatory sums pass it plain class-pair rows in the same way.  Since
+  c_a(l) = c_a(n - l), only the rows l <= n//2 of each factor are
   contracted and the column is mirrored from them.
 * averaged_kernel_quadrature: the same average by composite Simpson over
   batched amplitudes on a time grid, kept deliberately independent of the
@@ -48,27 +47,27 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParityError, ResolutionError, SizeError
+from .errors import ParityError, ResolutionError
 from .spectral import (MAX_PARTIAL_ENTRIES, LatticeSpec, _check_entries, class_table,
                        cycle_amplitude_at, product_amplitude)
 
-MAX_DENSE_MATRIX = 2048
 MAX_QUADRATURE_DT = 0.05
 
 _CHECKPOINT_VERSION = 3
 
-# Leading class-pair rows per block of the analytic kernel's contraction,
-# and blocks per checkpoint write.  The block size is part of the
-# checkpoint's meta, so a file resumes only under the size that wrote it.
+# Leading class-pair rows per block of _class_pair_sum, and blocks per
+# checkpoint write.  The block size is part of the checkpoint's meta, so a
+# file resumes only under the size that wrote it.
 _BLOCK_SIZE = 256
 _CHECKPOINT_EVERY = 4
 
-# Entries of one block of sin(x)/x weights in averaged_return_probability,
-# and of node probabilities in averaged_kernel_quadrature.
+# Entries of one chunk of horizons' sin(x)/x weights in a block of
+# _class_pair_sum, and of node probabilities in averaged_kernel_quadrature.
 _WEIGHT_BLOCK = 2**18
 
 # Entries of one sub-block of sin(x)/x weights in _class_pair_sum, evaluated
@@ -110,22 +109,6 @@ class Kernel:
         """First column reshaped to the lattice dims."""
         return self.first_column.reshape(self.lattice.dims)
 
-    def column(self, source: tuple[int, ...] | int = 0) -> np.ndarray:
-        """Probability column out of `source`, as a flat length-N vector."""
-        if isinstance(source, (int, np.integer)):
-            source = np.unravel_index(source, self.lattice.dims)
-        return np.roll(self.grid, shift=tuple(source), axis=range(self.lattice.d)).ravel()
-
-    def full_matrix(self) -> np.ndarray:
-        """Dense N x N matrix; guarded, for oracles and small experiments only."""
-        n_total = self.lattice.size
-        if n_total > MAX_DENSE_MATRIX:
-            raise SizeError(f"dense matrix for N = {n_total} refused")
-        out = np.empty((n_total, n_total))
-        for p in range(n_total):
-            out[:, p] = self.column(p)
-        return out
-
 
 def mirrored(grid: np.ndarray, dims) -> np.ndarray:
     """`grid` read at index min(x_k, n_k - x_k) along every axis k.
@@ -144,12 +127,6 @@ def _check_stochastic(cols: np.ndarray, tol: float, what: str) -> None:
     worst = float(totals[np.abs(totals - 1.0).argmax()])
     if abs(worst - 1.0) > tol:
         raise ValueError(f"{what}: column sums to {worst}, off 1 by > {tol}")
-
-
-def uniform_kernel(lattice: LatticeSpec) -> Kernel:
-    lattice.check_dense()
-    col = np.full(lattice.size, 1.0 / lattice.size)
-    return Kernel(lattice=lattice, first_column=col, kind="uniform")
 
 
 def identity_kernel(lattice: LatticeSpec) -> Kernel:
@@ -185,10 +162,17 @@ def _sinc_average(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _load_checkpoint(path: str, meta: tuple) -> tuple[int, np.ndarray] | None:
-    if path is None or not os.path.exists(path):
+    if not os.path.exists(path):
         return None
-    data = np.load(path)
-    stored = tuple(data["meta"])
+    try:
+        with np.load(path) as data:
+            stored = tuple(float(v) for v in data["meta"])
+            next_block, partial = int(data["next_block"]), data["partial"]
+    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(
+            f"checkpoint {path} is not a readable partial-sum file ({exc}); delete it "
+            f"to start the run over"
+        ) from None
     if stored[0] != meta[0]:
         raise ValueError(
             f"checkpoint {path} has format version {stored[0]:g}, this build "
@@ -199,7 +183,7 @@ def _load_checkpoint(path: str, meta: tuple) -> tuple[int, np.ndarray] | None:
         raise ValueError(
             f"checkpoint {path} was written for different parameters {stored}"
         )
-    return int(data["next_block"]), data["partial"]
+    return next_block, partial
 
 
 def _save_checkpoint(path: str, meta: tuple, next_block: int, partial: np.ndarray) -> None:
@@ -215,84 +199,90 @@ def _save_checkpoint(path: str, meta: tuple, next_block: int, partial: np.ndarra
             os.remove(tmp)
 
 
-def _class_pair_sum(
-    tables,
-    horizons,
-    block_size: int,
-    checkpoint: str | None = None,
-) -> np.ndarray:
+def _class_pair_sum(factors, horizons, checkpoint: str | None = None) -> np.ndarray:
     """Sum over class-pair tuples p of prod_k C_k[l_k, p_k] * sin(x)/x.
 
     Here x = T * sum_k omega_k[p_k] for each horizon T in `horizons`, and
-    `tables` holds one (table, omega_k, C_k) triple per factor: the
-    spectral.class_table of the cycle, the scaled class-pair frequencies and
-    a (rows_k, terms_k) block of class-pair coefficient rows.  The first
-    factor comes folded onto a <= b (ClassTable.fold_omega and fold), every
-    other factor over all pairs (a, b).  The fold is exact: each C_k is
-    symmetric under the swap (a, b) <-> (b, a), which negates omega_k, and
-    sin(x)/x is even, so swapping the pairs of every factor at once leaves
-    a term unchanged, and the terms with the first factor's pair swapped
-    add up to those without.
+    `factors` holds one (table, omega_k, C_k) triple per factor: the
+    spectral.class_table of the cycle, its pair_omega times the factor's
+    time scale, and a (rows_k, pairs) block of its class-pair coefficient
+    rows, both over all class pairs (a, b).
+
+    The first factor is folded onto the pairs a <= b (ClassTable.pair_fold
+    and fold).  The fold is exact: each C_k is symmetric under the swap
+    (a, b) <-> (b, a), which negates omega_k, and sin(x)/x is even, so
+    swapping the pairs of every factor at once leaves a term unchanged, and
+    the terms with the first factor's pair swapped add up to those without.
+    The same-class pairs (a, a), whose frequencies are exactly 0, share one
+    column.
 
     The leading factors' frequencies are summed into one axis; the last
-    factor is contracted against it in blocks of `block_size` leading rows,
-    partial[T, p_lead, l_d] = sum_p_d sin(x)/x * C_d[l_d, p_d] for every
-    horizon T, with the weights evaluated in sub-blocks of about
-    _SINC_BLOCK entries into buffers that stay in cache; then each leading
-    factor's table is contracted in turn.  The result is flattened
-    row-major over (T, l_1, ..., l_d).  A partial-sum array of more than
-    MAX_PARTIAL_ENTRIES doubles is refused with SizeError before anything
+    factor is contracted against it in blocks of _BLOCK_SIZE leading rows,
+    partial[T, p_lead, l_d] = sum_p_d sin(x)/x * C_d[l_d, p_d], with the
+    horizons in chunks that keep a block's weights near _WEIGHT_BLOCK
+    entries, evaluated in sub-blocks of about _SINC_BLOCK entries into
+    buffers that stay in cache; then each leading factor's table is
+    contracted in turn.  The result is flattened row-major over
+    (T, l_1, ..., l_d).  A chunk's partial sums of more than
+    MAX_PARTIAL_ENTRIES doubles are refused with SizeError before anything
     is allocated.
 
-    Partial sums are checkpointable so a long run survives interruption;
-    the block order is fixed, so a resumed run adds the same terms in the
-    same order and reproduces the uninterrupted result bit for bit.
+    With one horizon, the partial sums are checkpointable so a long run
+    survives interruption; the block order is fixed, so a resumed run adds
+    the same terms in the same order and reproduces the uninterrupted
+    result bit for bit.
     """
     horizons = np.asarray(horizons, dtype=float).ravel()
-    *leading, (_, omega_last, coeff_last) = tables
+    if horizons.size == 0:
+        return np.empty(0)
+    (first, omega, coeff), *rest = factors
+    folded = omega[first.pair_fold[first.lambdas.size - 1 :]]
+    folded[0] = 0.0
+    *leading, (_, omega_last, coeff_last) = [(first, folded, first.fold(coeff)), *rest]
     lead_rows = math.prod(omega.size for _, omega, _ in leading)
-    entries = horizons.size * lead_rows * coeff_last.shape[0]
+    pairs, rows = omega_last.size, min(_BLOCK_SIZE, lead_rows)
+    chunk = min(horizons.size, max(1, _WEIGHT_BLOCK // (rows * pairs)))
+    entries = chunk * lead_rows * coeff_last.shape[0]
     _check_entries(entries, "class-pair partial sums", MAX_PARTIAL_ENTRIES)
     lead = np.zeros(1)
     for _, omega, _ in leading:
         lead = np.add.outer(lead, omega).ravel()
+    step = max(1, _SINC_BLOCK // (chunk * pairs))
+    weights = np.empty(chunk * rows * pairs)
+    freq, x = np.empty((step, pairs)), np.empty((chunk, step, pairs))
 
-    start = 0
-    partial = np.zeros((horizons.size * lead.size, coeff_last.shape[0]))
-    if checkpoint:
-        meta = (_CHECKPOINT_VERSION, *(table.n for table, _, _ in tables), *horizons, block_size)
-        resumed = _load_checkpoint(checkpoint, meta)
-        if resumed is not None:
-            start, partial = resumed
-    # a view, so block writes land in the partial sums the checkpoint saves
-    blocks = partial.reshape(horizons.size, lead.size, -1)
+    out = []
+    for t0 in range(0, horizons.size, chunk):
+        ts = horizons[t0 : t0 + chunk]
+        start, partial = 0, np.zeros((ts.size * lead.size, coeff_last.shape[0]))
+        if checkpoint:
+            meta = (_CHECKPOINT_VERSION, *(table.n for table, _, _ in factors), *ts, _BLOCK_SIZE)
+            start, partial = _load_checkpoint(checkpoint, meta) or (start, partial)
+        # a view, so block writes land in the partial sums the checkpoint saves
+        blocks = partial.reshape(ts.size, lead.size, -1)
+        for count, lo in enumerate(range(0, lead.size, rows)):
+            if lo < start:
+                continue
+            hi = min(lo + rows, lead.size)
+            block = weights[: ts.size * (hi - lo) * pairs].reshape(ts.size, hi - lo, pairs)
+            for sub in range(lo, hi, step):
+                width = min(step, hi - sub)
+                np.add(lead[sub : sub + width, None], omega_last, out=freq[:width])
+                np.multiply(ts[:, None, None], freq[:width], out=x[: ts.size, :width])
+                _sinc_average(x[: ts.size, :width], block[:, sub - lo : sub - lo + width])
+            sums = block.reshape(-1, pairs) @ coeff_last.T
+            blocks[:, lo:hi] = sums.reshape(ts.size, hi - lo, -1)
+            if checkpoint and (count + 1) % _CHECKPOINT_EVERY == 0 and hi < lead.size:
+                _save_checkpoint(checkpoint, meta, hi, partial)
 
-    pairs = omega_last.size
-    step = max(1, _SINC_BLOCK // (horizons.size * pairs))
-    weights = np.empty(horizons.size * min(block_size, lead.size) * pairs)
-    freq, x = np.empty((step, pairs)), np.empty((horizons.size, step, pairs))
-    for count, lo in enumerate(range(0, lead.size, block_size)):
-        if lo < start:
-            continue
-        hi = min(lo + block_size, lead.size)
-        block = weights[: horizons.size * (hi - lo) * pairs].reshape(horizons.size, hi - lo, pairs)
-        for sub in range(lo, hi, step):
-            rows = min(step, hi - sub)
-            np.add(lead[sub : sub + rows, None], omega_last, out=freq[:rows])
-            np.multiply(horizons[:, None, None], freq[:rows], out=x[:, :rows])
-            _sinc_average(x[:, :rows], block[:, sub - lo : sub - lo + rows])
-        sums = block.reshape(-1, pairs) @ coeff_last.T
-        blocks[:, lo:hi] = sums.reshape(horizons.size, hi - lo, -1)
-        if checkpoint and (count + 1) % _CHECKPOINT_EVERY == 0 and hi < lead.size:
-            _save_checkpoint(checkpoint, meta, hi, partial)
-
-    col, done = partial, horizons.size
-    for _, _, coeff in leading:
-        col = np.matmul(coeff, col.reshape(done, coeff.shape[1], -1))
-        done *= coeff.shape[0]
+        col, done = partial, ts.size
+        for _, _, coeff in leading:
+            col = np.matmul(coeff, col.reshape(done, coeff.shape[1], -1))
+            done *= coeff.shape[0]
+        out.append(col.ravel())
     if checkpoint and os.path.exists(checkpoint):
         os.remove(checkpoint)
-    return col.ravel()
+    return np.concatenate(out)
 
 
 def _check_analytic_lattice(lattice: LatticeSpec) -> None:
@@ -319,12 +309,11 @@ def averaged_kernel_analytic(
     lattice.check_dense()
 
     scale = 1.0 / lattice.d
-    first, *rest = factors = [class_table(n) for n in lattice.dims]
-    tables = [(first, scale * first.fold_omega, first.fold_coeff),
-              *((t, scale * t.pair_omega, t.pair_coeff) for t in rest)]
-    col = _class_pair_sum(tables, [T], _BLOCK_SIZE, checkpoint)
+    tables = [class_table(n) for n in lattice.dims]
+    col = _class_pair_sum([(t, scale * t.pair_omega, t.pair_coeff) for t in tables], [T],
+                          checkpoint)
     # rows l <= n//2 were contracted; offset l reads row min(l, n - l)
-    col = mirrored(col.reshape([t.lambdas.size for t in factors]), lattice.dims).ravel()
+    col = mirrored(col.reshape([t.lambdas.size for t in tables]), lattice.dims).ravel()
     _check_stochastic(col, 1e-9, f"analytic averaged kernel T={T}")
     return Kernel(lattice=lattice, first_column=col, kind=f"averaged(T={T})")
 
@@ -333,26 +322,17 @@ def averaged_return_probability(lattice: LatticeSpec, horizons) -> np.ndarray:
     """Origin entry P_T(0, 0) of the analytic averaged kernel at each horizon.
 
     Matches averaged_kernel_analytic(lattice, T).first_column[0] for every T
-    in `horizons`.  The origin entry needs only row 0 of each factor's folded
-    table, so each horizon costs one pass over the joint class pairs;
-    horizons go through in chunks, and each chunk's leading rows in blocks,
-    that keep the weight block near _WEIGHT_BLOCK entries.
+    in `horizons`.  The origin entry needs only row 0 of each factor's
+    class-pair table, so each horizon costs one pass over the joint class
+    pairs.
     """
     horizons = np.asarray(horizons, dtype=float).ravel()
     if not np.all(np.isfinite(horizons) & (horizons > 0)):
         raise ValueError("averaging horizons must be positive and finite")
     _check_analytic_lattice(lattice)
     scale = 1.0 / lattice.d
-    first, *rest = map(class_table, lattice.dims)
-    tables = [(first, scale * first.fold_omega, first.fold(first.pair_rows([0]))),
-              *((t, scale * t.pair_omega, t.pair_rows([0])) for t in rest)]
-    pairs = math.prod(omega.size for _, omega, _ in tables)
-    step = max(1, _WEIGHT_BLOCK // pairs)
-    block = max(1, _WEIGHT_BLOCK // (step * tables[-1][1].size))
-    out = np.empty(horizons.size)
-    for lo in range(0, horizons.size, step):
-        out[lo : lo + step] = _class_pair_sum(tables, horizons[lo : lo + step], block)
-    return out
+    return _class_pair_sum([(t, scale * t.pair_omega, t.pair_rows([0]))
+                            for t in map(class_table, lattice.dims)], horizons)
 
 
 def simpson_intervals(length: float, dt: float) -> int:

@@ -16,7 +16,8 @@ pair frequencies lambda_a - lambda_b at the half time scale,
 
     osc(t) = sum_{a != b} c_a(l)*c_b(l) * cos(t*(lambda_a - lambda_b)/2),
 
-and the exact and closed-form routes below are contractions of it.
+and the exact routes below pass its class-pair rows (_osc_series) to
+kernels._class_pair_sum.
 
 Everything here revolves around two facts checked numerically throughout the
 test suite:
@@ -77,12 +78,6 @@ def _osc_series(n: int, offset: int):
     return table, HALF * table.pair_omega, coeff
 
 
-def _folded(series):
-    """An _osc_series folded onto the class pairs a <= b, to lead a contraction."""
-    table, _, coeff = series
-    return table, HALF * table.fold_omega, table.fold(coeff)
-
-
 def _osc_on_grid(n: int, offset: int, t0: float, h: float, count: int) -> np.ndarray:
     amp = cycle_amplitude_grid(n, offset, t0, h, count, HALF)
     constant = n + (n * (int(offset) % n == 0) - 1)
@@ -97,7 +92,7 @@ def integrated_osc_sum(n: int, offset: int, T: float) -> float:
     """
     n = _check_odd(n)
     T = _check_horizon(T)
-    return float(T * _class_pair_sum([_folded(_osc_series(n, offset))], [T], 1)[0])
+    return float(T * _class_pair_sum([_osc_series(n, offset)], [T])[0])
 
 
 def integrated_osc_bound(n: int) -> float:
@@ -211,9 +206,8 @@ def product_integral_exact(n1: int, n2: int, offsets: tuple[int, int], T: float)
     T = _check_horizon(T)
     if n1 * n2 > MAX_EXACT_PRODUCT:
         raise ValueError(f"n1*n2 = {n1 * n2} exceeds exact-path cap {MAX_EXACT_PRODUCT}")
-    tables = [_folded(_osc_series(n1, offsets[0])), _osc_series(n2, offsets[1])]
-    block = max(1, 4_000_000 // tables[1][1].size)
-    return float(T * _class_pair_sum(tables, [T], block)[0])
+    series = [_osc_series(n, offset) for n, offset in zip((n1, n2), offsets)]
+    return float(T * _class_pair_sum(series, [T])[0])
 
 
 def product_integral_bound(dims) -> float:

@@ -26,10 +26,10 @@ amplitudes the class pairs (a, b) with their unscaled frequency
 lambda_a - lambda_b and real coefficient c_a(l)*c_b(l)/n^2.  Since
 c_a(l) = c_a(n - l), every table keeps the offsets l <= n//2 only, and
 `mirror` maps every offset to its row there, so the offsets l and n - l read
-the same row; `pair_fold` indexes the same-class pairs (a, a) and the pairs
-a < b, so a contraction can fold (a, b) onto (b, a).  Callers scale the
-pair frequencies by their own time scale; the averaged kernels and the exact
-oscillatory sums are contractions of the pair data.  A table over
+the same row; `pair_fold` and `fold` give the layout onto which
+kernels._class_pair_sum folds the pairs (a, b) and (b, a).  Callers scale
+the pair frequencies by their own time scale; the averaged kernels and the
+exact oscillatory sums are contractions of the pair data.  A table over
 MAX_PARTIAL_ENTRIES doubles is refused.  cycle_amplitude_at evaluates the
 sum at every offset and any times; cycle_amplitude_grid at one offset on a
 long uniform grid.
@@ -166,20 +166,8 @@ class ClassTable:
         a, b = np.triu_indices(width, 1)
         return _frozen(np.concatenate((np.arange(width) * (width + 1), a * width + b)))
 
-    @functools.cached_property
-    def fold_omega(self) -> np.ndarray:
-        """pair_omega folded onto a <= b: 0 for all pairs (a, a), then each pair a < b."""
-        freq = self.pair_omega[self.pair_fold[self.lambdas.size - 1 :]]
-        freq[0] = 0.0
-        return _frozen(freq)
-
-    @functools.cached_property
-    def fold_coeff(self) -> np.ndarray:
-        """pair_coeff folded onto a <= b, the columns of fold_omega; see fold."""
-        return _frozen(self.fold(self.pair_rows(slice(None))))
-
     def fold(self, coeff: np.ndarray) -> np.ndarray:
-        """Class-pair coefficient rows folded onto the columns of fold_omega.
+        """Class-pair coefficient rows folded onto the pairs pair_fold[n//2:].
 
         Column 0 is sum_a C[l, (a, a)], then 2*C[l, (a, b)] for each a < b:
         the terms of a pair and its swap (b, a), when a contraction is even

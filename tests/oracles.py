@@ -3,8 +3,9 @@
 Everything here goes through dense matrices and generic algorithms (matrix
 exponentials, eigenvalue scans, all-pairs loops, linear solves) rather than
 the spectral shortcuts under test.  The helpers at the end are the
-exception: a point mass and thin evaluators of the library's own routes at
-single points, which only tests need.
+exception: a point mass, the uniform kernel, dense views of a kernel and
+thin evaluators of the library's own routes at single points, which only
+tests need.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+from latticemix.errors import SizeError
+from latticemix.kernels import Kernel
 from latticemix.oscsums import _check_odd, _osc_series, product_integral_curve
 from latticemix.spectral import HALF, LatticeSpec, cycle_amplitude_at
 
@@ -205,6 +208,33 @@ def simpson_integral(fn, a: float, b: float, dt: float) -> float:
 def point_mass(index: int, size: int) -> np.ndarray:
     out = np.zeros(int(size))
     out[index] = 1.0
+    return out
+
+
+MAX_DENSE_MATRIX = 2048
+
+
+def uniform_kernel(lattice: LatticeSpec) -> Kernel:
+    lattice.check_dense()
+    col = np.full(lattice.size, 1.0 / lattice.size)
+    return Kernel(lattice=lattice, first_column=col, kind="uniform")
+
+
+def kernel_column(kernel: Kernel, source: tuple[int, ...] | int = 0) -> np.ndarray:
+    """Probability column out of `source`, as a flat length-N vector."""
+    if isinstance(source, (int, np.integer)):
+        source = np.unravel_index(source, kernel.lattice.dims)
+    return np.roll(kernel.grid, shift=tuple(source), axis=range(kernel.lattice.d)).ravel()
+
+
+def full_matrix(kernel: Kernel) -> np.ndarray:
+    """Dense N x N matrix of a circulant kernel; refused above MAX_DENSE_MATRIX vertices."""
+    n_total = kernel.lattice.size
+    if n_total > MAX_DENSE_MATRIX:
+        raise SizeError(f"dense matrix for N = {n_total} refused")
+    out = np.empty((n_total, n_total))
+    for p in range(n_total):
+        out[:, p] = kernel_column(kernel, p)
     return out
 
 

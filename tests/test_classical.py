@@ -11,7 +11,7 @@ from latticemix.classical import (
 )
 from latticemix.spectral import LatticeSpec
 
-from oracles import expected_meeting_time, stepped_lazy_curve
+from oracles import expected_meeting_time, full_matrix, stepped_lazy_curve
 
 
 class TestLazyKernel:
@@ -35,7 +35,7 @@ class TestLazyKernel:
         assert np.array_equal(grid, reflected)
 
     def test_double_stochasticity(self):
-        matrix = lazy_kernel(LatticeSpec((5, 3))).full_matrix()
+        matrix = full_matrix(lazy_kernel(LatticeSpec((5, 3))))
         assert np.abs(matrix.sum(axis=0) - 1.0).max() < 1e-12
         assert np.abs(matrix.sum(axis=1) - 1.0).max() < 1e-12
         assert np.all(np.diag(matrix) == 0.5)

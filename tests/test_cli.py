@@ -125,6 +125,27 @@ class TestExitCodes:
         assert err.count("\n") == 1 and f"range {bounds} holds no coprime odd pair" in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("damage", ["no meta", "truncated", "text"])
+    def test_malformed_checkpoint_is_one_line(self, tmp_path, capsys, damage):
+        path = tmp_path / "partial.npz"
+        if damage == "text":
+            path.write_text("not a checkpoint\n")
+        else:
+            fields = {"next_block": 4, "partial": np.zeros((46, 3))}
+            if damage == "truncated":
+                fields["meta"] = np.array((3, 19, 5, 24.0, 256))
+            np.savez(path, **fields)
+            if damage == "truncated":
+                path.write_bytes(path.read_bytes()[:-100])
+        out = str(tmp_path / "t.json")
+        assert run("theorem3", "--n1", "19", "--n2", "5", "--T", "24", "--relaxed",
+                   "--tier", "slow", "--checkpoint", str(path), "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"checkpoint {path} is not a readable partial-sum file" in err
+        assert "delete it to start the run over" in err
+        assert path.exists() and not os.path.exists(out)
+
     def test_slow_tier_refusal(self, tmp_path):
         assert run("theorem3", "--out", str(tmp_path / "t.json")) == 1
         assert run("conjecture", "--range", "10,20", "--out", str(tmp_path / "c.csv")) == 1

@@ -21,11 +21,10 @@ from latticemix.kernels import (
     identity_kernel,
     instantaneous_kernel,
     kernel_power,
-    uniform_kernel,
 )
 from latticemix.spectral import LatticeSpec
 
-from oracles import allpairs_column_distance, mixing_scan, point_mass
+from oracles import allpairs_column_distance, full_matrix, mixing_scan, point_mass, uniform_kernel
 
 
 def assorted_kernels():
@@ -75,7 +74,7 @@ class TestPairwiseColumnDistance:
     def test_lazy_step_on_three_cycle_vs_allpairs(self):
         kernel = lazy_kernel(LatticeSpec((3,)))
         shortcut = pairwise_column_distance(kernel)
-        oracle = allpairs_column_distance(kernel.full_matrix())
+        oracle = allpairs_column_distance(full_matrix(kernel))
         assert shortcut == oracle
 
     def test_shift_shortcut_matches_allpairs_scan(self):
@@ -83,7 +82,7 @@ class TestPairwiseColumnDistance:
             if kernel.lattice.size > 64:
                 continue
             shortcut = pairwise_column_distance(kernel)
-            oracle = allpairs_column_distance(kernel.full_matrix())
+            oracle = allpairs_column_distance(full_matrix(kernel))
             assert abs(shortcut - oracle) < 1e-12
 
     @pytest.mark.parametrize("block", [7, 64, 1])
@@ -92,7 +91,7 @@ class TestPairwiseColumnDistance:
         # few shifts at a time, down to one shift per block
         monkeypatch.setattr(distances, "_SHIFT_BLOCK", block)
         for kernel in assorted_kernels():
-            oracle = allpairs_column_distance(kernel.full_matrix())
+            oracle = allpairs_column_distance(full_matrix(kernel))
             assert abs(pairwise_column_distance(kernel) - oracle) < 1e-12
 
     @staticmethod
@@ -117,7 +116,7 @@ class TestPairwiseColumnDistance:
             grid = kernel.grid
             negated = grid[np.ix_(*((-np.arange(n)) % n for n in grid.shape))]
             assert np.array_equal(grid, negated), kernel.kind
-            oracle = allpairs_column_distance(kernel.full_matrix())
+            oracle = allpairs_column_distance(full_matrix(kernel))
             assert abs(pairwise_column_distance(kernel) - oracle) < 1e-12, kernel.kind
 
     def test_sandwich_inequality(self):
@@ -197,7 +196,7 @@ class TestEpsilonMixingTime:
         t_max = 60
         kernels = [kernel_power(kernel, t) for t in range(1, t_max + 1)]
         found = epsilon_mixing_time(np.arange(1, t_max + 1, dtype=float), kernels, 0.1)
-        oracle = mixing_scan(kernel.full_matrix(), 0.1, t_max)
+        oracle = mixing_scan(full_matrix(kernel), 0.1, t_max)
         assert found == float(oracle)
 
     def test_requires_sustained_crossing(self):

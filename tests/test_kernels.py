@@ -13,16 +13,16 @@ from latticemix.kernels import (
     kernel_power,
     simpson_intervals,
     simpson_weights,
-    uniform_kernel,
 )
 from latticemix.oscsums import integrated_osc_sum, product_integral_exact
 from latticemix.spectral import LatticeSpec, class_table
 
-from oracles import expm_amplitude_column, unfolded_averaged_column, unfolded_class_pair_sum
+from oracles import (expm_amplitude_column, full_matrix, kernel_column, uniform_kernel,
+                     unfolded_averaged_column, unfolded_class_pair_sum)
 
 
 def assert_doubly_stochastic(kernel, tol=1e-9):
-    matrix = kernel.full_matrix()
+    matrix = full_matrix(kernel)
     assert np.abs(matrix.sum(axis=0) - 1.0).max() <= tol
     assert np.abs(matrix.sum(axis=1) - 1.0).max() <= tol
     assert np.abs(matrix - matrix.T).max() <= 1e-12
@@ -294,17 +294,18 @@ class TestFoldedContraction:
         import latticemix.kernels as kernels_module
 
         horizons = np.geomspace(1e-3, 1e7, 23)
-        first, *rest = (class_table(n) for n in dims)
         scale = 1.0 / len(dims)
-        half = [slice(0, t.lambdas.size) for t in (first, *rest)]
-        tables = [(first, scale * first.fold_omega, first.fold(first.pair_rows(half[0]))),
-                  *((t, scale * t.pair_omega, t.pair_rows(h)) for t, h in zip(rest, half[1:]))]
+        factors = [(t, scale * t.pair_omega, t.pair_coeff) for t in map(class_table, dims)]
         oracle = unfolded_class_pair_sum(
             self.unfolded_tables(dims, lambda n: slice(0, n // 2 + 1)), horizons)
-        # whole blocks, blocks of a few leading rows, and one-row sub-blocks
-        for block, sub in ((256, 2**13), (3, 2**13), (5, 1)):
+        # whole blocks, blocks of a few leading rows, one-row sub-blocks, and
+        # one horizon per chunk
+        for block, sub, weights in ((256, 2**13, 2**18), (3, 2**13, 2**18), (5, 1, 2**18),
+                                    (3, 2**13, 1)):
+            monkeypatch.setattr(kernels_module, "_BLOCK_SIZE", block)
             monkeypatch.setattr(kernels_module, "_SINC_BLOCK", sub)
-            got = kernels_module._class_pair_sum(tables, horizons, block)
+            monkeypatch.setattr(kernels_module, "_WEIGHT_BLOCK", weights)
+            got = kernels_module._class_pair_sum(factors, horizons)
             assert np.abs(got - oracle).max() <= 1e-13
 
     @pytest.mark.parametrize("dims", [(13,), (9, 7), (7, 5, 3)])
@@ -313,6 +314,26 @@ class TestFoldedContraction:
         oracle = unfolded_class_pair_sum(self.unfolded_tables(dims, lambda n: [0]), horizons)
         curve = averaged_return_probability(LatticeSpec(dims), horizons)
         assert np.abs(curve - oracle).max() <= 1e-13
+
+    @pytest.mark.parametrize("dims", [(13, 11), (7, 5, 3)])
+    @pytest.mark.parametrize("weights", [1, 500, 5000])
+    def test_return_curve_in_many_horizon_chunks(self, monkeypatch, dims, weights):
+        import latticemix.kernels as kernels_module
+
+        # (13, 11) has 22 folded leading class pairs and 36 last ones, so the
+        # chunks hold 1, 1 and 6 of the 60 horizons; (7, 5, 3) has 63 and 4,
+        # so 1, 1 and 19
+        lattice, horizons = LatticeSpec(dims), np.geomspace(0.1, 1e7, 60)
+        whole = averaged_return_probability(lattice, horizons)
+        monkeypatch.setattr(kernels_module, "_WEIGHT_BLOCK", weights)
+        chunked = averaged_return_probability(lattice, horizons)
+        oracle = unfolded_class_pair_sum(self.unfolded_tables(dims, lambda n: [0]), horizons)
+        assert np.abs(chunked - whole).max() <= 1e-15
+        assert np.abs(chunked - oracle).max() <= 1e-13
+
+    def test_return_curve_of_no_horizons_is_empty(self):
+        curve = averaged_return_probability(LatticeSpec((13, 11)), [])
+        assert curve.shape == (0,)
 
     @pytest.mark.parametrize("n, offset", [(3, 0), (5, 2), (9, 4), (21, 0), (21, 13)])
     def test_one_row_osc_tables_match_unfolded_contraction(self, n, offset):
@@ -353,14 +374,14 @@ class TestKernelPower:
     def test_against_dense_matrix_cube(self):
         kernel = averaged_kernel_analytic(LatticeSpec((7,)), 3.0)
         cubed = kernel_power(kernel, 3)
-        oracle = np.linalg.matrix_power(kernel.full_matrix(), 3)
-        assert np.abs(cubed.full_matrix() - oracle).max() <= 1e-9
+        oracle = np.linalg.matrix_power(full_matrix(kernel), 3)
+        assert np.abs(full_matrix(cubed) - oracle).max() <= 1e-9
 
     def test_two_dimensional_power(self):
         kernel = averaged_kernel_analytic(LatticeSpec((5, 3)), 6.0)
         squared = kernel_power(kernel, 2)
-        oracle = np.linalg.matrix_power(kernel.full_matrix(), 2)
-        assert np.abs(squared.full_matrix() - oracle).max() <= 1e-9
+        oracle = np.linalg.matrix_power(full_matrix(kernel), 2)
+        assert np.abs(full_matrix(squared) - oracle).max() <= 1e-9
 
     def test_zero_gives_identity_and_negative_rejected(self):
         kernel = uniform_kernel(LatticeSpec((4,)))
@@ -410,14 +431,14 @@ class TestKernelType:
 
     def test_column_roll(self):
         kernel = instantaneous_kernel(LatticeSpec((5, 3)), 2.0)
-        matrix = kernel.full_matrix()
+        matrix = full_matrix(kernel)
         source = int(np.ravel_multi_index((2, 1), (5, 3)))
-        assert np.array_equal(matrix[:, source], kernel.column((2, 1)))
+        assert np.array_equal(matrix[:, source], kernel_column(kernel, (2, 1)))
 
     def test_column_accepts_numpy_integer(self):
         kernel = instantaneous_kernel(LatticeSpec((5, 3)), 2.0)
-        assert np.array_equal(kernel.column(np.int64(3)), kernel.column(3))
+        assert np.array_equal(kernel_column(kernel, np.int64(3)), kernel_column(kernel, 3))
 
     def test_dense_guard(self):
         with pytest.raises(SizeError):
-            uniform_kernel(LatticeSpec((70, 70))).full_matrix()
+            full_matrix(uniform_kernel(LatticeSpec((70, 70))))

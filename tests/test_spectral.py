@@ -198,17 +198,17 @@ class TestClassTable:
 
     @pytest.mark.parametrize("n", [3, 7, 10])
     def test_folded_pair_tables(self, n):
-        # fold_omega: 0, then lambda_a - lambda_b for a < b; fold_coeff:
+        # pair_fold: the pairs (a, a), then the pairs a < b; fold(pair_coeff):
         # sum_a c_a(l)^2/n^2, then 2*c_a(l)*c_b(l)/n^2, for each l <= n//2
         table = class_table(n)
-        lam, c = table.lambdas, table.cosines[: n // 2 + 1]
+        lam, c = table.lambdas, table.cosines
         upper = [(a, b) for a in range(lam.size) for b in range(a + 1, lam.size)]
-        assert np.array_equal(table.fold_omega, [0.0] + [lam[a] - lam[b] for a, b in upper])
+        same = [(a, a) for a in range(lam.size)]
+        assert table.pair_fold.tolist() == [a * lam.size + b for a, b in same + upper]
         expected = np.column_stack([(c * c / n**2).sum(axis=1)]
                                    + [2.0 * c[:, a] * c[:, b] / n**2 for a, b in upper])
-        assert np.abs(table.fold_coeff - expected).max() <= 1e-16
-        assert all(not array.flags.writeable for array in
-                   (table.fold_omega, table.fold_coeff, table.pair_fold, table.mirror))
+        assert np.abs(table.fold(table.pair_coeff) - expected).max() <= 1e-16
+        assert all(not array.flags.writeable for array in (table.pair_fold, table.mirror))
 
     def test_rows_mirror_onto_the_half_table(self):
         # c_a(l) = c_a(n - l), so the table keeps the rows l <= n//2 and
