@@ -224,8 +224,8 @@ def _class_pair_sum(factors, horizons, checkpoint: str | None = None) -> np.ndar
     buffers that stay in cache; then each leading factor's table is
     contracted in turn.  The result is flattened row-major over
     (T, l_1, ..., l_d).  A chunk's partial sums of more than
-    MAX_PARTIAL_ENTRIES doubles are refused with SizeError before anything
-    is allocated.
+    MAX_PARTIAL_ENTRIES doubles are refused with SizeError before they are
+    allocated.
 
     With one horizon, the partial sums are checkpointable so a long run
     survives interruption; the block order is fixed, so a resumed run adds
