@@ -13,9 +13,9 @@ __version__ = "0.1.0"
 from .classical import (
     CouplingResult,
     coupling_simulation,
+    lazy_curves,
     lazy_kernel,
     lazy_mixing_bound,
-    mixing_curve,
 )
 from .distances import (
     column_mass_bound,

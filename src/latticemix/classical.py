@@ -117,12 +117,6 @@ def lazy_curves(lattice: LatticeSpec, t_max: int) -> tuple[np.ndarray, np.ndarra
     return tv, returns
 
 
-def mixing_curve(lattice: LatticeSpec, t_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact tv to uniform of the lazy walk from a vertex, steps 0..t_max."""
-    tv, _ = lazy_curves(lattice, t_max)
-    return np.arange(tv.size), tv
-
-
 @dataclass(frozen=True)
 class CouplingResult:
     """Empirical meeting times of two coupled lazy walkers."""
@@ -142,13 +136,7 @@ class CouplingResult:
         return self.mean_tau <= self.bound + 3.0 * self.se_tau
 
 
-def coupling_simulation(
-    lattice: LatticeSpec,
-    trials: int,
-    seed: int,
-    max_steps: int | None = None,
-    check_absorption: bool = False,
-) -> CouplingResult:
+def coupling_simulation(lattice: LatticeSpec, trials: int, seed: int) -> CouplingResult:
     """Simulate the coordinate-by-coordinate coupling of two lazy walkers.
 
     Each step picks a coordinate uniformly at random.  If the walkers agree
@@ -156,7 +144,12 @@ def coupling_simulation(
     fair coin picks which walker moves and another picks the direction, so
     each walker's marginal is the lazy walk.  Walkers start antipodally
     (offset n_i // 2 in every coordinate).  tau_i records when coordinate i
-    first agrees; agreement is never undone.
+    first agrees.
+
+    Meeting times depend only on the gaps g_i = (y_i - x_i) mod n_i, so only
+    the gaps are simulated: a joint move leaves a zero gap at zero, and a
+    lone move of x or y by s shifts the gap by -s or +s.  Only nonzero gaps
+    move, so agreement is absorbing by construction.
 
     All trials advance in lockstep from one PCG64 stream seeded with `seed`,
     so results are reproducible; draws are consumed in a fixed order (one
@@ -166,52 +159,31 @@ def coupling_simulation(
         raise ValueError(f"need at least one trial, got {trials}")
     d = lattice.d
     dims = np.array(lattice.dims)
-    n1 = int(dims.max())
-    if max_steps is None:
-        max_steps = 2000 * d * n1 * n1
+    max_steps = 2000 * d * int(dims.max()) ** 2
     rng = np.random.default_rng(seed)
 
-    x = np.zeros((trials, d), dtype=np.int64)
-    y = np.tile(dims // 2, (trials, 1))
+    gap = np.tile(dims // 2, (trials, 1))
     tau = np.zeros((trials, d), dtype=np.int64)
-    done = np.all(x == y, axis=1)
-
+    active = np.arange(trials)
     for t in range(1, max_steps + 1):
-        active = np.nonzero(~done)[0]
         if active.size == 0:
             break
-        if check_absorption:
-            equal_before = x[active] == y[active]
         coord = rng.integers(0, d, active.size)
         u_move = rng.random(active.size)
         u_dir = rng.random(active.size)
-        n_c = dims[coord]
-        xa = x[active, coord]
-        ya = y[active, coord]
-        agree = xa == ya
-
-        # agreeing coordinate: move both together, lazily
-        joint = np.where(u_move < 0.25, 1, np.where(u_move < 0.5, -1, 0))
-        # differing coordinate: u_move picks the mover, u_dir the direction
-        direction = np.where(u_dir < 0.5, 1, -1)
-        move_x = ~agree & (u_move < 0.5)
-        move_y = ~agree & (u_move >= 0.5)
-
-        new_x = np.where(agree, xa + joint, np.where(move_x, xa + direction, xa))
-        new_y = np.where(agree, ya + joint, np.where(move_y, ya + direction, ya))
-        x[active, coord] = new_x % n_c
-        y[active, coord] = new_y % n_c
-
-        newly = ~agree & (x[active, coord] == y[active, coord])
+        g = gap[active, coord]
+        apart = g != 0
+        # u_move < 1/2 moves x, else y; u_dir < 1/2 moves it up, else down;
+        # x moving up or y moving down closes the gap by one
+        step = np.where((u_move < 0.5) == (u_dir < 0.5), -1, 1)
+        g = np.where(apart, (g + step) % dims[coord], 0)
+        gap[active, coord] = g
+        newly = apart & (g == 0)
         tau[active[newly], coord[newly]] = t
-        if check_absorption:
-            equal_after = x[active] == y[active]
-            if not np.all(equal_after[equal_before]):
-                raise AssertionError("coupled coordinate came apart")
-        done[active] = np.all(x[active] == y[active], axis=1)
+        active = active[gap[active].any(axis=1)]
 
-    if not done.all():
-        raise RuntimeError(f"{(~done).sum()} trials uncoupled after {max_steps} steps")
+    if active.size:
+        raise RuntimeError(f"{active.size} trials uncoupled after {max_steps} steps")
 
     tau_couple = tau.max(axis=1)
     return CouplingResult(

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .classical import lazy_kernel, lazy_mixing_bound, mixing_curve
+from .classical import lazy_curves, lazy_kernel, lazy_mixing_bound
 from .distances import distance_to_uniform, pairwise_column_distance
 from .experiments import (
     coordinate_wise_run,
@@ -126,7 +126,7 @@ def _load_config_file(path: str, keys: set[str]) -> dict:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise SystemExit(f"bad config line {line!r} (expected key=value)")
+                raise ValueError(f"bad config line {line!r} in {path} (expected key=value)")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             if key not in keys:
@@ -262,7 +262,8 @@ def _run_mix_classical(resolved) -> int:
     lattice = LatticeSpec(resolved["dims"])
     bound = lazy_mixing_bound(lattice, resolved["epsilon"])
     t_max = resolved["t_max"] if resolved["t_max"] is not None else bound
-    times, tvs = mixing_curve(lattice, max(t_max, bound))
+    tvs, _ = lazy_curves(lattice, max(t_max, bound))
+    times = np.arange(tvs.size)
     tv_at_bound = float(tvs[bound])
     satisfied = tv_at_bound <= resolved["epsilon"]
     payload = {

@@ -38,7 +38,7 @@ from .kernels import (
     instantaneous_kernel,
     kernel_power,
 )
-from .oscsums import BoundReport
+from .oscsums import BoundReport, _check_coprime_dims
 from .spectral import LatticeSpec, cycle_amplitude_at
 
 # Trajectories per block of step probabilities in _sample_repeated.
@@ -271,9 +271,7 @@ def uniformity_case_check(
     relaxed mode evaluates smaller pairs and reports values without any claim
     that the caps should hold.
     """
-    lattice = LatticeSpec((n1, n2))
-    if not lattice.odd_coprime_2d:
-        raise ValueError(f"need n1 > n2 odd and coprime, got ({n1}, {n2})")
+    n1, n2 = _check_coprime_dims((n1, n2))
     if strict is None:
         strict = n2 > 91
     if strict and n2 <= 91:
@@ -281,43 +279,22 @@ def uniformity_case_check(
     if T is None:
         T = deviation_time(n1, n2)
 
-    kernel = averaged_kernel_analytic(lattice, T, checkpoint=checkpoint)
+    kernel = averaged_kernel_analytic(LatticeSpec((n1, n2)), T, checkpoint=checkpoint)
     grid = kernel.grid
     u = 1.0 / (n1 * n2)
     gaps = np.abs(grid - u)
 
     mode = "strict" if strict else "relaxed"
     base = {"n1": n1, "n2": n2, "T": float(T), "mode": mode}
-    reports = [
-        BoundReport.build(
-            {**base, "case": "origin"}, gaps[0, 0], 4.0 / n2**2, "ANALYTIC"
-        ),
-        BoundReport.build(
-            {**base, "case": "axis2"}, n2 * gaps[0, 1:].max(), 3.0 / n2, "ANALYTIC"
-        ),
-        BoundReport.build(
-            {**base, "case": "axis1"}, n1 * gaps[1:, 0].max(), 3.0 / n2, "ANALYTIC"
-        ),
-        BoundReport.build(
-            {**base, "case": "interior"},
-            n1 * n2 * gaps[1:, 1:].max(),
-            3.0 / n2 + 2.0 / 50.0,
-            "ANALYTIC",
-        ),
-        BoundReport.build(
-            {**base, "case": "column_l1"},
-            gaps.sum(),
-            13.0 / n2 + 2.0 / 50.0,
-            "ANALYTIC",
-        ),
-        BoundReport.build(
-            {**base, "case": "column_distance"},
-            pairwise_column_distance(kernel),
-            1.0 / (2.0 * math.e),
-            "ANALYTIC",
-        ),
-    ]
-    return reports
+    cases = (
+        ("origin", gaps[0, 0], 4.0 / n2**2),
+        ("axis2", n2 * gaps[0, 1:].max(), 3.0 / n2),
+        ("axis1", n1 * gaps[1:, 0].max(), 3.0 / n2),
+        ("interior", n1 * n2 * gaps[1:, 1:].max(), 3.0 / n2 + 2.0 / 50.0),
+        ("column_l1", gaps.sum(), 13.0 / n2 + 2.0 / 50.0),
+        ("column_distance", pairwise_column_distance(kernel), 1.0 / (2.0 * math.e)),
+    )
+    return [BoundReport.build({**base, "case": case}, lhs, rhs) for case, lhs, rhs in cases]
 
 
 def return_probability_curves(

@@ -199,6 +199,24 @@ def _save_checkpoint(path: str, meta: tuple, next_block: int, partial: np.ndarra
             os.remove(tmp)
 
 
+def _horizon_chunk(widths, rows_last: int, horizons: int) -> int:
+    """Horizons per chunk of _class_pair_sum over tables of `widths` classes.
+
+    Refuses with SizeError a chunk whose partial sums exceed
+    MAX_PARTIAL_ENTRIES doubles.  Only the class counts are read, so a
+    caller can check before it builds any class-pair table: the first factor
+    has 1 + w(w-1)/2 folded pairs and every other factor w^2, the last
+    factor's pairs are contracted in blocks of _BLOCK_SIZE leading rows, and
+    the partial sums hold chunk * (leading pairs) * rows_last entries.
+    """
+    *lead, pairs = [1 + widths[0] * (widths[0] - 1) // 2, *(w * w for w in widths[1:])]
+    lead_rows = math.prod(lead)
+    chunk = min(horizons, max(1, _WEIGHT_BLOCK // (min(_BLOCK_SIZE, lead_rows) * pairs)))
+    _check_entries(chunk * lead_rows * rows_last, "class-pair partial sums",
+                   MAX_PARTIAL_ENTRIES)
+    return chunk
+
+
 def _class_pair_sum(factors, horizons, checkpoint: str | None = None) -> np.ndarray:
     """Sum over class-pair tuples p of prod_k C_k[l_k, p_k] * sin(x)/x.
 
@@ -224,8 +242,8 @@ def _class_pair_sum(factors, horizons, checkpoint: str | None = None) -> np.ndar
     buffers that stay in cache; then each leading factor's table is
     contracted in turn.  The result is flattened row-major over
     (T, l_1, ..., l_d).  A chunk's partial sums of more than
-    MAX_PARTIAL_ENTRIES doubles are refused with SizeError before they are
-    allocated.
+    MAX_PARTIAL_ENTRIES doubles are refused with SizeError (_horizon_chunk)
+    before the fold.
 
     With one horizon, the partial sums are checkpointable so a long run
     survives interruption; the block order is fixed, so a resumed run adds
@@ -236,17 +254,15 @@ def _class_pair_sum(factors, horizons, checkpoint: str | None = None) -> np.ndar
     if horizons.size == 0:
         return np.empty(0)
     (first, omega, coeff), *rest = factors
+    chunk = _horizon_chunk([table.lambdas.size for table, _, _ in factors],
+                           factors[-1][2].shape[0], horizons.size)
     folded = omega[first.pair_fold[first.lambdas.size - 1 :]]
     folded[0] = 0.0
     *leading, (_, omega_last, coeff_last) = [(first, folded, first.fold(coeff)), *rest]
-    lead_rows = math.prod(omega.size for _, omega, _ in leading)
-    pairs, rows = omega_last.size, min(_BLOCK_SIZE, lead_rows)
-    chunk = min(horizons.size, max(1, _WEIGHT_BLOCK // (rows * pairs)))
-    entries = chunk * lead_rows * coeff_last.shape[0]
-    _check_entries(entries, "class-pair partial sums", MAX_PARTIAL_ENTRIES)
     lead = np.zeros(1)
     for _, omega, _ in leading:
         lead = np.add.outer(lead, omega).ravel()
+    pairs, rows = omega_last.size, min(_BLOCK_SIZE, lead.size)
     step = max(1, _SINC_BLOCK // (chunk * pairs))
     weights = np.empty(chunk * rows * pairs)
     freq, x = np.empty((step, pairs)), np.empty((chunk, step, pairs))
@@ -310,6 +326,8 @@ def averaged_kernel_analytic(
 
     scale = 1.0 / lattice.d
     tables = [class_table(n) for n in lattice.dims]
+    # refuse an oversized contraction before any class-pair table is built
+    _horizon_chunk([t.lambdas.size for t in tables], tables[-1].lambdas.size, 1)
     col = _class_pair_sum([(t, scale * t.pair_omega, t.pair_coeff) for t in tables], [T],
                           checkpoint)
     # rows l <= n//2 were contracted; offset l reads row min(l, n - l)

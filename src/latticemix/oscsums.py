@@ -46,8 +46,8 @@ MAX_PRODUCT_DT = 0.02
 # Largest n1*n2 product_integral_exact accepts; its cost is quadratic in it.
 MAX_EXACT_PRODUCT = 10_000
 
-# Nodes per chunk of a _simpson_curves segment.  Even, so every chunk of a
-# halving sweep starts on a coarse node.
+# Nodes per chunk of a product_integral_curve segment.  Even, so every chunk
+# of a halving sweep starts on a coarse node.
 _CURVE_CHUNK = 2**17
 
 
@@ -116,13 +116,13 @@ def _check_coprime_dims(dims) -> tuple[int, ...]:
     return dims
 
 
-def _simpson_curves(
+def product_integral_curve(
     n1: int,
     n2: int,
     offsets: tuple[int, int],
     T_grid,
     dt: float,
-    halving: bool,
+    halving: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Signed integral_0^T osc_1(t)*osc_2(t) dt at each grid horizon.
 
@@ -131,10 +131,10 @@ def _simpson_curves(
     values come from the O(n) folded form on a uniform grid, _CURVE_CHUNK
     nodes at a time, so memory stays bounded for any horizon.  With halving,
     the nodes are evaluated once at step h/2; the curve uses every other
-    node and the halved curve, returned second, all of them, so it is at
-    exactly h/2 on every segment.  Chunk and segment totals are combined
-    with math.fsum so half a million accumulation steps do not erode the
-    result.
+    node and the halved curve, returned second (None without halving), all
+    of them, so it is at exactly h/2 on every segment.  Chunk and segment
+    totals are combined with math.fsum so half a million accumulation steps
+    do not erode the result.
     """
     n1, n2 = _check_coprime_dims((n1, n2))
     if not (0 < dt <= MAX_PRODUCT_DT):
@@ -178,21 +178,6 @@ def _simpson_curves(
     return curve, halved
 
 
-def product_integral_curve(
-    n1: int,
-    n2: int,
-    offsets: tuple[int, int],
-    T_grid,
-    dt: float,
-) -> np.ndarray:
-    """Signed integral_0^T osc_1(t)*osc_2(t) dt at each grid horizon.
-
-    Composite Simpson at step <= dt on each segment between consecutive
-    horizons; see _simpson_curves.
-    """
-    return _simpson_curves(n1, n2, offsets, T_grid, dt, halving=False)[0]
-
-
 def product_integral_exact(n1: int, n2: int, offsets: tuple[int, int], T: float) -> float:
     """Signed integral_0^T osc_1(t)*osc_2(t) dt in closed form.
 
@@ -233,12 +218,11 @@ class BoundReport:
     lhs: float
     rhs: float
     satisfied: bool
-    method: str
 
     @classmethod
-    def build(cls, params: dict, lhs: float, rhs: float, method: str) -> "BoundReport":
+    def build(cls, params: dict, lhs: float, rhs: float) -> "BoundReport":
         return cls(params=dict(params), lhs=float(lhs), rhs=float(rhs),
-                   satisfied=bool(lhs <= rhs), method=method)
+                   satisfied=bool(lhs <= rhs))
 
 
 def coprime_odd_pairs(lo: int, hi: int) -> list[tuple[int, int]]:
@@ -266,16 +250,14 @@ def _sweep_one(job) -> list[BoundReport]:
     rhs = product_integral_bound((n1, n2))
     reports = []
     for l1, l2 in offsets:
-        curve, halved = _simpson_curves(n1, n2, (l1, l2), T_grid, dt, check_halving)
+        curve, halved = product_integral_curve(n1, n2, (l1, l2), T_grid, dt, check_halving)
         for pos, T in enumerate(T_grid):
             params = {"n1": n1, "n2": n2, "T": float(T), "offset1": l1, "offset2": l2,
                       "dt": dt}
             if halved is not None:
                 denom = max(abs(halved[pos]), 1e-30)
                 params["halving_rel"] = abs(curve[pos] - halved[pos]) / denom
-            reports.append(
-                BoundReport.build(params, abs(curve[pos]), rhs, "QUADRATURE")
-            )
+            reports.append(BoundReport.build(params, abs(curve[pos]), rhs))
     return reports
 
 

@@ -95,14 +95,6 @@ class LatticeSpec:
     def all_odd(self) -> bool:
         return all(n % 2 == 1 for n in self.dims)
 
-    @property
-    def odd_coprime_2d(self) -> bool:
-        """True iff dims = (n1, n2) with n1 > n2, both odd and coprime."""
-        if self.d != 2:
-            return False
-        n1, n2 = self.dims
-        return n1 > n2 and n1 % 2 == 1 and n2 % 2 == 1 and math.gcd(n1, n2) == 1
-
     def check_dense(self) -> None:
         if self.size > MAX_DENSE_VERTICES:
             raise SizeError(

@@ -261,4 +261,5 @@ def osc_sum_fast(n: int, offset: int, t):
 
 def product_integral(n1: int, n2: int, offsets: tuple[int, int], T: float, dt: float) -> float:
     """The library's Simpson curve at the one horizon T."""
-    return float(product_integral_curve(n1, n2, offsets, [T], dt)[0])
+    curve, _ = product_integral_curve(n1, n2, offsets, [T], dt)
+    return float(curve[0])

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from latticemix.classical import coupling_simulation, lazy_mixing_bound, mixing_curve
+from latticemix.classical import coupling_simulation, lazy_curves, lazy_mixing_bound
 from latticemix.cli import main as cli_main
 from latticemix.experiments import (
     coordinate_wise_run,
@@ -168,7 +168,7 @@ def test_criterion_06_classical_certificates():
         lattice = LatticeSpec(dims)
         for epsilon in (0.25, 0.1):
             bound = lazy_mixing_bound(lattice, epsilon)
-            _, tvs = mixing_curve(lattice, bound)
+            tvs, _ = lazy_curves(lattice, bound)
             tv_ok = tv_ok and tvs[bound] <= epsilon
             details.append(f"{dims}@{bound}: tv={tvs[bound]:.2e}<=eps={epsilon}")
     coupling = coupling_simulation(LatticeSpec((19, 5)), 10_000, seed=1)

@@ -7,7 +7,6 @@ from latticemix.classical import (
     lazy_curves,
     lazy_kernel,
     lazy_mixing_bound,
-    mixing_curve,
 )
 from latticemix.spectral import LatticeSpec
 
@@ -54,11 +53,11 @@ class TestMixingBound:
 
 class TestMixingCurve:
     def test_initial_distance(self):
-        _, tvs = mixing_curve(LatticeSpec((3,)), 0)
+        tvs, _ = lazy_curves(LatticeSpec((3,)), 0)
         assert abs(tvs[0] - 2.0 / 3.0) < 1e-15
 
     def test_monotone_to_zero(self):
-        _, tvs = mixing_curve(LatticeSpec((5,)), 400)
+        tvs, _ = lazy_curves(LatticeSpec((5,)), 400)
         assert np.all(np.diff(tvs) <= 1e-12)
         assert tvs[-1] < 1e-10
 
@@ -72,9 +71,8 @@ class TestMixingCurve:
         monkeypatch.setattr(classical, "_CURVE_BLOCK", block)
         lattice = LatticeSpec(dims)
         want_tv, want_returns = stepped_lazy_curve(lattice, 600)
-        times, tvs = mixing_curve(lattice, 600)
-        _, returns = lazy_curves(lattice, 600)
-        assert np.array_equal(times, np.arange(601))
+        tvs, returns = lazy_curves(lattice, 600)
+        assert tvs.shape == returns.shape == (601,)
         assert np.abs(tvs - want_tv).max() <= 1e-12
         assert np.abs(returns - want_returns).max() <= 1e-12
 
@@ -88,14 +86,14 @@ class TestMixingCurve:
 
     def test_negative_steps_refused(self):
         with pytest.raises(ValueError):
-            mixing_curve(LatticeSpec((3,)), -1)
+            lazy_curves(LatticeSpec((3,)), -1)
 
     @pytest.mark.parametrize("dims", [(9, 5), (7, 7), (5, 3, 3)])
     @pytest.mark.parametrize("epsilon", [0.25, 0.1])
     def test_bound_certifies_mixing(self, dims, epsilon):
         lattice = LatticeSpec(dims)
         bound = lazy_mixing_bound(lattice, epsilon)
-        _, tvs = mixing_curve(lattice, bound)
+        tvs, _ = lazy_curves(lattice, bound)
         assert tvs[bound] <= epsilon
 
 
@@ -112,9 +110,6 @@ class TestCoupling:
     def test_within_bound_on_rectangle(self):
         result = coupling_simulation(LatticeSpec((19, 5)), 10_000, seed=1)
         assert result.within_bound.all()
-
-    def test_absorption_invariant(self):
-        coupling_simulation(LatticeSpec((5, 3)), 300, seed=9, check_absorption=True)
 
     def test_seeded_reproducibility(self):
         a = coupling_simulation(LatticeSpec((7, 3)), 200, seed=42)

@@ -7,6 +7,7 @@ import pytest
 
 from latticemix import cli
 from latticemix.cli import build_parser, main
+from latticemix.output import write_json
 
 
 def run(*argv) -> int:
@@ -173,6 +174,22 @@ class TestOutputs:
         assert float(first[3]) == 1.0 / 95.0
         assert len(lines) == 27
 
+    def test_json_writes_numpy_values(self, tmp_path):
+        out = tmp_path / "values.json"
+        write_json(str(out), {
+            "float": np.float64(0.1), "flag": np.bool_(True), "count": np.int64(7),
+            "curve": np.array([1, 2]), "scalar": np.array(2.5), "pair": (np.float64(1.5), 2),
+        })
+        assert json.loads(read(out)) == {
+            "count": 7, "curve": [1, 2], "flag": True, "float": 0.1, "pair": [1.5, 2],
+            "scalar": 2.5,
+        }
+        assert read(out).decode().splitlines()[1] == '  "count": 7,'
+
+    def test_json_refuses_other_objects(self, tmp_path):
+        with pytest.raises(TypeError, match="set"):
+            write_json(str(tmp_path / "bad.json"), {"x": {1}})
+
     def test_lemma2_payload(self, tmp_path):
         out = str(tmp_path / "r.json")
         assert run("lemma2", "--n", "19", "--T", "100", "--offset", "0",
@@ -305,6 +322,14 @@ class TestConfigResolution:
         assert run(*argv, "--config", str(config), "--out", str(tmp_path / "a.out")) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and key in err
+
+    def test_config_line_without_equals_is_one_line(self, tmp_path, capsys):
+        config = tmp_path / "job.cfg"
+        config.write_text("n=19\nT 100\n")
+        assert run("lemma2", "--config", str(config), "--out", str(tmp_path / "a.json")) == 1
+        err = capsys.readouterr().err
+        assert err == (f"latticemix lemma2: bad config line 'T 100' in {config} "
+                       f"(expected key=value)\n")
 
     def test_shared_parser_matches_fresh_parser(self, tmp_path):
         config = tmp_path / "job.cfg"

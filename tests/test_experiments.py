@@ -229,6 +229,11 @@ class TestUniformityCaseCheck:
         with pytest.raises(ValueError):
             uniformity_case_check(96, 5)       # parity
 
+    @pytest.mark.parametrize("n1, n2", [(5, 19), (9, 3), (19, 4)])
+    def test_relaxed_mode_still_needs_a_decreasing_odd_coprime_pair(self, n1, n2):
+        with pytest.raises(ValueError):
+            uniformity_case_check(n1, n2, strict=False)
+
     def test_horizon_override(self):
         reports = uniformity_case_check(19, 5, T=100.0, strict=False)
         assert all(r.params["T"] == 100.0 for r in reports)

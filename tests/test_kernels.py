@@ -188,8 +188,14 @@ class TestPartialSumCap:
             raise AssertionError("oversized contraction started")
 
         monkeypatch.setattr(kernels_module, "_sinc_average", must_not_run)
+        class_table.cache_clear()
         with pytest.raises(SizeError, match=r"268726112 doubles \(2\.0 GiB\)"):
             averaged_kernel_analytic(LatticeSpec((395, 165, 3)), 5.0)
+        # the count needs only the class counts, so neither the pair table of
+        # Z_395 (198 x 198^2 doubles, 62 MB) nor any pair frequency is built
+        for n in (395, 165, 3):
+            built = vars(class_table(n))
+            assert "pair_coeff" not in built and "pair_omega" not in built
 
     def test_cap_counts_horizons_and_rows(self, monkeypatch):
         import latticemix.kernels as kernels_module

@@ -160,8 +160,8 @@ class TestProductIntegral:
 
     def test_step_halving_converges(self):
         grid = [10.0, 100.0]
-        coarse = product_integral_curve(19, 5, (0, 0), grid, 0.02)
-        fine = product_integral_curve(19, 5, (0, 0), grid, 0.01)
+        coarse, _ = product_integral_curve(19, 5, (0, 0), grid, 0.02)
+        fine, _ = product_integral_curve(19, 5, (0, 0), grid, 0.01)
         rel = np.abs(coarse - fine) / np.maximum(np.abs(fine), 1e-30)
         assert rel.max() <= 1e-5
 
@@ -169,9 +169,10 @@ class TestProductIntegral:
         # segment lengths 10 and 90 are multiples of dt, so the halving
         # sweep's fine node set is exactly the node set of dt/2
         grid = [10.0, 100.0]
-        curve, halved = oscsums._simpson_curves(19, 5, (0, 0), grid, 0.02, True)
-        plain = product_integral_curve(19, 5, (0, 0), grid, 0.02)
-        fine = product_integral_curve(19, 5, (0, 0), grid, 0.01)
+        curve, halved = product_integral_curve(19, 5, (0, 0), grid, 0.02, halving=True)
+        plain, none = product_integral_curve(19, 5, (0, 0), grid, 0.02)
+        fine, _ = product_integral_curve(19, 5, (0, 0), grid, 0.01)
+        assert none is None
         assert np.all(np.abs(curve - plain) <= 1e-12 * np.abs(plain))
         assert np.all(np.abs(halved - fine) <= 1e-12 * np.abs(fine))
 
@@ -180,11 +181,11 @@ class TestProductIntegral:
         # many pieces, ragged at the end; the halved curve's coarse nodes
         # stay on even chunk starts
         grid = [5.0, 11.17]
-        curve, halved = oscsums._simpson_curves(19, 5, (1, 2), grid, 0.02, True)
-        plain = product_integral_curve(19, 5, (1, 2), grid, 0.02)
+        curve, halved = product_integral_curve(19, 5, (1, 2), grid, 0.02, halving=True)
+        plain, _ = product_integral_curve(19, 5, (1, 2), grid, 0.02)
         monkeypatch.setattr(oscsums, "_CURVE_CHUNK", 64)
-        curve64, halved64 = oscsums._simpson_curves(19, 5, (1, 2), grid, 0.02, True)
-        plain64 = product_integral_curve(19, 5, (1, 2), grid, 0.02)
+        curve64, halved64 = product_integral_curve(19, 5, (1, 2), grid, 0.02, halving=True)
+        plain64, _ = product_integral_curve(19, 5, (1, 2), grid, 0.02)
         assert np.all(np.abs(curve64 - curve) <= 1e-12 * np.abs(curve))
         assert np.all(np.abs(halved64 - halved) <= 1e-12 * np.abs(halved))
         assert np.all(np.abs(plain64 - plain) <= 1e-12 * np.abs(plain))
@@ -259,7 +260,6 @@ class TestSweep:
         reports = bound_sweep([(13, 11)], [10.0, 100.0, 1000.0])
         assert len(reports) == 3
         assert all(r.satisfied for r in reports)
-        assert all(r.method == "QUADRATURE" for r in reports)
 
     def test_pool_capped_at_pair_count(self, monkeypatch):
         requested = []
@@ -283,9 +283,9 @@ class TestSweep:
         assert len(reports) == 2
 
     def test_report_consistency(self):
-        report = BoundReport.build({"x": 1}, lhs=2.0, rhs=1.0, method="ANALYTIC")
+        report = BoundReport.build({"x": 1}, lhs=2.0, rhs=1.0)
         assert not report.satisfied
-        report = BoundReport.build({"x": 1}, lhs=1.0, rhs=1.0, method="ANALYTIC")
+        report = BoundReport.build({"x": 1}, lhs=1.0, rhs=1.0)
         assert report.satisfied
 
     def test_offsets_are_swept(self):

@@ -309,11 +309,6 @@ class TestLatticeSpec:
             LatticeSpec((2**30, 2**30))
 
     def test_flags(self):
-        assert LatticeSpec((19, 5)).odd_coprime_2d
-        assert not LatticeSpec((5, 19)).odd_coprime_2d
-        assert not LatticeSpec((9, 3)).odd_coprime_2d
-        assert not LatticeSpec((19, 4)).odd_coprime_2d
-        assert not LatticeSpec((19, 5, 3)).odd_coprime_2d
         assert LatticeSpec((7, 5, 3)).all_odd
         assert not LatticeSpec((7, 4)).all_odd
 
