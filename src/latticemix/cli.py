@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Every subcommand resolves its configuration from, in order of precedence,
-command-line flags, an optional key=value config file, and built-in defaults;
-writes its artifact plus a ``<out>.manifest.json`` sidecar echoing the
-resolved configuration; and exits 0 on success, 2 when a checked bound is
-violated (the report is still written), 1 on usage errors and when memory
-runs out.
+command-line flags, an optional key=value config file, and built-in defaults.
+Its runner returns one artifact (a JSON payload, the CSV columns, the plot
+series and an exit code), which ``main`` writes in the requested format plus
+a ``<out>.manifest.json`` sidecar echoing the resolved configuration.  Exit
+codes: 0 on success, 2 when a checked bound is violated (the report is still
+written), 1 on usage errors and when memory runs out.
 
 Long jobs (``theorem3`` and a ``conjecture`` sweep over every pair in range)
 refuse to run without ``--tier slow``.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -45,9 +47,6 @@ from .oscsums import (
 )
 from .output import write_csv, write_json, write_manifest, write_svg
 from .spectral import LatticeSpec, class_table, spectral_gap
-
-ENV_WORKERS = "LATTICEMIX_PARALLEL"
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; this front end reserves 2 for violations."""
@@ -83,10 +82,17 @@ def _parse_positive(text: str) -> int:
     return value
 
 
-def _parse_horizon(text: str) -> float:
+def _parse_finite(text: str) -> float:
     value = float(text)
-    if not (np.isfinite(value) and value > 0):
-        raise ValueError("must be finite and > 0")
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _parse_horizon(text: str) -> float:
+    value = _parse_finite(text)
+    if value <= 0:
+        raise ValueError("must be > 0")
     return value
 
 
@@ -112,8 +118,17 @@ class _Option(NamedTuple):
         return self.flag[2:].replace("-", "_")
 
 
+class _Artifact(NamedTuple):
+    """One run's result; every output format is written from it."""
+
+    payload: dict                 # the JSON document
+    table: dict                   # CSV column name -> values, in column order
+    plot: tuple | None            # (x_label, y_label, x, {legend: y}); None: no svg
+    code: int = 0                 # exit code: 0, or 2 for a violated bound
+
+
 class _Command(NamedTuple):
-    run: Callable[[dict], int]
+    run: Callable[[dict], _Artifact]
     help: str
     options: tuple[_Option, ...]
 
@@ -166,14 +181,12 @@ def _resolve(command: str, args) -> dict:
 
 
 def _workers(value) -> int:
-    """Pool size from the flag, else the environment, else the core count.
+    """Pool size from --parallel, else the core count.
 
     Never more than the cores: extra workers only contend for them.
     """
     cores = os.cpu_count() or 1
-    if value is None:
-        value = os.environ.get(ENV_WORKERS) or cores
-    return max(1, min(int(value), cores))
+    return max(1, min(cores if value is None else value, cores))
 
 
 def _decade_grid(t_max: float) -> list[float]:
@@ -186,44 +199,41 @@ def _decade_grid(t_max: float) -> list[float]:
     return grid
 
 
-def _emit(resolved, command, payload_json, csv_header, csv_rows, svg_series=None):
+def _emit(resolved: dict, command: str, artifact: _Artifact) -> None:
     out = resolved["out"]
     fmt = resolved["format"]
     if fmt == "csv":
-        write_csv(out, csv_header, csv_rows)
+        write_csv(out, list(artifact.table), zip(*artifact.table.values()))
     elif fmt == "json":
-        write_json(out, payload_json)
+        write_json(out, artifact.payload)
     else:
-        write_svg(out, *svg_series)
+        write_svg(out, *artifact.plot)
     write_manifest(out, command, resolved, __version__)
 
 
 # ---------------------------------------------------------------- subcommands
 
-def _run_spectrum(resolved) -> int:
+def _run_spectrum(resolved) -> _Artifact:
     lattice = LatticeSpec(resolved["dims"])
     gap = spectral_gap(lattice)
-    rows = []
     factors = []
-    for axis, n in enumerate(lattice.dims):
+    for n in lattice.dims:
         # lambda_j = lambda_{n-j}: index j reads its mirror class min(j, n-j)
-        table = class_table(n)
-        lambdas = table.lambdas[table.mirror]
-        factors.append({"n": n, "eigenvalues": lambdas})
-        rows.extend((axis, n, j, lambdas[j], gap) for j in range(n))
-    payload = {"dims": list(lattice.dims), "spectral_gap": gap, "factors": factors}
-    _emit(resolved, "spectrum", payload,
-          ["factor", "n", "j", "eigenvalue", "joint_gap"], rows)
-    return 0
+        classes = class_table(n)
+        factors.append({"n": n, "eigenvalues": classes.lambdas[classes.mirror]})
+    dims = list(lattice.dims)
+    payload = {"dims": dims, "spectral_gap": gap, "factors": factors}
+    table = {
+        "factor": np.repeat(np.arange(lattice.d), dims),
+        "n": np.repeat(dims, dims),
+        "j": np.concatenate([np.arange(n) for n in dims]),
+        "eigenvalue": np.concatenate([factor["eigenvalues"] for factor in factors]),
+        "joint_gap": np.full(sum(dims), gap),
+    }
+    return _Artifact(payload, table, None)
 
 
-def _kernel_rows(lattice, column):
-    for index in range(lattice.size):
-        coords = np.unravel_index(index, lattice.dims)
-        yield (index, *coords, column[index])
-
-
-def _run_kernel(resolved) -> int:
+def _run_kernel(resolved) -> _Artifact:
     lattice = LatticeSpec(resolved["dims"])
     kind = resolved["kind"]
     if kind == "instant":
@@ -244,7 +254,8 @@ def _run_kernel(resolved) -> int:
         kernel = kernel_power(kernel, resolved["power"])
 
     column = kernel.first_column
-    header = ["index"] + [f"l{axis + 1}" for axis in range(lattice.d)] + ["probability"]
+    index = np.arange(lattice.size)
+    coords = np.unravel_index(index, lattice.dims)
     payload = {
         "dims": list(lattice.dims),
         "kind": kernel.kind,
@@ -252,42 +263,42 @@ def _run_kernel(resolved) -> int:
         "tv_to_uniform": distance_to_uniform(kernel),
         "column_distance": pairwise_column_distance(kernel),
     }
-    svg = ([("probability", np.arange(lattice.size), column)], "vertex index",
-           "probability")
-    _emit(resolved, "kernel", payload, header, _kernel_rows(lattice, column), svg)
-    return 0
+    table = {
+        "index": index,
+        **{f"l{axis + 1}": coord for axis, coord in enumerate(coords)},
+        "probability": column,
+    }
+    plot = ("vertex index", "probability", index, {"probability": column})
+    return _Artifact(payload, table, plot)
 
 
-def _run_mix_classical(resolved) -> int:
+def _run_mix_classical(resolved) -> _Artifact:
     lattice = LatticeSpec(resolved["dims"])
     bound = lazy_mixing_bound(lattice, resolved["epsilon"])
     t_max = resolved["t_max"] if resolved["t_max"] is not None else bound
     tvs, _ = lazy_curves(lattice, max(t_max, bound))
-    times = np.arange(tvs.size)
     tv_at_bound = float(tvs[bound])
     satisfied = tv_at_bound <= resolved["epsilon"]
+    curve = {"t": np.arange(t_max + 1), "tv": tvs[: t_max + 1]}
     payload = {
         "dims": list(lattice.dims),
         "epsilon": resolved["epsilon"],
         "bound_steps": bound,
         "tv_at_bound": tv_at_bound,
         "satisfied": satisfied,
-        "curve": {"t": times[: t_max + 1], "tv": tvs[: t_max + 1]},
+        "curve": curve,
     }
-    svg = ([("tv to uniform", times[: t_max + 1], tvs[: t_max + 1])], "step", "tv")
-    _emit(resolved, "mix-classical", payload, ["t", "tv"],
-          zip(times[: t_max + 1], tvs[: t_max + 1]), svg)
-    return 0 if satisfied else 2
+    plot = ("step", "tv", curve["t"], {"tv to uniform": curve["tv"]})
+    return _Artifact(payload, curve, plot, 0 if satisfied else 2)
 
 
-def _run_mix_coordinate(resolved) -> int:
+def _run_mix_coordinate(resolved) -> _Artifact:
     lattice = LatticeSpec(resolved["dims"])
     record = coordinate_wise_run(
         lattice, epsilon=resolved["epsilon"], rounds=resolved["rounds"]
     )
     factor_tv = record.curves["factor_tv"]
-    header = ["sweep"] + [f"tv_factor{axis + 1}" for axis in range(lattice.d)]
-    rows = [(sweep, *factor_tv[sweep]) for sweep in range(factor_tv.shape[0])]
+    sweeps = np.arange(factor_tv.shape[0])
     payload = {
         "config": record.config,
         "scalars": record.scalars,
@@ -295,78 +306,56 @@ def _run_mix_coordinate(resolved) -> int:
         "warnings": record.warnings,
         "factor_tv": factor_tv,
     }
-    svg = (
-        [
-            (f"factor {axis + 1}", np.arange(factor_tv.shape[0]), factor_tv[:, axis])
-            for axis in range(lattice.d)
-        ],
-        "sweep",
-        "tv",
-    )
-    _emit(resolved, "mix-coordinate", payload, header, rows, svg)
-    return 0 if record.all_passed else 2
+    table = {"sweep": sweeps,
+             **{f"tv_factor{axis + 1}": tv for axis, tv in enumerate(factor_tv.T)}}
+    plot = ("sweep", "tv", sweeps,
+            {f"factor {axis + 1}": tv for axis, tv in enumerate(factor_tv.T)})
+    return _Artifact(payload, table, plot, 0 if record.all_passed else 2)
 
 
-def _run_mix_repeated(resolved) -> int:
+def _run_mix_repeated(resolved) -> _Artifact:
     lattice = LatticeSpec(resolved["dims"])
     record = repeated_measurement_run(
         lattice, resolved["T"], resolved["rounds"], mode=resolved["mode"],
         trajectories=resolved["trajectories"], seed=resolved["seed"],
     )
+    curves = record.curves
     payload = {
         "config": record.config,
         "scalars": record.scalars,
         "verdicts": record.verdicts,
-        "curves": record.curves,
+        "curves": curves,
     }
     if resolved["mode"] == "exact":
-        header = ["rounds", "tv_to_uniform", "column_distance", "submultiplicative_cap"]
-        rows = zip(
-            record.curves["rounds"],
-            record.curves["tv_to_uniform"],
-            record.curves["column_distance"],
-            record.curves["submultiplicative_cap"],
-        )
-        svg = (
-            [
-                ("tv to uniform", record.curves["rounds"], record.curves["tv_to_uniform"]),
-                ("column distance", record.curves["rounds"], record.curves["column_distance"]),
-            ],
-            "rounds",
-            "distance",
-        )
+        table = curves
+        plot = ("rounds", "distance", curves["rounds"],
+                {"tv to uniform": curves["tv_to_uniform"],
+                 "column distance": curves["column_distance"]})
     else:
-        header = ["index", "empirical", "exact"]
-        rows = (
-            (i, record.curves["empirical"][i], record.curves["exact"][i])
-            for i in range(lattice.size)
-        )
-        svg = (
-            [
-                ("empirical", np.arange(lattice.size), record.curves["empirical"]),
-                ("exact", np.arange(lattice.size), record.curves["exact"]),
-            ],
-            "vertex index",
-            "probability",
-        )
-    _emit(resolved, "mix-repeated", payload, header, rows, svg)
-    return 0 if record.all_passed else 2
+        index = np.arange(lattice.size)
+        table = {"index": index, **curves}
+        plot = ("vertex index", "probability", index, curves)
+    return _Artifact(payload, table, plot, 0 if record.all_passed else 2)
 
 
-def _run_lemma2(resolved) -> int:
+def _run_lemma2(resolved) -> _Artifact:
     n, T, offset = resolved["n"], resolved["T"], resolved["offset"]
     lhs = abs(integrated_osc_sum(n, offset, T))
     rhs = integrated_osc_bound(n)
     satisfied = lhs <= rhs
     payload = {"n": n, "offset": offset, "T": T, "lhs": lhs, "rhs": rhs,
                "satisfied": satisfied}
-    _emit(resolved, "lemma2", payload,
-          ["n", "offset", "T", "lhs", "rhs", "satisfied"],
-          [(n, offset, T, lhs, rhs, satisfied)])
-    return 0 if satisfied else 2
+    table = {key: [value] for key, value in payload.items()}
+    return _Artifact(payload, table, None, 0 if satisfied else 2)
 
 
-def _run_conjecture(resolved) -> int:
+def _report_dicts(reports) -> list[dict]:
+    """Each BoundReport as one dict, read by both the JSON reports and the CSV columns."""
+    return [{**rep.params, "lhs": rep.lhs, "rhs": rep.rhs, "satisfied": rep.satisfied}
+            for rep in reports]
+
+
+def _run_conjecture(resolved) -> _Artifact:
     lo, hi = resolved["range"]
     if resolved["pairs"] is None:
         if resolved["tier"] != "slow":
@@ -380,96 +369,63 @@ def _run_conjecture(resolved) -> int:
     if not pairs:
         raise ValueError(f"range {lo},{hi} holds no coprime odd pair n1 > n2 >= 3")
     grid = _decade_grid(resolved["T_max"])
-    reports = bound_sweep(
-        pairs, grid, dt=resolved["dt"], offsets=(resolved["offset"],),
+    reports = _report_dicts(bound_sweep(
+        pairs, grid, dt=resolved["dt"], offset=resolved["offset"],
         check_halving=resolved["halving"], workers=_workers(resolved["parallel"]),
-    )
-    header = ["n1", "n2", "T", "lhs", "rhs", "satisfied"]
-    if resolved["halving"]:
-        header.append("halving_rel")
-    rows = []
-    for rep in reports:
-        row = [rep.params["n1"], rep.params["n2"], rep.params["T"], rep.lhs,
-               rep.rhs, rep.satisfied]
-        if resolved["halving"]:
-            row.append(rep.params["halving_rel"])
-        rows.append(tuple(row))
+    ))
     payload = {
         "pair_count": len(pairs),
         "range": list(resolved["range"]),
         "T_grid": grid,
-        "reports": [
-            {**rep.params, "lhs": rep.lhs, "rhs": rep.rhs, "satisfied": rep.satisfied}
-            for rep in reports
-        ],
+        "reports": reports,
     }
-    svg = (
-        [
-            ("lhs", np.arange(len(reports)), np.array([r.lhs for r in reports])),
-            ("rhs", np.arange(len(reports)), np.array([r.rhs for r in reports])),
-        ],
-        "report index",
-        "integral value",
-    )
-    _emit(resolved, "conjecture", payload, header, rows, svg)
-    return 0 if all(rep.satisfied for rep in reports) else 2
+    columns = ("n1", "n2", "T", "lhs", "rhs", "satisfied")
+    if resolved["halving"]:
+        columns += ("halving_rel",)
+    table = {key: [rep[key] for rep in reports] for key in columns}
+    plot = ("report index", "integral value", np.arange(len(reports)),
+            {"lhs": table["lhs"], "rhs": table["rhs"]})
+    return _Artifact(payload, table, plot, 0 if all(table["satisfied"]) else 2)
 
 
-def _run_theorem3(resolved) -> int:
+def _run_theorem3(resolved) -> _Artifact:
     if resolved["tier"] != "slow":
         raise SystemExit("theorem3 is a slow-tier job; pass --tier slow to acknowledge")
     strict = not resolved["relaxed"]
-    reports = uniformity_case_check(
+    reports = _report_dicts(uniformity_case_check(
         resolved["n1"], resolved["n2"], T=resolved["T"], strict=strict,
         checkpoint=resolved["checkpoint"],
-    )
+    ))
     payload = {
         "n1": resolved["n1"],
         "n2": resolved["n2"],
         "mode": "strict" if strict else "relaxed",
-        "reports": [
-            {**rep.params, "lhs": rep.lhs, "rhs": rep.rhs, "satisfied": rep.satisfied}
-            for rep in reports
-        ],
+        "reports": reports,
     }
-    rows = [
-        (rep.params["case"], rep.lhs, rep.rhs, rep.satisfied) for rep in reports
-    ]
-    _emit(resolved, "theorem3", payload, ["case", "lhs", "rhs", "satisfied"], rows)
-    if strict and not all(rep.satisfied for rep in reports):
-        return 2
-    return 0
+    table = {key: [rep[key] for rep in reports]
+             for key in ("case", "lhs", "rhs", "satisfied")}
+    violated = strict and not all(table["satisfied"])
+    return _Artifact(payload, table, None, 2 if violated else 0)
 
 
-def _run_fig1(resolved) -> int:
+def _run_fig1(resolved) -> _Artifact:
     dims = resolved["dims"]
     if len(dims) != 2:
         raise SystemExit("fig1 requires exactly two cycle lengths")
     record = return_probability_curves(dims[0], dims[1], t_max=resolved["t_max"])
-    u = record.scalars["uniform_level"]
-    times = record.curves["T"]
-    quantum = record.curves["quantum_return"]
-    classical = record.curves["classical_return"]
-    rows = zip(times, quantum, classical, [u] * len(times))
+    curves = record.curves
+    uniform = np.full(curves["T"].size, record.scalars["uniform_level"])
     payload = {
         "config": record.config,
         "scalars": record.scalars,
         "verdicts": record.verdicts,
-        "curves": {"T": times, "quantum_return": quantum,
-                   "classical_return": classical},
+        "curves": curves,
     }
-    svg = (
-        [
-            ("quantum", times, quantum),
-            ("classical", times, classical),
-            ("uniform", times, np.full(len(times), u)),
-        ],
-        "averaging horizon T",
-        "return probability",
-    )
-    _emit(resolved, "fig1", payload,
-          ["T", "quantum_return", "classical_return", "uniform_level"], rows, svg)
-    return 0 if record.all_passed else 2
+    table = {**curves, "uniform_level": uniform}
+    plot = ("averaging horizon T", "return probability", curves["T"],
+            {"quantum": curves["quantum_return"],
+             "classical": curves["classical_return"], "uniform": uniform})
+    return _Artifact(payload, table, plot, 0 if record.all_passed else 2)
 
 
 def _io(default_format: str, formats=("csv", "json", "svg")) -> tuple[_Option, ...]:
@@ -493,28 +449,28 @@ _COMMANDS = {
         _DIMS,
         _Option("--kind", default="averaged",
                 choices=("instant", "averaged", "averaged-quad", "lazy")),
-        _Option("--t", float, help="evolution time (instant kernel)"),
-        _Option("--T", float, help="averaging horizon"),
-        _Option("--dt", float, 0.02, help="quadrature step"),
+        _Option("--t", _parse_finite, help="evolution time (instant kernel)"),
+        _Option("--T", _parse_finite, help="averaging horizon"),
+        _Option("--dt", _parse_finite, 0.02, help="quadrature step"),
         _Option("--power", _parse_count, 1,
                 help="compose the kernel this many times; 0 gives the identity P^0"),
         *_io("csv"),
     )),
     "mix-classical": _Command(_run_mix_classical, "lazy-walk mixing curve and its step bound", (
         _DIMS,
-        _Option("--epsilon", float, 0.1),
+        _Option("--epsilon", _parse_finite, 0.1),
         _Option("--t-max", _parse_count),
         *_io("csv"),
     )),
     "mix-coordinate": _Command(_run_mix_coordinate, "coordinate-at-a-time measured walk", (
         _DIMS,
-        _Option("--epsilon", float, 0.1),
+        _Option("--epsilon", _parse_finite, 0.1),
         _Option("--rounds", _parse_count),
         *_io("json"),
     )),
     "mix-repeated": _Command(_run_mix_repeated, "repeated-measurement walk, exact or sampled", (
         _DIMS,
-        _Option("--T", float, required=True, help="averaging horizon"),
+        _Option("--T", _parse_finite, required=True, help="averaging horizon"),
         _Option("--rounds", int, 3),
         _Option("--mode", default="exact", choices=("exact", "sampled")),
         _Option("--trajectories", int, 100_000),
@@ -523,7 +479,7 @@ _COMMANDS = {
     )),
     "lemma2": _Command(_run_lemma2, "integrated oscillatory sum against its analytic cap", (
         _Option("--n", int, required=True),
-        _Option("--T", float, required=True),
+        _Option("--T", _parse_finite, required=True),
         _Option("--offset", int, 0),
         *_io("json", ("csv", "json")),
     )),
@@ -533,19 +489,19 @@ _COMMANDS = {
         _Option("--pairs", _parse_positive, help="sample size (>= 1); omit for every pair"),
         _Option("--seed", int, 0),
         _Option("--T-max", _parse_horizon, 10_000.0),
-        _Option("--dt", float, 0.02, help="quadrature step"),
+        _Option("--dt", _parse_finite, 0.02, help="quadrature step"),
         _Option("--offset", _parse_pair, (0, 0), help="per-factor offsets, e.g. 0,0"),
         _Option("--halving", _parse_bool, False,
                 help="also integrate at dt/2 and report the relative step-halving gap"),
         _TIER,
         _Option("--parallel", int,
-                help=f"worker processes (default: cores, env {ENV_WORKERS})"),
+                help="worker processes (default: cores)"),
         *_io("csv"),
     )),
     "theorem3": _Command(_run_theorem3, "averaged-kernel uniformity case check (slow tier)", (
         _Option("--n1", int, 95),
         _Option("--n2", int, 93),
-        _Option("--T", float, help="averaging horizon"),
+        _Option("--T", _parse_finite, help="averaging horizon"),
         _Option("--relaxed", _parse_bool, False,
                 help="report values without asserting the caps"),
         _Option("--checkpoint", help="resumable partial-sum file"),
@@ -592,7 +548,10 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     try:
-        return _COMMANDS[args.command].run(_resolve(args.command, args))
+        resolved = _resolve(args.command, args)
+        artifact = _COMMANDS[args.command].run(resolved)
+        _emit(resolved, args.command, artifact)
+        return artifact.code
     except SystemExit as exc:
         if isinstance(exc.code, str):
             sys.stderr.write(exc.code + "\n")

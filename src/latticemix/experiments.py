@@ -306,7 +306,8 @@ def return_probability_curves(
     horizons T.  Classical curve: running average over steps 0..T of the lazy
     walk's return probability.  Both start at 1; the uniform level is
     1/(n1*n2).  The record also carries the classical tv to uniform at
-    n1^2 + n2^2 steps, the square-time mark.
+    n1^2 + n2^2 steps, the square-time mark, and both curves' gaps to uniform
+    at the mark n1 + n2, which are None when the mark lies past t_max.
     """
     lattice = LatticeSpec((n1, n2))
     square_time = n1 * n1 + n2 * n2
@@ -335,8 +336,8 @@ def return_probability_curves(
             "uniform_level": u,
             "mark_time": mark,
             "square_time": square_time,
-            "quantum_gap_at_mark": abs(quantum[mark] - u) if mark <= t_max else np.nan,
-            "classical_gap_at_mark": abs(classical[mark] - u) if mark <= t_max else np.nan,
+            "quantum_gap_at_mark": abs(quantum[mark] - u) if mark <= t_max else None,
+            "classical_gap_at_mark": abs(classical[mark] - u) if mark <= t_max else None,
             "classical_tv_at_square_time": float(tvs[square_time]),
         },
     )

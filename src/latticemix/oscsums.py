@@ -246,18 +246,17 @@ def sample_coprime_odd_pairs(lo: int, hi: int, count: int, seed: int) -> list[tu
 
 
 def _sweep_one(job) -> list[BoundReport]:
-    (n1, n2), T_grid, dt, offsets, check_halving = job
+    (n1, n2), T_grid, dt, (l1, l2), check_halving = job
     rhs = product_integral_bound((n1, n2))
+    curve, halved = product_integral_curve(n1, n2, (l1, l2), T_grid, dt, check_halving)
     reports = []
-    for l1, l2 in offsets:
-        curve, halved = product_integral_curve(n1, n2, (l1, l2), T_grid, dt, check_halving)
-        for pos, T in enumerate(T_grid):
-            params = {"n1": n1, "n2": n2, "T": float(T), "offset1": l1, "offset2": l2,
-                      "dt": dt}
-            if halved is not None:
-                denom = max(abs(halved[pos]), 1e-30)
-                params["halving_rel"] = abs(curve[pos] - halved[pos]) / denom
-            reports.append(BoundReport.build(params, abs(curve[pos]), rhs))
+    for pos, T in enumerate(T_grid):
+        params = {"n1": n1, "n2": n2, "T": float(T), "offset1": l1, "offset2": l2,
+                  "dt": dt}
+        if halved is not None:
+            denom = max(abs(halved[pos]), 1e-30)
+            params["halving_rel"] = abs(curve[pos] - halved[pos]) / denom
+        reports.append(BoundReport.build(params, abs(curve[pos]), rhs))
     return reports
 
 
@@ -265,18 +264,18 @@ def bound_sweep(
     pairs,
     T_grid,
     dt: float = MAX_PRODUCT_DT,
-    offsets=((0, 0),),
+    offset=(0, 0),
     check_halving: bool = False,
     workers: int = 1,
 ) -> list[BoundReport]:
-    """Check |integral osc_1*osc_2| <= bound over (pair, horizon, offset).
+    """Check |integral osc_1*osc_2| <= bound over (pair, horizon) at one offset pair.
 
     Pairs are processed independently (optionally in a process pool); the
-    report list is ordered by (pair position, offset position, horizon
-    position) regardless of worker count.
+    report list is ordered by (pair position, horizon position) regardless of
+    worker count.
     """
     T_grid = [float(T) for T in T_grid]
-    jobs = [((int(n1), int(n2)), T_grid, dt, tuple(offsets), check_halving)
+    jobs = [((int(n1), int(n2)), T_grid, dt, tuple(offset), check_halving)
             for n1, n2 in pairs]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:

@@ -33,16 +33,18 @@ def write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _numpy_value(obj):
-    """json.dump's hook for the numpy arrays and scalars it cannot write itself."""
+    """json's hook for the numpy arrays and scalars it cannot write itself."""
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: str, payload: dict) -> None:
+    """Strict JSON: a NaN or infinity raises ValueError before the file is opened."""
+    text = json.dumps(payload, sort_keys=True, indent=2, default=_numpy_value,
+                      allow_nan=False)
     with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_numpy_value)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_manifest(out_path: str, command: str, config: dict, version: str) -> str:
@@ -61,21 +63,17 @@ def write_manifest(out_path: str, command: str, config: dict, version: str) -> s
 _SERIES_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728")
 
 
-def write_svg(
-    path: str,
-    series: list[tuple[str, np.ndarray, np.ndarray]],
-    x_label: str = "",
-    y_label: str = "",
-) -> None:
-    """Minimal static polyline chart: axes, up to four series, a legend.
+def write_svg(path: str, x_label: str, y_label: str, x, series: dict) -> None:
+    """Minimal static polyline chart: axes, up to four series over one x, a legend.
 
-    Hand-rolled on purpose; no plotting dependency, fully deterministic.
+    `series` maps each legend name to its y values.  Hand-rolled on purpose;
+    no plotting dependency, fully deterministic.
     """
     width, height = 800.0, 500.0
     margin = 60.0
-    xs_all = np.concatenate([np.asarray(x, dtype=float) for _, x, _ in series])
-    ys_all = np.concatenate([np.asarray(y, dtype=float) for _, _, y in series])
-    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
+    xs = np.asarray(x, dtype=float)
+    ys_all = np.concatenate([np.asarray(y, dtype=float) for y in series.values()])
+    x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
@@ -104,20 +102,18 @@ def write_svg(
             f'<text x="{x:.2f}" y="{y + dy:.2f}" font-size="12" '
             f'text-anchor="{anchor}">{value:.6g}</text>'
         )
-    if x_label:
-        parts.append(
-            f'<text x="{width / 2:g}" y="{height - 12:g}" font-size="14" '
-            f'text-anchor="middle">{x_label}</text>'
-        )
-    if y_label:
-        parts.append(
-            f'<text x="16" y="{height / 2:g}" font-size="14" text-anchor="middle" '
-            f'transform="rotate(-90 16 {height / 2:g})">{y_label}</text>'
-        )
-    for idx, (name, xs, ys) in enumerate(series):
+    parts.append(
+        f'<text x="{width / 2:g}" y="{height - 12:g}" font-size="14" '
+        f'text-anchor="middle">{x_label}</text>'
+    )
+    parts.append(
+        f'<text x="16" y="{height / 2:g}" font-size="14" text-anchor="middle" '
+        f'transform="rotate(-90 16 {height / 2:g})">{y_label}</text>'
+    )
+    for idx, (name, ys) in enumerate(series.items()):
         color = _SERIES_COLORS[idx % len(_SERIES_COLORS)]
         points = " ".join(
-            f"{sx(float(x)):.2f},{sy(float(y)):.2f}" for x, y in zip(xs, ys)
+            f"{sx(float(xv)):.2f},{sy(float(yv)):.2f}" for xv, yv in zip(xs, ys)
         )
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '

@@ -1,6 +1,8 @@
 import argparse
 import json
+import math
 import os
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -17,6 +19,15 @@ def run(*argv) -> int:
 def read(path) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def read_strict_json(path):
+    """Parse like a strict JSON reader: NaN and Infinity are errors."""
+    return json.loads(read(path), parse_constant=_refuse_constant)
 
 
 class TestDeterminism:
@@ -190,6 +201,23 @@ class TestOutputs:
         with pytest.raises(TypeError, match="set"):
             write_json(str(tmp_path / "bad.json"), {"x": {1}})
 
+    @pytest.mark.parametrize("value", [math.nan, np.float64(math.inf), np.array([1.0, -math.inf])],
+                             ids=["nan", "numpy-inf", "array"])
+    def test_json_refuses_non_finite_floats(self, tmp_path, value):
+        out = tmp_path / "bad.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(str(out), {"x": value})
+        assert not out.exists()
+
+    def test_fig1_gaps_past_t_max_are_null(self, tmp_path):
+        # the mark n1 + n2 = 24 lies past t_max = 3
+        out = str(tmp_path / "fig1.json")
+        assert run("fig1", "--dims", "19,5", "--t-max", "3", "--format", "json",
+                   "--out", out) == 0
+        scalars = read_strict_json(out)["scalars"]
+        assert scalars["quantum_gap_at_mark"] is None
+        assert scalars["classical_gap_at_mark"] is None
+
     def test_lemma2_payload(self, tmp_path):
         out = str(tmp_path / "r.json")
         assert run("lemma2", "--n", "19", "--T", "100", "--offset", "0",
@@ -296,12 +324,6 @@ class TestConfigResolution:
         payload = json.loads(read(out))
         assert payload["T"] == 10.0
 
-    def test_worker_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LATTICEMIX_PARALLEL", "1")
-        out = str(tmp_path / "c.csv")
-        assert run("conjecture", "--range", "10,30", "--pairs", "1", "--seed", "1",
-                   "--T-max", "50", "--out", out) == 0
-
     @pytest.mark.parametrize("argv, line, key", [
         (("lemma2", "--n", "19", "--T", "10"), "Tmax=5", "Tmax"),
         (("lemma2", "--n", "19", "--T", "10"), "format=xml", "format"),
@@ -358,6 +380,40 @@ class TestConfigResolution:
         assert [code for code, _ in shared] == [0, 0, 1, 0, 2]
         assert shared == run_all("fresh", fresh=True)
 
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    @pytest.mark.parametrize("argv, key", [
+        (("kernel", "--dims", "5,3", "--kind", "instant"), "t"),
+        (("kernel", "--dims", "5,3"), "T"),
+        (("kernel", "--dims", "5,3", "--T", "2"), "dt"),
+        (("mix-classical", "--dims", "5"), "epsilon"),
+        (("mix-coordinate", "--dims", "5,3"), "epsilon"),
+        (("mix-repeated", "--dims", "5,3"), "T"),
+        (("lemma2", "--n", "5"), "T"),
+        (("conjecture", "--pairs", "1"), "dt"),
+        (("theorem3", "--tier", "slow"), "T"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_float_refused(self, tmp_path, capsys, monkeypatch, argv, key,
+                                      value, source):
+        def must_not_run(resolved):
+            raise AssertionError("non-finite value reached the runner")
+
+        name = argv[0]
+        monkeypatch.setitem(cli._COMMANDS, name, cli._COMMANDS[name]._replace(run=must_not_run))
+        if source == "flag":
+            extra = (f"--{key}={value}",)
+            named = f"--{key}"
+        else:
+            config = tmp_path / "job.cfg"
+            config.write_text(f"{key}={value}\n")
+            extra = ("--config", str(config))
+            named = f"config key {key}"
+        out = tmp_path / "a.out"
+        assert run(*argv, *extra, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"bad {named} value" in err and "must be finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("horizon", ["inf", "nan"])
     def test_non_finite_horizon_refused_before_sweep(self, tmp_path, capsys, monkeypatch,
                                                      horizon):
@@ -372,12 +428,9 @@ class TestConfigResolution:
 
     def test_worker_count_capped_at_cores(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.delenv("LATTICEMIX_PARALLEL", raising=False)
         assert cli._workers(None) == 2
         assert cli._workers(10_000) == 2
         assert cli._workers(0) == 1
-        monkeypatch.setenv("LATTICEMIX_PARALLEL", "10000")
-        assert cli._workers(None) == 2
 
 
 # Option strings of each subcommand besides --config, --out and --format.
@@ -437,3 +490,91 @@ class TestSurface:
         assert run(*argv, "--out", out) in (0, 2)
         manifest = json.loads(read(out + ".manifest.json"))
         assert manifest["config"] == {**config, "out": out}
+
+
+# Per case: the argv, the CSV header, the JSON top-level keys and the SVG legend
+# names (None: no svg format).  These are the names downstream readers look up.
+SCHEMAS = {
+    "spectrum": (
+        ("spectrum", "--dims", "5,3"),
+        "factor,n,j,eigenvalue,joint_gap",
+        {"dims", "spectral_gap", "factors"},
+        None),
+    "kernel": (
+        ("kernel", "--dims", "5,3", "--T", "2"),
+        "index,l1,l2,probability",
+        {"dims", "kind", "first_column", "tv_to_uniform", "column_distance"},
+        ["probability"]),
+    "mix-classical": (
+        ("mix-classical", "--dims", "9,5", "--t-max", "20"),
+        "t,tv",
+        {"dims", "epsilon", "bound_steps", "tv_at_bound", "satisfied", "curve"},
+        ["tv to uniform"]),
+    "mix-coordinate": (
+        ("mix-coordinate", "--dims", "9,5"),
+        "sweep,tv_factor1,tv_factor2",
+        {"config", "scalars", "verdicts", "warnings", "factor_tv"},
+        ["factor 1", "factor 2"]),
+    "mix-repeated-exact": (
+        ("mix-repeated", "--dims", "7,5", "--T", "9", "--rounds", "2"),
+        "rounds,tv_to_uniform,column_distance,submultiplicative_cap",
+        {"config", "scalars", "verdicts", "curves"},
+        ["tv to uniform", "column distance"]),
+    "mix-repeated-sampled": (
+        ("mix-repeated", "--dims", "7,5", "--T", "9", "--rounds", "2", "--mode", "sampled",
+         "--trajectories", "500"),
+        "index,empirical,exact",
+        {"config", "scalars", "verdicts", "curves"},
+        ["empirical", "exact"]),
+    "lemma2": (
+        ("lemma2", "--n", "19", "--T", "10"),
+        "n,offset,T,lhs,rhs,satisfied",
+        {"n", "offset", "T", "lhs", "rhs", "satisfied"},
+        None),
+    "conjecture": (
+        ("conjecture", "--range", "10,30", "--pairs", "1", "--T-max", "20", "--parallel", "1"),
+        "n1,n2,T,lhs,rhs,satisfied",
+        {"pair_count", "range", "T_grid", "reports"},
+        ["lhs", "rhs"]),
+    "conjecture-halving": (
+        ("conjecture", "--range", "10,30", "--pairs", "1", "--T-max", "20", "--parallel", "1",
+         "--halving"),
+        "n1,n2,T,lhs,rhs,satisfied,halving_rel",
+        {"pair_count", "range", "T_grid", "reports"},
+        ["lhs", "rhs"]),
+    "theorem3": (
+        ("theorem3", "--n1", "19", "--n2", "5", "--T", "24", "--relaxed", "--tier", "slow"),
+        "case,lhs,rhs,satisfied",
+        {"n1", "n2", "mode", "reports"},
+        None),
+    "fig1": (
+        ("fig1", "--dims", "19,5", "--t-max", "30"),
+        "T,quantum_return,classical_return,uniform_level",
+        {"config", "scalars", "verdicts", "curves"},
+        ["quantum", "classical", "uniform"]),
+}
+
+
+def _svg_legend(path) -> list[str]:
+    # legend labels are the only text elements without a text-anchor
+    texts = ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")
+    return [text.text for text in texts if text.get("text-anchor") is None]
+
+
+class TestSchemas:
+    @pytest.mark.parametrize("argv, header, keys, legend, fmt", [
+        pytest.param(argv, header, keys, legend, fmt, id=f"{name}-{fmt}")
+        for name, (argv, header, keys, legend) in SCHEMAS.items()
+        for fmt in ("csv", "json", "svg")
+        if fmt != "svg" or legend is not None
+    ])
+    def test_artifact_names(self, tmp_path, argv, header, keys, legend, fmt):
+        out = str(tmp_path / f"artifact.{fmt}")
+        assert run(*argv, "--format", fmt, "--out", out) == 0
+        if fmt == "csv":
+            assert read(out).decode().splitlines()[0] == header
+        elif fmt == "json":
+            assert set(read_strict_json(out)) == keys
+        else:
+            assert _svg_legend(out) == legend
+        assert read_strict_json(out + ".manifest.json")["command"] == argv[0]

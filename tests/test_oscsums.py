@@ -288,12 +288,12 @@ class TestSweep:
         report = BoundReport.build({"x": 1}, lhs=1.0, rhs=1.0)
         assert report.satisfied
 
-    def test_offsets_are_swept(self):
-        reports = bound_sweep([(13, 11)], [10.0], offsets=((0, 0), (1, 5)))
-        assert len(reports) == 2
-        assert {(
-            r.params["offset1"], r.params["offset2"]) for r in reports
-        } == {(0, 0), (1, 5)}
+    def test_offset_is_echoed_and_used(self):
+        grid = [10.0, 100.0]
+        reports = bound_sweep([(13, 11)], grid, dt=0.02, offset=(1, 5))
+        curve, _ = product_integral_curve(13, 11, (1, 5), grid, 0.02)
+        assert [(r.params["offset1"], r.params["offset2"]) for r in reports] == [(1, 5)] * 2
+        assert [r.lhs for r in reports] == list(np.abs(curve))
 
     def test_pair_enumeration(self):
         pairs = coprime_odd_pairs(10, 20)
