@@ -18,6 +18,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -49,7 +50,15 @@ from .output import write_csv, write_json, write_manifest, write_svg
 from .spectral import LatticeSpec, class_table, spectral_gap
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad usage; this front end reserves 2 for violations."""
+    """argparse exits 2 on bad usage; this front end reserves 2 for violations.
+
+    A value like -1e3, -.5 or -inf is read as a value, not as a flag, so a
+    float flag refuses it in one line like any other bad value.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -33,7 +33,6 @@ from .distances import (
 )
 from .kernels import (
     averaged_kernel_analytic,
-    averaged_kernel_quadrature,
     averaged_return_probability,
     instantaneous_kernel,
     kernel_power,
@@ -70,14 +69,12 @@ def repeated_measurement_run(
 ) -> ExperimentRecord:
     """Measure-evolve-measure walk for `rounds` rounds of horizon T.
 
-    The averaged kernel is analytic when every cycle length is odd and
-    Simpson quadrature at step 0.02 otherwise.
-    Exact mode composes the averaged kernel with itself and reports, per
-    round count k, the distance of the column to uniform, the pairwise column
-    distance d(P_T^k) and the submultiplicative cap d(P_T)^k.  Sampled mode
-    draws per-round evolution times uniformly from [0, T], samples each
-    coordinate's step from its cycle kernel, and compares the empirical
-    distribution with the exact column.
+    Exact mode composes the analytic averaged kernel with itself and
+    reports, per round count k, the distance of the column to uniform, the
+    pairwise column distance d(P_T^k) and the submultiplicative cap
+    d(P_T)^k.  Sampled mode draws per-round evolution times uniformly from
+    [0, T], samples each coordinate's step from its cycle kernel, and
+    compares the empirical distribution with the exact column.
     """
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"horizon must be positive, got {T}")
@@ -91,10 +88,7 @@ def repeated_measurement_run(
     }
     record = ExperimentRecord(config=config)
 
-    if lattice.all_odd:
-        kernel = averaged_kernel_analytic(lattice, T)
-    else:
-        kernel = averaged_kernel_quadrature(lattice, T, 0.02)
+    kernel = averaged_kernel_analytic(lattice, T)
     contraction = pairwise_column_distance(kernel)
     record.scalars["kernel_contraction"] = contraction
 

@@ -15,12 +15,13 @@ Three constructions are provided:
 * instantaneous_kernel: measure after evolving for a fixed time t, entries
   |amplitude|^2.
 * averaged_kernel_analytic: measure after a time drawn uniformly from [0, T].
-  The average is done on folded spectral tables.  On an odd cycle
-  lambda_j = lambda_{n-j}, so the indices fall into (n+1)/2 mirror classes
+  The average is done on folded spectral tables.  On any cycle
+  lambda_j = lambda_{n-j}, so the indices fall into n//2 + 1 mirror classes
   a = min(j, n-j), and the n^2 index pairs (j, k) of |amplitude|^2 collapse
   onto class pairs (a, b) with frequency omega_ab = scale*(lambda_a - lambda_b)
   and the real coefficient c_a(l)*c_b(l)/n^2, where c_a(l) is the sum of
-  w^(l*j) over the class: mult_a*cos(2*pi*l*a/n), mult_0 = 1, mult_a = 2.
+  w^(l*j) over the class: mult_a*cos(2*pi*l*a/n), with mult_a = 1 for a = 0
+  and for a = n/2 on an even cycle, and mult_a = 2 otherwise.
   The pairs (a, b) and (b, a) are complex conjugates, so the time average
   (1/T)*integral_0^T exp(i*omega*t) dt = g(omega*T) enters only through
   Re g(x) = sin(x)/x, and the whole construction is real.  Joint terms of
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParityError, ResolutionError
+from .errors import ResolutionError
 from .spectral import (MAX_PARTIAL_ENTRIES, LatticeSpec, _check_entries, class_table,
                        cycle_amplitude_at, product_amplitude)
 
@@ -151,7 +152,9 @@ def _sinc_average(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Re g(x) = sin(x)/x, the weight of a conjugate-symmetric term pair, into `out`.
 
     Exactly 1 at x = 0, so the class pairs whose frequencies cancel
-    identically (eigenvalues match bitwise) keep their full weight.  `x` is
+    identically (eigenvalues match bitwise) keep their full weight; tuples
+    that cancel only to rounding (lambda_{n/2-a} = -lambda_a on an even
+    cycle) keep it to within x^2/6, with x of order T*1e-16.  `x` is
     overwritten.
     """
     zero = x == 0.0
@@ -301,19 +304,12 @@ def _class_pair_sum(factors, horizons, checkpoint: str | None = None) -> np.ndar
     return np.concatenate(out)
 
 
-def _check_analytic_lattice(lattice: LatticeSpec) -> None:
-    if not lattice.all_odd:
-        raise ParityError(f"analytic averaged kernel needs odd dims, got {lattice.dims}")
-
-
 def averaged_kernel_analytic(
     lattice: LatticeSpec, T: float, *, checkpoint: str | None = None
 ) -> Kernel:
     """Time-averaged kernel P_T built from exact per-frequency integrals.
 
-    Requires every cycle length odd (the time-independent part of the
-    expansion collapses only for odd n); the quadrature builder covers
-    everything else.  Any number of factors, each with time scale 1/d.
+    Any cycle lengths and any number of factors, each with time scale 1/d.
     The rows l_k <= n_k//2 are contracted, and offset l_k reads row
     min(l_k, n_k - l_k).  With `checkpoint`, the partial sums are saved to
     that .npz file every _CHECKPOINT_EVERY blocks of _BLOCK_SIZE folded
@@ -321,7 +317,6 @@ def averaged_kernel_analytic(
     """
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"averaging horizon must be positive, got {T}")
-    _check_analytic_lattice(lattice)
     lattice.check_dense()
 
     scale = 1.0 / lattice.d
@@ -347,7 +342,6 @@ def averaged_return_probability(lattice: LatticeSpec, horizons) -> np.ndarray:
     horizons = np.asarray(horizons, dtype=float).ravel()
     if not np.all(np.isfinite(horizons) & (horizons > 0)):
         raise ValueError("averaging horizons must be positive and finite")
-    _check_analytic_lattice(lattice)
     scale = 1.0 / lattice.d
     return _class_pair_sum([(t, scale * t.pair_omega, t.pair_rows([0]))
                             for t in map(class_table, lattice.dims)], horizons)

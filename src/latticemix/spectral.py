@@ -91,10 +91,6 @@ class LatticeSpec:
         """Total vertex count N = prod(dims)."""
         return math.prod(self.dims)
 
-    @property
-    def all_odd(self) -> bool:
-        return all(n % 2 == 1 for n in self.dims)
-
     def check_dense(self) -> None:
         if self.size > MAX_DENSE_VERTICES:
             raise SizeError(

@@ -91,6 +91,17 @@ class TestExitCodes:
         assert capsys.readouterr().err.count("\n") == 1
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("argv", [
+        ("kernel", "--dims", "5,3", "--T", "-1e3"),
+        ("kernel", "--dims", "5,3", "--T", "-inf"),
+        ("kernel", "--dims", "5,3", "--kind", "instant", "--t", "-2.5e1"),
+    ])
+    def test_negative_float_is_a_value_not_a_flag(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "k.csv")
+        assert run(*argv, "--out", out) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("argv, message", [
         (("mix-coordinate", "--dims", "1000000,2"), "exceeds dense limit"),
         (("kernel", "--dims", "395,165,3", "--kind", "averaged", "--T", "5"),
@@ -184,6 +195,15 @@ class TestOutputs:
         first = lines[1].split(",")
         assert float(first[3]) == 1.0 / 95.0
         assert len(lines) == 27
+
+    @pytest.mark.parametrize("argv", [
+        ("fig1", "--dims", "10,8", "--t-max", "20"),
+        ("kernel", "--dims", "6,5", "--kind", "averaged", "--T", "12.5"),
+    ])
+    def test_even_cycles_take_the_exact_route(self, tmp_path, argv):
+        out = str(tmp_path / "even.csv")
+        assert run(*argv, "--out", out) == 0
+        assert os.path.exists(out)
 
     def test_json_writes_numpy_values(self, tmp_path):
         out = tmp_path / "values.json"

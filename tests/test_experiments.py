@@ -80,13 +80,20 @@ class TestRepeatedMeasurement:
         whole = experiments._sample_repeated(lattice, 9.0, 3, 1_000, 11)
         assert np.array_equal(chunked, whole)
 
-    def test_three_factor_run_matches_quadrature_kernel(self):
-        # odd d = 3 runs on the analytic kernel; quadrature is the reference
-        lattice = LatticeSpec((7, 5, 3))
+    @pytest.mark.parametrize("dims", [(7, 5, 3), (8, 5)])
+    def test_three_factor_run_matches_quadrature_kernel(self, dims):
+        # odd d = 3 and an even cycle both run on the analytic kernel;
+        # quadrature is the reference
+        lattice = LatticeSpec(dims)
         record = repeated_measurement_run(lattice, 9.0, rounds=3)
         analytic = averaged_kernel_analytic(lattice, 9.0)
         assert record.curves["tv_to_uniform"][0] == distance_to_uniform(analytic)
         quad = averaged_kernel_quadrature(lattice, 9.0, 0.02)
+        # one sampled round reports the kernel column itself as its exact column
+        column = repeated_measurement_run(lattice, 9.0, rounds=1, mode="sampled",
+                                          trajectories=10).curves["exact"]
+        assert np.array_equal(column, analytic.first_column)
+        assert np.abs(column - quad.first_column).max() <= 1e-6
         tvs = [distance_to_uniform(kernel_power(quad, k)) for k in (1, 2, 3)]
         assert np.abs(record.curves["tv_to_uniform"] - tvs).max() <= 1e-6
         assert abs(record.scalars["kernel_contraction"]
@@ -255,11 +262,12 @@ class TestReturnProbabilityCurves:
         assert record.verdicts["quantum_near_uniform_at_mark"]
         assert record.verdicts["quantum_closer_than_classical_at_mark"]
 
-    def test_quantum_curve_matches_per_horizon_kernels(self):
+    @pytest.mark.parametrize("n1, n2", [(23, 21), (10, 8)])
+    def test_quantum_curve_matches_per_horizon_kernels(self, n1, n2):
         # (23, 21) has 144 * 121 joint class pairs, so 40 horizons span
-        # several weight blocks
-        record = return_probability_curves(23, 21, t_max=40)
-        lattice = LatticeSpec((23, 21))
+        # several weight blocks; (10, 8) has even cycles
+        record = return_probability_curves(n1, n2, t_max=40)
+        lattice = LatticeSpec((n1, n2))
         per_T = [averaged_kernel_analytic(lattice, float(T)).first_column[0]
                  for T in range(1, 41)]
         assert np.abs(record.curves["quantum_return"][1:] - per_T).max() <= 1e-12

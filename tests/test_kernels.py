@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from latticemix.classical import lazy_kernel
-from latticemix.errors import ParityError, ResolutionError, SizeError
+from latticemix.errors import ResolutionError, SizeError
 from latticemix.kernels import (
     Kernel,
     averaged_kernel_analytic,
@@ -54,13 +54,14 @@ class TestAveragedKernels:
 
     @pytest.mark.parametrize("T", [1.0, 24.0, 100.0])
     def test_analytic_matches_quadrature(self, T):
-        for dims in ((19, 5), (7, 5, 3)):
+        for dims in ((19, 5), (7, 5, 3), (6, 5), (8, 6), (9, 9), (12, 8, 4), (2, 3)):
             lattice = LatticeSpec(dims)
             analytic = averaged_kernel_analytic(lattice, T).first_column
             quad = averaged_kernel_quadrature(lattice, T, 0.02).first_column
             assert np.abs(analytic - quad).max() <= 1e-6
 
-    @pytest.mark.parametrize("dims", [(19, 5), (23, 21), (9,), (7, 5, 3)])
+    @pytest.mark.parametrize("dims", [(19, 5), (23, 21), (9,), (7, 5, 3),
+                                      (6,), (8, 6), (10, 10), (4, 4, 3)])
     @pytest.mark.parametrize("T", [1e-9, 7.0, 24.0, 6.2e6])
     def test_folded_analytic_matches_unfolded_sum(self, dims, T):
         folded = averaged_kernel_analytic(LatticeSpec(dims), T).first_column
@@ -90,11 +91,9 @@ class TestAveragedKernels:
         assert np.all(col >= 0.0) and np.all(col <= 1.0)
 
     def test_parity_and_dimension_guards(self):
-        with pytest.raises(ParityError):
-            averaged_kernel_analytic(LatticeSpec((4,)), 1.0)
-        with pytest.raises(ParityError):
-            averaged_kernel_analytic(LatticeSpec((19, 4)), 1.0)
-        assert_doubly_stochastic(averaged_kernel_analytic(LatticeSpec((7, 5, 3)), 1.0))
+        # even cycles take the same exact route as odd ones
+        for dims in ((4,), (19, 4), (7, 5, 3)):
+            assert_doubly_stochastic(averaged_kernel_analytic(LatticeSpec(dims), 1.0))
         with pytest.raises(ValueError):
             averaged_kernel_analytic(LatticeSpec((5,)), 0.0)
 

@@ -308,9 +308,5 @@ class TestLatticeSpec:
         with pytest.raises(SizeError):
             LatticeSpec((2**30, 2**30))
 
-    def test_flags(self):
-        assert LatticeSpec((7, 5, 3)).all_odd
-        assert not LatticeSpec((7, 4)).all_odd
-
     def test_size(self):
         assert LatticeSpec((19, 5)).size == 95
