@@ -480,10 +480,10 @@ _COMMANDS = {
     "mix-repeated": _Command(_run_mix_repeated, "repeated-measurement walk, exact or sampled", (
         _DIMS,
         _Option("--T", _parse_finite, required=True, help="averaging horizon"),
-        _Option("--rounds", int, 3),
+        _Option("--rounds", _parse_positive, 3),
         _Option("--mode", default="exact", choices=("exact", "sampled")),
-        _Option("--trajectories", int, 100_000),
-        _Option("--seed", int, 0),
+        _Option("--trajectories", _parse_positive, 100_000),
+        _Option("--seed", _parse_count, 0),
         *_io("csv"),
     )),
     "lemma2": _Command(_run_lemma2, "integrated oscillatory sum against its analytic cap", (
@@ -496,7 +496,7 @@ _COMMANDS = {
         _run_conjecture, "product-integral bound sweep over coprime odd pairs", (
         _Option("--range", _parse_pair, (10, 100), help="lo,hi bounds for the cycle lengths"),
         _Option("--pairs", _parse_positive, help="sample size (>= 1); omit for every pair"),
-        _Option("--seed", int, 0),
+        _Option("--seed", _parse_count, 0),
         _Option("--T-max", _parse_horizon, 10_000.0),
         _Option("--dt", _parse_finite, 0.02, help="quadrature step"),
         _Option("--offset", _parse_pair, (0, 0), help="per-factor offsets, e.g. 0,0"),

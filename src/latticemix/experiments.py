@@ -38,10 +38,12 @@ from .kernels import (
     kernel_power,
 )
 from .oscsums import BoundReport, _check_coprime_dims
-from .spectral import LatticeSpec, cycle_amplitude_at
+from .spectral import LatticeSpec, _check_phase_time, _half_amplitudes, class_table
 
-# Trajectories per block of step probabilities in _sample_repeated.
-_SAMPLE_CHUNK = 2048
+# Entries per (n//2 + 1, C) plane of _sample_repeated, which takes
+# C = _SAMPLE_CHUNK // (n//2 + 1) trajectories at a time: its three planes
+# (768 KiB) stay in cache whatever the cycle length.
+_SAMPLE_CHUNK = 2**15
 
 
 @dataclass
@@ -132,24 +134,48 @@ def _sample_repeated(
     """Empirical distribution after `rounds` sampled measure-evolve rounds.
 
     Times and uniform draws are taken for all trajectories at once, so the
-    random stream does not depend on _SAMPLE_CHUNK; the step probabilities
-    come from cycle_amplitude_at, _SAMPLE_CHUNK trajectories at a time.
+    random stream does not depend on _SAMPLE_CHUNK.  A chunk of
+    C = _SAMPLE_CHUNK // (n//2 + 1) trajectories works offset-major:
+    spectral._half_amplitudes gives the (n//2 + 1, C) planes of Re and Im
+    at the offsets l <= n//2, and Re^2 + Im^2 are the step probabilities.
+    The step is the count of offsets l < n - 1 whose running sum of
+    probabilities, over the rows mirror[l], lies below the draw, so a total
+    that rounds short of a draw still lands on offset n - 1.  The chunk
+    buffers are taken once per round and coordinate.
     """
-    rng = np.random.default_rng(seed)
     scale = 1.0 / lattice.d
-    positions = np.zeros((trajectories, lattice.d), dtype=np.int64)
+    _check_phase_time(T * scale)
+    rng = np.random.default_rng(seed)
+    positions = np.zeros((lattice.d, trajectories), dtype=np.int64)
     for _ in range(rounds):
         ts = rng.uniform(0.0, T, trajectories)
         # the joint step factorizes, so each coordinate is sampled on its own
         for axis, n in enumerate(lattice.dims):
             draws = rng.random(trajectories)
-            for lo in range(0, trajectories, _SAMPLE_CHUNK):
-                hi = min(lo + _SAMPLE_CHUNK, trajectories)
-                probs = np.abs(cycle_amplitude_at(n, ts[lo:hi], scale)) ** 2
-                cum = np.cumsum(probs, axis=1)
-                step = np.minimum((draws[lo:hi, None] > cum).sum(axis=1), n - 1)
-                positions[lo:hi, axis] = (positions[lo:hi, axis] + step) % n
-    flat = np.ravel_multi_index(positions.T, lattice.dims)
+            table = class_table(n)
+            width, rows = table.lambdas.size, table.mirror[: n - 1]
+            chunk = min(max(1, _SAMPLE_CHUNK // width), trajectories)
+            planes = np.empty(3 * width * chunk)
+            sums, steps, flags = np.empty(chunk), np.empty(chunk, np.int64), np.empty(chunk, bool)
+            for lo in range(0, trajectories, chunk):
+                size = min(chunk, trajectories - lo)
+                # a contiguous prefix, so the last, shorter chunk stays contiguous too
+                work = planes[: 3 * width * size].reshape(3, width, size)
+                theta = np.multiply.outer(table.lambdas, ts[lo : lo + size] * scale,
+                                          out=work[0])
+                re, im = _half_amplitudes(table, theta, work[1:])
+                probs = np.multiply(re, re, out=re)
+                probs += np.multiply(im, im, out=im)
+                total, step, above = sums[:size], steps[:size], flags[:size]
+                total.fill(0.0)
+                step.fill(0)
+                u = draws[lo : lo + size]
+                for row in rows:
+                    total += probs[row]
+                    step += np.greater(u, total, out=above)
+                positions[axis, lo : lo + size] += step
+    # each coordinate has moved by at most rounds*(n - 1); wrap takes it mod n
+    flat = np.ravel_multi_index(positions, lattice.dims, mode="wrap")
     counts = np.bincount(flat, minlength=lattice.size)
     return counts / trajectories
 

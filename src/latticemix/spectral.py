@@ -30,9 +30,16 @@ the same row; `pair_fold` and `fold` give the layout onto which
 kernels._class_pair_sum folds the pairs (a, b) and (b, a).  Callers scale
 the pair frequencies by their own time scale; the averaged kernels and the
 exact oscillatory sums are contractions of the pair data.  A table over
-MAX_PARTIAL_ENTRIES doubles is refused.  cycle_amplitude_at evaluates the
-sum at every offset and any times; cycle_amplitude_grid at one offset on a
-long uniform grid.
+MAX_PARTIAL_ENTRIES doubles is refused.
+
+cycle_amplitude_at evaluates the sum at every offset and any times, and
+cycle_amplitude_grid at one offset on a long uniform grid.  The former takes
+its phases from unit_phases, a table-driven cos/sin (Cody-Waite reduction
+modulo 2*pi/4096, a 4096-entry table, short Taylor corrections) that costs
+a fraction of numpy's complex exp; its half-amplitude product
+(cosines @ cos(theta), cosines @ sin(theta))/n over the rows l <= n//2 also
+serves the sampler directly.  A scaled time |scale*t| >= 2**52 is refused:
+there one ulp of the phase is a radian or more.
 """
 
 from __future__ import annotations
@@ -63,6 +70,31 @@ _COSINE_BLOCK = 2**16
 # Nodes per block of cycle_amplitude_grid.  Every block starts from an exact
 # exponential anchor, so phase error never accumulates past one block.
 _GRID_BLOCK = 256
+
+# Largest |scale*t| taken by the arbitrary-time routes: from 2**52 on, one ulp
+# of the phase lambda*scale*t is 1 rad or more, so the phase carries nothing.
+MAX_PHASE_TIME = 2.0**52
+
+# unit_phases reduces theta = k*h + y with h = 2*pi/_PHASE_STEPS.  h is split
+# Cody-Waite style: _PHASE_HI is float32(2*pi) (24 significant bits) times
+# 2**-12, so k*_PHASE_HI is exact while |k| < 2**29; _PHASE_LO is the rest of
+# 2*pi, with pi - fl(pi) = 1.2246467991473532e-16 added back, times 2**-12.
+_PHASE_STEPS = 4096
+_PHASE_HI = float(np.float32(2.0 * math.pi)) / _PHASE_STEPS
+_PHASE_LO = ((2.0 * math.pi - float(np.float32(2.0 * math.pi)))
+             + 2.0 * 1.2246467991473532e-16) / _PHASE_STEPS
+_PHASE_COS = np.cos(2.0 * np.pi * np.arange(_PHASE_STEPS) / _PHASE_STEPS)
+_PHASE_SIN = np.sin(2.0 * np.pi * np.arange(_PHASE_STEPS) / _PHASE_STEPS)
+
+# From |theta| = 2**40 on, theta/h and k*h round by a visible fraction of a
+# table step, and past 2**45 by whole steps, which would take y out of the
+# Taylor range; unit_phases then reduces y a second time.
+_PHASE_REFINE = 2.0**40
+
+# Entries per block of unit_phases: the block's six rows (four of scratch,
+# cos and sin; 768 KiB) stay in cache, and its thirty-odd ufunc calls stay
+# small against the arithmetic.
+_PHASE_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -223,10 +255,9 @@ def cycle_amplitude(n: int, source: int, t: float, scale: float = FULL) -> np.nd
 def cycle_amplitude_at(n: int, ts, scale: float) -> np.ndarray:
     """Amplitudes <l|exp(i*Abar*t*scale)|0> at every offset l < n, shape ts.shape + (n,).
 
-    The real table rows times the (re, im) pairs of the phases: one real
-    product for every time, with no complex copy of the table.  The product
-    fills the rows l <= n//2 and offset l > n//2 copies row n - l, so the
-    amplitudes are bitwise even in l.
+    One half-amplitude product for all the times fills the offsets
+    l <= n//2, and offset l > n//2 copies row n - l, so the amplitudes are
+    bitwise even in l.
     """
     n = _check_cycle(n)
     ts = np.asarray(ts, dtype=float)
@@ -234,17 +265,130 @@ def cycle_amplitude_at(n: int, ts, scale: float) -> np.ndarray:
         raise ValueError(f"time must be finite, got {ts[~np.isfinite(ts)].flat[0]}")
     if not (np.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be positive and finite, got {scale}")
+    scaled = ts.ravel() * float(scale)
     table = class_table(n)
-    phases = 1j * np.multiply.outer(table.lambdas, ts.ravel() * float(scale))
-    # columns 2k and 2k + 1 of the real view are the (re, im) of time k
-    phases = np.exp(phases, out=phases).view(float)
+    # lambda_0 = 1, so unit_phases refuses |scale*t| >= MAX_PHASE_TIME
+    theta = np.multiply.outer(table.lambdas, scaled)
+    re, im = _half_amplitudes(table, theta, np.empty((2,) + theta.shape))
     half = table.lambdas.size
-    amps = np.empty((n, phases.shape[1]))
-    np.matmul(table.cosines, phases, out=amps[:half])
-    # scaling by 1/n is the arithmetic of a complex number divided by the real n
-    amps[:half] *= 1.0 / n
+    amps = np.empty((n, scaled.size), dtype=complex)
+    amps.real[:half] = re
+    amps.imag[:half] = im
     amps[half:] = amps[n - half:0:-1]
-    return amps.view(complex).T.reshape(ts.shape + (n,))
+    return amps.T.reshape(ts.shape + (n,))
+
+
+def _check_phase_time(scaled_time: float) -> None:
+    """Refuse a largest |scale*t| of MAX_PHASE_TIME or more with a one-line ValueError."""
+    if scaled_time >= MAX_PHASE_TIME:
+        raise ValueError(
+            f"phase time scale*t = {scaled_time:.6g} is past the phase limit 2**52 = "
+            f"{MAX_PHASE_TIME:.6g}, where one ulp of the phase is 1 rad or more"
+        )
+
+
+def _half_amplitudes(table: ClassTable, theta: np.ndarray, planes: np.ndarray):
+    """Re and Im of <l|exp(i*Abar*t*scale)|0> at the offsets l <= n//2, from the phases.
+
+    theta[a, k] = lambda_a*scale*t_k has shape (n//2 + 1, K); the result is
+    (cosines @ cos(theta), cosines @ sin(theta)) / n, two real products with
+    no complex copy of the table, scaled after the product.  `planes` is
+    C-contiguous scratch of shape (2,) + theta.shape; Re is written over
+    theta and Im over planes[0].
+    """
+    cos, sin = unit_phases(theta, out=(planes[0], planes[1]))
+    re = np.matmul(table.cosines, cos, out=theta)
+    im = np.matmul(table.cosines, sin, out=cos)
+    re *= 1.0 / table.n
+    im *= 1.0 / table.n
+    return re, im
+
+
+def unit_phases(theta, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """cos(theta) and sin(theta) of a float array, as two real arrays of its shape.
+
+    Table-driven (Cody & Waite's reduction with Tang's table): theta =
+    k*h + y with h = 2*pi/4096 and |y| <= h/2, and with (C, S) the cos and
+    sin of j*h at j = k mod 4096, read from a table,
+
+        cos(theta) = C + (C*(cos(y) - 1) - S*sin(y)),
+        sin(theta) = S + (S*(cos(y) - 1) + C*sin(y)),
+
+    with cos(y) - 1 and sin(y) from their Taylor series to degree 4 and 5
+    (the first terms left out are below 3e-22).  The result is within a
+    few units of 1e-16 of np.cos and np.sin, plus about half an ulp of theta
+    once |theta| > 8e5, where k*h is no longer exact, and cos^2 + sin^2 = 1
+    to rounding at every theta; theta = 0 gives exactly (1, 0).  A finite
+    theta with |theta| >= MAX_PHASE_TIME is refused with ValueError.  `out`
+    is an optional pair of C-contiguous float arrays of theta's shape that
+    receive the result.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if out is None:
+        out = (np.empty(theta.shape), np.empty(theta.shape))
+    if any(a.shape != theta.shape or not a.flags.c_contiguous for a in out):
+        raise ValueError("out must be two C-contiguous arrays of theta's shape")
+    flat, cos, sin = theta.reshape(-1), out[0].reshape(-1), out[1].reshape(-1)
+    largest = max(flat.max(), -flat.min()) if flat.size else 0.0
+    _check_phase_time(largest)
+    refine = largest >= _PHASE_REFINE
+    width = min(_PHASE_BLOCK, flat.size)
+    work = np.empty((4, width))
+    for lo in range(0, flat.size, max(width, 1)):
+        hi = min(lo + width, flat.size)
+        y, z, u, j = work[:, : hi - lo]
+        _unit_phase_block(flat[lo:hi], cos[lo:hi], sin[lo:hi], y, z, u, j.view(np.int64),
+                          refine)
+    return out
+
+
+def _unit_phase_block(theta, c, s, y, z, u, j, refine: bool) -> None:
+    """unit_phases of one block into c and s; y, z, u (float) and j (int64) are scratch."""
+    _reduce_phase(theta, y, c, j)
+    if refine:
+        # y is off by up to a few hundred table steps: reduce it once more,
+        # now exactly, and move its steps into the index
+        steps = z.view(np.int64)
+        _reduce_phase(y, u, c, steps)
+        np.add(j, steps, out=j)
+        y, u = u, y
+    np.bitwise_and(j, _PHASE_STEPS - 1, out=j)      # table index k mod 4096
+    # j is in range, so "clip" changes nothing and skips the bounds check
+    _PHASE_COS.take(j, out=c, mode="clip")          # C
+    _PHASE_SIN.take(j, out=s, mode="clip")          # S
+    np.multiply(y, y, out=z)
+    # sin(y) = y + y^3*(y^2/120 - 1/6), into y
+    np.multiply(z, 1.0 / 120.0, out=u)
+    np.subtract(u, 1.0 / 6.0, out=u)
+    np.multiply(u, z, out=u)
+    np.multiply(u, y, out=u)
+    np.add(y, u, out=y)
+    # cos(y) - 1 = y^2*(y^2/24 - 1/2), into z
+    np.multiply(z, 1.0 / 24.0, out=u)
+    np.subtract(u, 0.5, out=u)
+    np.multiply(z, u, out=z)
+    # the two brackets, with j's memory as the fourth float row
+    f = j.view(np.float64)
+    np.multiply(s, y, out=u)                        # S*sin(y)
+    np.multiply(c, y, out=y)                        # C*sin(y)
+    np.multiply(c, z, out=f)
+    np.subtract(f, u, out=f)                        # C*(cos(y) - 1) - S*sin(y)
+    np.multiply(s, z, out=z)
+    np.add(z, y, out=z)                             # S*(cos(y) - 1) + C*sin(y)
+    np.add(c, f, out=c)
+    np.add(s, z, out=s)
+
+
+def _reduce_phase(theta, y, k, steps) -> None:
+    """y = theta - k*h with k = rint(theta/h), h = 2*pi/4096; k as int64 into steps.
+
+    k is float scratch, and y must not be theta.
+    """
+    np.multiply(theta, _PHASE_STEPS / (2.0 * math.pi), out=k)
+    np.rint(k, out=k)
+    np.copyto(steps, k, casting="unsafe")
+    np.subtract(theta, np.multiply(k, _PHASE_HI, out=y), out=y)    # exact while |k| < 2**29
+    np.subtract(y, np.multiply(k, _PHASE_LO, out=k), out=y)
 
 
 def cycle_amplitude_grid(

@@ -16,7 +16,7 @@ import scipy.linalg
 from latticemix.errors import SizeError
 from latticemix.kernels import Kernel
 from latticemix.oscsums import _check_odd, _osc_series, product_integral_curve
-from latticemix.spectral import HALF, LatticeSpec, cycle_amplitude_at
+from latticemix.spectral import HALF, LatticeSpec, class_table, cycle_amplitude_at
 
 
 def dense_cycle_adjacency(n: int) -> np.ndarray:
@@ -67,6 +67,51 @@ def unfolded_averaged_column(dims: tuple[int, ...], T: float) -> np.ndarray:
         # contract the leading index-pair axis; the offset axis goes last
         column = np.tensordot(column, roots, axes=([0], [1]))
     return column.real.ravel()
+
+
+def exp_amplitude_at(n: int, ts, scale: float) -> np.ndarray:
+    """Amplitudes <l|exp(i*Abar*t*scale)|0> at every offset l < n, with complex-exp phases.
+
+    The folded sum over the classes a <= n//2, with each phase
+    exp(i*t*scale*lambda_a) taken from np.exp by its definition and the real
+    class table times the (re, im) pairs; offset l > n//2 copies row n - l.
+    Shape ts.shape + (n,).
+    """
+    table = class_table(n)
+    ts = np.asarray(ts, dtype=float)
+    # columns 2k and 2k + 1 of the real view are the (re, im) of time k
+    phases = np.exp(1j * np.multiply.outer(table.lambdas, ts.ravel() * float(scale))).view(float)
+    half = table.lambdas.size
+    amps = np.empty((n, phases.shape[1]))
+    np.matmul(table.cosines, phases, out=amps[:half])
+    amps[:half] *= 1.0 / n
+    amps[half:] = amps[n - half:0:-1]
+    return amps.view(complex).T.reshape(ts.shape + (n,))
+
+
+def cumsum_sampler(lattice: LatticeSpec, T: float, rounds: int, trajectories: int,
+                   seed: int) -> np.ndarray:
+    """Empirical distribution of the sampled measure-evolve walk, by cumulative sums.
+
+    The random stream of experiments._sample_repeated: per round one uniform
+    time in [0, T] for every trajectory, then per coordinate one uniform
+    draw each.  The step is the number of offsets whose cumulative
+    |amplitude|^2 (exp_amplitude_at, trajectory-major) lies below the draw,
+    clipped to n - 1.
+    """
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / lattice.d
+    positions = np.zeros((trajectories, lattice.d), dtype=np.int64)
+    for _ in range(rounds):
+        ts = rng.uniform(0.0, T, trajectories)
+        for axis, n in enumerate(lattice.dims):
+            draws = rng.random(trajectories)
+            probs = np.abs(exp_amplitude_at(n, ts, scale)) ** 2
+            cum = np.cumsum(probs, axis=1)
+            step = np.minimum((draws[:, None] > cum).sum(axis=1), n - 1)
+            positions[:, axis] = (positions[:, axis] + step) % n
+    flat = np.ravel_multi_index(positions.T, lattice.dims)
+    return np.bincount(flat, minlength=lattice.size) / trajectories
 
 
 def unfolded_class_pair_sum(tables, horizons) -> np.ndarray:

@@ -84,11 +84,17 @@ class TestExitCodes:
         ("conjecture", "--pairs", "-3"),
         ("kernel", "--dims", "5,3", "--T", "2", "--power", "-1"),
         ("mix-coordinate", "--dims", "5,3", "--rounds", "-1"),
+        ("mix-repeated", "--dims", "5,3", "--T", "2", "--mode", "sampled", "--seed", "-1"),
+        ("conjecture", "--pairs", "1", "--seed", "-1"),
+        ("mix-repeated", "--dims", "5,3", "--T", "2", "--trajectories", "-5"),
+        ("mix-repeated", "--dims", "5,3", "--T", "2", "--rounds", "0"),
     ])
     def test_out_of_range_count_is_one(self, tmp_path, capsys, argv):
+        # refused when the flag is cast, so the one line names the flag
         out = str(tmp_path / "a.csv")
         assert run(*argv, "--out", out) == 1
-        assert capsys.readouterr().err.count("\n") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"bad {argv[-2]} value {argv[-1]!r}" in err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("argv", [
@@ -118,6 +124,17 @@ class TestExitCodes:
         assert run(*argv, "--out", out) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("argv", [
+        ("kernel", "--dims", "9", "--kind", "instant", "--t", "1e300"),
+        ("mix-repeated", "--dims", "5,3", "--T", "1e300", "--mode", "sampled"),
+    ])
+    def test_phase_past_the_limit_is_one_line(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "a.csv")
+        assert run(*argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "past the phase limit 2**52" in err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("message", ["Unable to allocate 1.49 GiB for an array", ""],

@@ -27,7 +27,7 @@ from latticemix.kernels import (
 )
 from latticemix.spectral import FULL, LatticeSpec, class_table, cycle_amplitude
 
-from oracles import stepped_lazy_curve
+from oracles import cumsum_sampler, stepped_lazy_curve
 
 
 class TestRepeatedMeasurement:
@@ -79,6 +79,31 @@ class TestRepeatedMeasurement:
         monkeypatch.setattr(experiments, "_SAMPLE_CHUNK", 1_000)
         whole = experiments._sample_repeated(lattice, 9.0, 3, 1_000, 11)
         assert np.array_equal(chunked, whole)
+
+    @pytest.mark.parametrize("T", [2.0, 20.0, 1e5, 1e8])
+    @pytest.mark.parametrize("dims", [(9, 7), (4,), (22, 6), (5, 3, 3)])
+    def test_sampler_counts_match_the_cumsum_oracle(self, monkeypatch, dims, T):
+        # the offset-major sampler and its table-driven phases land every
+        # trajectory where the complex-exp cumulative-sum sampler does; a
+        # small chunk makes the last chunk a short one
+        lattice = LatticeSpec(dims)
+        monkeypatch.setattr(experiments, "_SAMPLE_CHUNK", 700)
+        for seed in (0, 1, 2):
+            counts = experiments._sample_repeated(lattice, T, 2, 2_000, seed)
+            assert np.array_equal(counts, cumsum_sampler(lattice, T, 2, 2_000, seed))
+
+    def test_sampler_refuses_a_horizon_past_the_phase_limit(self, monkeypatch):
+        # the refusal names the limit and comes before a generator is made
+        def no_draws(seed):
+            raise AssertionError("random stream opened before the refusal")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        for dims, T in (((5, 3), 1e300), ((5, 3), 2.0**53), ((7,), 2.0**52)):
+            with pytest.raises(ValueError, match="phase limit 2\\*\\*52"):
+                experiments._sample_repeated(LatticeSpec(dims), T, 1, 10, 0)
+        monkeypatch.undo()
+        counts = experiments._sample_repeated(LatticeSpec((5, 3)), 2.0**53 - 2.0, 1, 10, 0)
+        assert counts.sum() == 1.0
 
     @pytest.mark.parametrize("dims", [(7, 5, 3), (8, 5)])
     def test_three_factor_run_matches_quadrature_kernel(self, dims):

@@ -5,6 +5,7 @@ from latticemix.errors import SizeError
 from latticemix.spectral import (
     FULL,
     HALF,
+    MAX_PHASE_TIME,
     LatticeSpec,
     cycle_amplitude,
     cycle_amplitude_at,
@@ -12,9 +13,10 @@ from latticemix.spectral import (
     class_table,
     product_amplitude,
     spectral_gap,
+    unit_phases,
 )
 
-from oracles import dense_walk_matrix, expm_amplitude_column
+from oracles import dense_walk_matrix, exp_amplitude_at, expm_amplitude_column
 
 
 class TestEigenphases:
@@ -145,6 +147,79 @@ class TestCycleAmplitudeAt:
             cycle_amplitude_at(9, [1.0, np.nan], FULL)
         with pytest.raises(ValueError):
             cycle_amplitude_at(9, 1.0, 0.0)
+
+    @pytest.mark.parametrize("n", [2, 9, 20, 101])
+    def test_matches_the_complex_exp_route(self, n):
+        # the table-driven phases move the amplitudes at the rounding level
+        # only; past |theta| = 8e5 by up to about an ulp of theta
+        rng = np.random.default_rng(n)
+        for t_max in (1.0, 30.0, 1e4, 1e9):
+            ts = np.concatenate(([0.0, t_max], rng.uniform(0.0, t_max, 64)))
+            for scale in (FULL, HALF):
+                gap = np.abs(cycle_amplitude_at(n, ts, scale) - exp_amplitude_at(n, ts, scale))
+                assert gap.max() <= 2e-15 + 4.0 * np.spacing(scale * t_max)
+
+    def test_refuses_phases_past_the_limit(self):
+        assert MAX_PHASE_TIME == 2.0**52
+        for ts, scale in ((MAX_PHASE_TIME, FULL), (2.0 * MAX_PHASE_TIME, HALF),
+                          ([1.0, -MAX_PHASE_TIME], FULL), (1e300, FULL)):
+            with pytest.raises(ValueError, match="past the phase limit 2\\*\\*52"):
+                cycle_amplitude_at(9, ts, scale)
+        with pytest.raises(ValueError, match="phase limit"):
+            cycle_amplitude(9, 0, 1e300)
+        # just below the limit the phases are still unit-modulus amplitudes
+        amp = cycle_amplitude_at(9, MAX_PHASE_TIME - 1.0, FULL)
+        assert abs((np.abs(amp) ** 2).sum() - 1.0) <= 1e-14
+
+
+class TestUnitPhases:
+    """Table-driven cos and sin against numpy's, up to the phase limit."""
+
+    def test_against_numpy_cos_and_sin(self):
+        rng = np.random.default_rng(5)
+        magnitudes = 10.0 ** np.arange(-6, 13)
+        theta = np.concatenate([
+            (rng.uniform(-1.0, 1.0, (magnitudes.size, 4000)) * magnitudes[:, None]).ravel(),
+            2.0 * np.pi * np.arange(-50, 51),
+            2.0 * np.pi * rng.integers(-10**11, 10**11, 200),
+            np.pi / 2048.0 * (np.arange(-4, 5) + 0.5),
+            [0.0, -0.0, np.pi, -np.pi, 1e12, -1e12],
+        ])
+        cos, sin = unit_phases(theta)
+        tol = 1e-15 + 2.0 * np.spacing(np.abs(theta))
+        assert np.all(np.abs(cos - np.cos(theta)) <= tol)
+        assert np.all(np.abs(sin - np.sin(theta)) <= tol)
+
+    def test_unit_modulus_up_to_the_phase_limit(self):
+        # past 2**40 the remainder is reduced twice, so it stays in the
+        # Taylor range and cos^2 + sin^2 = 1 holds to rounding
+        rng = np.random.default_rng(6)
+        for e in (20, 40, 44, 48, 52):
+            theta = rng.uniform(-1.0, 1.0, 5000) * 2.0**e
+            cos, sin = unit_phases(theta)
+            assert np.abs(cos * cos + sin * sin - 1.0).max() <= 1e-15
+            tol = 1e-15 + 2.0 * np.spacing(np.abs(theta))
+            assert np.all(np.abs(cos - np.cos(theta)) <= tol)
+            assert np.all(np.abs(sin - np.sin(theta)) <= tol)
+        with pytest.raises(ValueError, match="past the phase limit 2\\*\\*52"):
+            unit_phases([0.5, -MAX_PHASE_TIME])
+
+    def test_zero_is_exact_and_shapes_follow_theta(self):
+        cos, sin = unit_phases(0.0)
+        assert cos == 1.0 and sin == 0.0
+        cos, sin = unit_phases(np.zeros((3, 4)))
+        assert np.all(cos == 1.0) and np.all(sin == 0.0) and cos.shape == (3, 4)
+        assert [a.size for a in unit_phases(np.empty(0))] == [0, 0]
+
+    def test_writes_into_out_across_blocks(self):
+        theta = np.linspace(-40.0, 40.0, 5 * 5000).reshape(5, -1)
+        out = (np.empty(theta.shape), np.empty(theta.shape))
+        cos, sin = unit_phases(theta, out=out)
+        assert cos is out[0] and sin is out[1]
+        assert np.abs(cos - np.cos(theta)).max() <= 1e-15
+        assert np.abs(sin - np.sin(theta)).max() <= 1e-15
+        with pytest.raises(ValueError, match="C-contiguous"):
+            unit_phases(theta, out=(np.empty(theta.shape[::-1]).T, out[1]))
 
 
 class TestClassTable:
