@@ -26,9 +26,9 @@ pairs = sample_coprime_odd_pairs(10, 100, 8, seed=3)
 print(f"\nproduct-integral sweep over {len(pairs)} sampled coprime odd pairs:")
 reports = bound_sweep(pairs, [10.0, 1000.0, 10_000.0], dt=0.02)
 for r in reports:
-    if r.params["T"] == 10_000.0:
-        print(f"  ({r.params['n1']:3d},{r.params['n2']:3d}) T=1e4:  "
-              f"lhs = {r.lhs:12.1f}   rhs = {r.rhs:12.1f}   "
-              f"satisfied = {r.satisfied}")
-print(f"all {len(reports)} rows satisfied: {all(r.satisfied for r in reports)}")
+    if r["T"] == 10_000.0:
+        print(f"  ({r['n1']:3d},{r['n2']:3d}) T=1e4:  "
+              f"lhs = {r['lhs']:12.1f}   rhs = {r['rhs']:12.1f}   "
+              f"satisfied = {r['satisfied']}")
+print(f"all {len(reports)} rows satisfied: {all(r['satisfied'] for r in reports)}")
 print(f"two-cycle cap for (19, 5): {product_integral_bound((19, 5)):.1f}")

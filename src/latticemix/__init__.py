@@ -45,7 +45,6 @@ from .kernels import (
     kernel_power,
 )
 from .oscsums import (
-    BoundReport,
     bound_sweep,
     coprime_odd_pairs,
     integrated_osc_bound,

@@ -40,6 +40,7 @@ from .kernels import (
     kernel_power,
 )
 from .oscsums import (
+    bound_row,
     bound_sweep,
     coprime_odd_pairs,
     integrated_osc_bound,
@@ -349,19 +350,10 @@ def _run_mix_repeated(resolved) -> _Artifact:
 
 def _run_lemma2(resolved) -> _Artifact:
     n, T, offset = resolved["n"], resolved["T"], resolved["offset"]
-    lhs = abs(integrated_osc_sum(n, offset, T))
-    rhs = integrated_osc_bound(n)
-    satisfied = lhs <= rhs
-    payload = {"n": n, "offset": offset, "T": T, "lhs": lhs, "rhs": rhs,
-               "satisfied": satisfied}
+    payload = bound_row({"n": n, "offset": offset, "T": T},
+                        abs(integrated_osc_sum(n, offset, T)), integrated_osc_bound(n))
     table = {key: [value] for key, value in payload.items()}
-    return _Artifact(payload, table, None, 0 if satisfied else 2)
-
-
-def _report_dicts(reports) -> list[dict]:
-    """Each BoundReport as one dict, read by both the JSON reports and the CSV columns."""
-    return [{**rep.params, "lhs": rep.lhs, "rhs": rep.rhs, "satisfied": rep.satisfied}
-            for rep in reports]
+    return _Artifact(payload, table, None, 0 if payload["satisfied"] else 2)
 
 
 def _run_conjecture(resolved) -> _Artifact:
@@ -378,10 +370,10 @@ def _run_conjecture(resolved) -> _Artifact:
     if not pairs:
         raise ValueError(f"range {lo},{hi} holds no coprime odd pair n1 > n2 >= 3")
     grid = _decade_grid(resolved["T_max"])
-    reports = _report_dicts(bound_sweep(
+    reports = bound_sweep(
         pairs, grid, dt=resolved["dt"], offset=resolved["offset"],
         check_halving=resolved["halving"], workers=_workers(resolved["parallel"]),
-    ))
+    )
     payload = {
         "pair_count": len(pairs),
         "range": list(resolved["range"]),
@@ -401,10 +393,10 @@ def _run_theorem3(resolved) -> _Artifact:
     if resolved["tier"] != "slow":
         raise SystemExit("theorem3 is a slow-tier job; pass --tier slow to acknowledge")
     strict = not resolved["relaxed"]
-    reports = _report_dicts(uniformity_case_check(
+    reports = uniformity_case_check(
         resolved["n1"], resolved["n2"], T=resolved["T"], strict=strict,
         checkpoint=resolved["checkpoint"],
-    ))
+    )
     payload = {
         "n1": resolved["n1"],
         "n2": resolved["n2"],
@@ -503,8 +495,7 @@ _COMMANDS = {
         _Option("--halving", _parse_bool, False,
                 help="also integrate at dt/2 and report the relative step-halving gap"),
         _TIER,
-        _Option("--parallel", int,
-                help="worker processes (default: cores)"),
+        _Option("--parallel", _parse_positive, help="worker processes (default: cores)"),
         *_io("csv"),
     )),
     "theorem3": _Command(_run_theorem3, "averaged-kernel uniformity case check (slow tier)", (

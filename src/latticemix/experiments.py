@@ -37,7 +37,7 @@ from .kernels import (
     instantaneous_kernel,
     kernel_power,
 )
-from .oscsums import BoundReport, _check_coprime_dims
+from .oscsums import _check_coprime_dims, bound_row
 from .spectral import LatticeSpec, _check_phase_time, _half_amplitudes, class_table
 
 # Entries per (n//2 + 1, C) plane of _sample_repeated, which takes
@@ -280,7 +280,7 @@ def uniformity_case_check(
     T: float | None = None,
     strict: bool | None = None,
     checkpoint: str | None = None,
-) -> list[BoundReport]:
+) -> list[dict]:
     """Deviation of the d=2 averaged kernel from uniform, entry class by class.
 
     Entries of the first column split by which coordinates of the offset
@@ -289,7 +289,7 @@ def uniformity_case_check(
     pairwise-column-distance cap of 1/(2e).  Strict mode (default when
     n2 > 91) insists on the hypotheses n1 > n2 > 91, both odd and coprime;
     relaxed mode evaluates smaller pairs and reports values without any claim
-    that the caps should hold.
+    that the caps should hold.  Each case is one bound_row.
     """
     n1, n2 = _check_coprime_dims((n1, n2))
     if strict is None:
@@ -314,7 +314,7 @@ def uniformity_case_check(
         ("column_l1", gaps.sum(), 13.0 / n2 + 2.0 / 50.0),
         ("column_distance", pairwise_column_distance(kernel), 1.0 / (2.0 * math.e)),
     )
-    return [BoundReport.build({**base, "case": case}, lhs, rhs) for case, lhs, rhs in cases]
+    return [bound_row({**base, "case": case}, lhs, rhs) for case, lhs, rhs in cases]
 
 
 def return_probability_curves(

@@ -30,9 +30,9 @@ Three constructions are provided:
   The class-pair frequencies and coefficients are the pair_omega (times
   the scale) and pair_coeff of spectral.class_table(n), and _class_pair_sum
   contracts them factor by factor.  It alone decides their layout: it
-  folds each pair (a, b) of the first factor with its swap (b, a), and it
-  blocks the rows and chunks the horizons.  The return curve and the exact
-  oscillatory sums pass it plain class-pair rows in the same way.  Since
+  folds each pair (a, b) of the first factor with its swap (b, a) (_fold),
+  and it blocks the rows and chunks the horizons.  The return curve and the
+  exact oscillatory sums pass it plain class-pair rows in the same way.  Since
   c_a(l) = c_a(n - l), only the rows l <= n//2 of each factor are
   contracted and the column is mirrored from them.
 * averaged_kernel_quadrature: the same average by composite Simpson over
@@ -220,6 +220,24 @@ def _horizon_chunk(widths, rows_last: int, horizons: int) -> int:
     return chunk
 
 
+def _fold(table, omega: np.ndarray, coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One factor's class pairs folded onto one same-class column, then the pairs a < b.
+
+    Column 0 has frequency 0 and coefficient sum_a C[l, (a, a)], and each
+    pair a < b, row-major, keeps omega[(a, b)] with 2*C[l, (a, b)]: the terms
+    of a pair and its swap (b, a), when a contraction is even under the swap.
+    """
+    classes = np.arange(table.lambdas.size)
+    # column 0 starts as the last same-class pair (a, a), then takes the sum
+    index = np.concatenate((classes[-1:] * (classes.size + 1),
+                            np.flatnonzero(np.less.outer(classes, classes))))
+    folded_omega, folded = omega[index], np.take(coeff, index, axis=1)
+    folded_omega[0] = 0.0
+    folded[:, 0] = np.take(coeff, classes * (classes.size + 1), axis=1).sum(axis=1)
+    folded[:, 1:] *= 2.0
+    return folded_omega, folded
+
+
 def _class_pair_sum(factors, horizons, checkpoint: str | None = None) -> np.ndarray:
     """Sum over class-pair tuples p of prod_k C_k[l_k, p_k] * sin(x)/x.
 
@@ -229,13 +247,12 @@ def _class_pair_sum(factors, horizons, checkpoint: str | None = None) -> np.ndar
     time scale, and a (rows_k, pairs) block of its class-pair coefficient
     rows, both over all class pairs (a, b).
 
-    The first factor is folded onto the pairs a <= b (ClassTable.pair_fold
-    and fold).  The fold is exact: each C_k is symmetric under the swap
-    (a, b) <-> (b, a), which negates omega_k, and sin(x)/x is even, so
-    swapping the pairs of every factor at once leaves a term unchanged, and
-    the terms with the first factor's pair swapped add up to those without.
-    The same-class pairs (a, a), whose frequencies are exactly 0, share one
-    column.
+    The first factor is folded onto the pairs a <= b (_fold).  The fold is
+    exact: each C_k is symmetric under the swap (a, b) <-> (b, a), which
+    negates omega_k, and sin(x)/x is even, so swapping the pairs of every
+    factor at once leaves a term unchanged, and the terms with the first
+    factor's pair swapped add up to those without.  The same-class pairs
+    (a, a), whose frequencies are exactly 0, share one column.
 
     The leading factors' frequencies are summed into one axis; the last
     factor is contracted against it in blocks of _BLOCK_SIZE leading rows,
@@ -259,9 +276,7 @@ def _class_pair_sum(factors, horizons, checkpoint: str | None = None) -> np.ndar
     (first, omega, coeff), *rest = factors
     chunk = _horizon_chunk([table.lambdas.size for table, _, _ in factors],
                            factors[-1][2].shape[0], horizons.size)
-    folded = omega[first.pair_fold[first.lambdas.size - 1 :]]
-    folded[0] = 0.0
-    *leading, (_, omega_last, coeff_last) = [(first, folded, first.fold(coeff)), *rest]
+    *leading, (_, omega_last, coeff_last) = [(first, *_fold(first, omega, coeff)), *rest]
     lead = np.zeros(1)
     for _, omega, _ in leading:
         lead = np.add.outer(lead, omega).ravel()

@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +73,8 @@ def _osc_series(n: int, offset: int):
     """
     table = class_table(n)
     coeff = table.pair_rows([table.mirror[int(offset) % n]]) * float(n) ** 2
-    coeff[:, table.pair_fold[: table.lambdas.size]] = 0.0
+    # the pairs are row-major, so (a, a) sits at a*(width + 1)
+    coeff[:, :: table.lambdas.size + 1] = 0.0
     return table, HALF * table.pair_omega, coeff
 
 
@@ -210,19 +210,10 @@ def product_integral_bound(dims) -> float:
     return 16.0 * d * total
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """One checked instance lhs <= rhs of an integral bound."""
-
-    params: dict
-    lhs: float
-    rhs: float
-    satisfied: bool
-
-    @classmethod
-    def build(cls, params: dict, lhs: float, rhs: float) -> "BoundReport":
-        return cls(params=dict(params), lhs=float(lhs), rhs=float(rhs),
-                   satisfied=bool(lhs <= rhs))
+def bound_row(params: dict, lhs: float, rhs: float) -> dict:
+    """One checked instance lhs <= rhs of a bound: params, then lhs, rhs and satisfied."""
+    lhs, rhs = float(lhs), float(rhs)
+    return {**params, "lhs": lhs, "rhs": rhs, "satisfied": lhs <= rhs}
 
 
 def coprime_odd_pairs(lo: int, hi: int) -> list[tuple[int, int]]:
@@ -245,7 +236,7 @@ def sample_coprime_odd_pairs(lo: int, hi: int, count: int, seed: int) -> list[tu
     return [pairs[i] for i in sorted(picked)]
 
 
-def _sweep_one(job) -> list[BoundReport]:
+def _sweep_one(job) -> list[dict]:
     (n1, n2), T_grid, dt, (l1, l2), check_halving = job
     rhs = product_integral_bound((n1, n2))
     curve, halved = product_integral_curve(n1, n2, (l1, l2), T_grid, dt, check_halving)
@@ -256,7 +247,7 @@ def _sweep_one(job) -> list[BoundReport]:
         if halved is not None:
             denom = max(abs(halved[pos]), 1e-30)
             params["halving_rel"] = abs(curve[pos] - halved[pos]) / denom
-        reports.append(BoundReport.build(params, abs(curve[pos]), rhs))
+        reports.append(bound_row(params, abs(curve[pos]), rhs))
     return reports
 
 
@@ -267,12 +258,12 @@ def bound_sweep(
     offset=(0, 0),
     check_halving: bool = False,
     workers: int = 1,
-) -> list[BoundReport]:
+) -> list[dict]:
     """Check |integral osc_1*osc_2| <= bound over (pair, horizon) at one offset pair.
 
-    Pairs are processed independently (optionally in a process pool); the
-    report list is ordered by (pair position, horizon position) regardless of
-    worker count.
+    Each check is one bound_row.  Pairs are processed independently
+    (optionally in a process pool); the rows are ordered by (pair position,
+    horizon position) regardless of worker count.
     """
     T_grid = [float(T) for T in T_grid]
     jobs = [((int(n1), int(n2)), T_grid, dt, tuple(offset), check_halving)

@@ -26,11 +26,13 @@ amplitudes the class pairs (a, b) with their unscaled frequency
 lambda_a - lambda_b and real coefficient c_a(l)*c_b(l)/n^2.  Since
 c_a(l) = c_a(n - l), every table keeps the offsets l <= n//2 only, and
 `mirror` maps every offset to its row there, so the offsets l and n - l read
-the same row; `pair_fold` and `fold` give the layout onto which
-kernels._class_pair_sum folds the pairs (a, b) and (b, a).  Callers scale
-the pair frequencies by their own time scale; the averaged kernels and the
-exact oscillatory sums are contractions of the pair data.  A table over
-MAX_PARTIAL_ENTRIES doubles is refused.
+the same row.  Callers scale the pair frequencies by their own time scale;
+the averaged kernels and the exact oscillatory sums are contractions of the
+pair data.  A table over MAX_PARTIAL_ENTRIES doubles is refused.
+
+The walk's spectrum on the product lattice is the set of averages
+(1/d) * sum_k lambda_{a_k}, so its gap below the top eigenvalue 1 is the
+smallest per-cycle gap 1 - lambda_1 over d, read from the eigenvalues alone.
 
 cycle_amplitude_at evaluates the sum at every offset and any times, and
 cycle_amplitude_grid at one offset on a long uniform grid.  The former takes
@@ -136,7 +138,8 @@ class ClassTable:
 
     lambdas[a] is the class eigenvalue lambda_a = cos(2*pi*a/n), built
     eagerly; the tables below are built on first use, so a long cycle that
-    needs only its eigenvalues never allocates the O(n^2) ones.
+    needs only its eigenvalues (its spectrum and gap) never allocates the
+    O(n^2) ones.
     """
 
     n: int
@@ -178,27 +181,6 @@ class ClassTable:
     def pair_coeff(self) -> np.ndarray:
         """c_a(l)*c_b(l)/n^2 at [l, (a, b)] for l <= n//2, the pairs flattened row-major."""
         return _frozen(self.pair_rows(slice(None)))
-
-    @functools.cached_property
-    def pair_fold(self) -> np.ndarray:
-        """Flat indices of the pairs (a, a), a = 0..n//2, then of the pairs a < b row-major."""
-        width = self.lambdas.size
-        a, b = np.triu_indices(width, 1)
-        return _frozen(np.concatenate((np.arange(width) * (width + 1), a * width + b)))
-
-    def fold(self, coeff: np.ndarray) -> np.ndarray:
-        """Class-pair coefficient rows folded onto the pairs pair_fold[n//2:].
-
-        Column 0 is sum_a C[l, (a, a)], then 2*C[l, (a, b)] for each a < b:
-        the terms of a pair and its swap (b, a), when a contraction is even
-        under the swap.
-        """
-        same = self.lambdas.size
-        # column 0 starts as the last same-class column, then takes the sum
-        folded = np.take(coeff, self.pair_fold[same - 1 :], axis=1)
-        folded[:, 0] = np.take(coeff, self.pair_fold[:same], axis=1).sum(axis=1)
-        folded[:, 1:] *= 2.0
-        return folded
 
     def pair_rows(self, offsets) -> np.ndarray:
         """Rows `offsets` (a list or a slice) of the class-pair coefficients, l <= n//2."""
@@ -440,14 +422,11 @@ def product_amplitude(lattice: LatticeSpec, source: tuple[int, ...], t: float) -
 def spectral_gap(lattice: LatticeSpec) -> float:
     """Gap 1 - max of the walk spectrum off the top joint eigenvalue.
 
-    Joint eigenvalues are (1/d) * sum_k cos(2*pi*j_k/n_k).  Every index
-    tuple has the eigenvalue of its class tuple a_k = min(j_k, n_k - j_k),
-    so the maximum is taken over the class tuples except (0, ..., 0).
+    Joint eigenvalues are (1/d) * sum_k lambda_{a_k} over the class tuples.
+    Each cycle's top class is lambda_0 = 1, so the largest one off
+    (0, ..., 0) moves a single factor k to its largest lambda_a, a >= 1,
+    and the gap is min_k (1 - max_{a >= 1} lambda_a) / d.  Only the class
+    eigenvalues are read, so any lattice is served.
     """
-    lattice.check_dense()
-    joint = np.zeros(1)
-    for n in lattice.dims:
-        joint = np.add.outer(joint, class_table(n).lambdas).ravel()
-    # index 0 is the all-zero tuple with eigenvalue 1; every n >= 2 has a
-    # second class, so joint[1:] is never empty
-    return float(1.0 - np.max(joint[1:] / lattice.d))
+    # every n >= 2 has a second class, so lambdas[1:] is never empty
+    return float(min(1.0 - class_table(n).lambdas[1:].max() for n in lattice.dims) / lattice.d)

@@ -39,6 +39,20 @@ def dense_walk_matrix(lattice: LatticeSpec) -> np.ndarray:
     return total / lattice.d
 
 
+def enumerated_spectral_gap(lattice: LatticeSpec) -> float:
+    """1 - the largest joint eigenvalue off the top one, over every class tuple.
+
+    Joint eigenvalues are (1/d) * sum_k cos(2*pi*a_k/n_k); every index tuple
+    has the eigenvalue of its class tuple a_k = min(j_k, n_k - j_k), so all
+    prod_k (n_k//2 + 1) class tuples are enumerated and the maximum is taken
+    off (0, ..., 0), which comes first.
+    """
+    joint = np.zeros(1)
+    for n in lattice.dims:
+        joint = np.add.outer(joint, np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)).ravel()
+    return float(1.0 - np.max(joint[1:] / lattice.d))
+
+
 def expm_amplitude_column(lattice: LatticeSpec, source_index: int, t: float) -> np.ndarray:
     """Column of exp(i * Abar * t) through scipy's Pade scaling-and-squaring."""
     walk = dense_walk_matrix(lattice)

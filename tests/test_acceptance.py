@@ -147,9 +147,9 @@ def test_criterion_05_product_bound_sweep():
     reports = bound_sweep(
         pairs, [10.0, 100.0, 1000.0, 10000.0], dt=0.02, check_halving=True
     )
-    unsatisfied = [r for r in reports if not r.satisfied]
-    worst_halving = max(r.params["halving_rel"] for r in reports)
-    worst_ratio = max(r.lhs / r.rhs for r in reports)
+    unsatisfied = [r for r in reports if not r["satisfied"]]
+    worst_halving = max(r["halving_rel"] for r in reports)
+    worst_ratio = max(r["lhs"] / r["rhs"] for r in reports)
     elapsed = time.perf_counter() - start
     report(
         5,
@@ -209,11 +209,11 @@ def test_criterion_07_coordinate_wise_mixing():
 def test_criterion_08_uniformity_desk_check():
     start = time.perf_counter()
     reports = uniformity_case_check(95, 93)
-    by_case = {r.params["case"]: r for r in reports}
-    ok = all(r.satisfied for r in reports)
+    by_case = {r["case"]: r for r in reports}
+    ok = all(r["satisfied"] for r in reports)
     elapsed = time.perf_counter() - start
     detail = ", ".join(
-        f"{case}: {by_case[case].lhs:.3e}<={by_case[case].rhs:.3e}"
+        f"{case}: {by_case[case]['lhs']:.3e}<={by_case[case]['rhs']:.3e}"
         for case in ("origin", "axis2", "axis1", "interior", "column_l1",
                      "column_distance")
     )

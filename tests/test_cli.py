@@ -10,6 +10,9 @@ import pytest
 from latticemix import cli
 from latticemix.cli import build_parser, main
 from latticemix.output import write_json
+from latticemix.spectral import LatticeSpec
+
+from oracles import enumerated_spectral_gap
 
 
 def run(*argv) -> int:
@@ -88,6 +91,8 @@ class TestExitCodes:
         ("conjecture", "--pairs", "1", "--seed", "-1"),
         ("mix-repeated", "--dims", "5,3", "--T", "2", "--trajectories", "-5"),
         ("mix-repeated", "--dims", "5,3", "--T", "2", "--rounds", "0"),
+        ("conjecture", "--range", "10,20", "--pairs", "1", "--parallel", "0"),
+        ("conjecture", "--range", "10,20", "--pairs", "1", "--parallel", "-3"),
     ])
     def test_out_of_range_count_is_one(self, tmp_path, capsys, argv):
         # refused when the flag is cast, so the one line names the flag
@@ -319,6 +324,15 @@ class TestOutputs:
         for n, lam in zip(dims, tables):
             assert len(lam) == n and float(lam[0]) == 1.0
             assert all(lam[j] == lam[n - j] for j in range(1, n))
+
+    def test_spectrum_past_the_dense_limit(self, tmp_path):
+        # N = 1004003: the gap reads each cycle's eigenvalues, not the joint spectrum
+        out = str(tmp_path / "s.csv")
+        assert run("spectrum", "--dims", "1001,1003", "--out", out) == 0
+        header, *rows = [line.split(",") for line in read(out).decode().splitlines()]
+        assert len(rows) == 2004
+        gaps = np.array([float(row[header.index("joint_gap")]) for row in rows])
+        assert np.abs(gaps - enumerated_spectral_gap(LatticeSpec((1001, 1003)))).max() <= 1e-15
 
     def test_svg_output(self, tmp_path):
         out = str(tmp_path / "fig1.svg")

@@ -237,14 +237,14 @@ class TestCoordinateWise:
 class TestUniformityCaseCheck:
     def test_relaxed_small_pair_reports_all_cases(self):
         reports = uniformity_case_check(19, 5, strict=False)
-        cases = [r.params["case"] for r in reports]
+        cases = [r["case"] for r in reports]
         assert cases == ["origin", "axis2", "axis1", "interior", "column_l1",
                          "column_distance"]
-        by_case = {r.params["case"]: r for r in reports}
+        by_case = {r["case"]: r for r in reports}
         # the full-column l1 cap 13/5 + 0.04 exceeds 2, hence holds vacuously
-        assert by_case["column_l1"].rhs > 2.0
-        assert by_case["column_l1"].satisfied
-        assert all(r.params["mode"] == "relaxed" for r in reports)
+        assert by_case["column_l1"]["rhs"] > 2.0
+        assert by_case["column_l1"]["satisfied"]
+        assert all(r["mode"] == "relaxed" for r in reports)
 
     def test_default_horizon_formula(self):
         assert abs(
@@ -268,7 +268,7 @@ class TestUniformityCaseCheck:
 
     def test_horizon_override(self):
         reports = uniformity_case_check(19, 5, T=100.0, strict=False)
-        assert all(r.params["T"] == 100.0 for r in reports)
+        assert all(r["T"] == 100.0 for r in reports)
 
 
 class TestReturnProbabilityCurves:

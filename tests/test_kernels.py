@@ -5,6 +5,7 @@ from latticemix.classical import lazy_kernel
 from latticemix.errors import ResolutionError, SizeError
 from latticemix.kernels import (
     Kernel,
+    _fold,
     averaged_kernel_analytic,
     averaged_kernel_quadrature,
     averaged_return_probability,
@@ -279,6 +280,20 @@ class TestFoldedContraction:
             coeff = (c[:, :, None] * c[:, None, :]).reshape(c.shape[0], -1) / n**2
             tables.append((scale * class_table(n).pair_omega, coeff))
         return tables
+
+    @pytest.mark.parametrize("n", [3, 7, 10])
+    def test_folded_pair_tables(self, n):
+        # _fold: one same-class column of frequency 0 and coefficient
+        # sum_a c_a(l)^2/n^2, then the pairs a < b with lambda_a - lambda_b
+        # and 2*c_a(l)*c_b(l)/n^2, for each l <= n//2
+        table = class_table(n)
+        lam, c = table.lambdas, table.cosines
+        upper = [(a, b) for a in range(lam.size) for b in range(a + 1, lam.size)]
+        omega, coeff = _fold(table, table.pair_omega, table.pair_coeff)
+        assert omega.tolist() == [0.0] + [lam[a] - lam[b] for a, b in upper]
+        expected = np.column_stack([(c * c / n**2).sum(axis=1)]
+                                   + [2.0 * c[:, a] * c[:, b] / n**2 for a, b in upper])
+        assert np.abs(coeff - expected).max() <= 1e-16
 
     @pytest.mark.parametrize("dims", [(9,), (13,), (19, 5), (23, 21), (5, 5), (9, 3),
                                       (7, 5, 3), (5, 5, 3)])

@@ -16,7 +16,8 @@ from latticemix.spectral import (
     unit_phases,
 )
 
-from oracles import dense_walk_matrix, exp_amplitude_at, expm_amplitude_column
+from oracles import (dense_walk_matrix, enumerated_spectral_gap, exp_amplitude_at,
+                     expm_amplitude_column)
 
 
 class TestEigenphases:
@@ -271,20 +272,6 @@ class TestClassTable:
                 assert omega[a, b] == lam[a] - lam[b]
                 assert np.array_equal(coeff[:, a, b], c[:4, a] * c[:4, b] / n**2)
 
-    @pytest.mark.parametrize("n", [3, 7, 10])
-    def test_folded_pair_tables(self, n):
-        # pair_fold: the pairs (a, a), then the pairs a < b; fold(pair_coeff):
-        # sum_a c_a(l)^2/n^2, then 2*c_a(l)*c_b(l)/n^2, for each l <= n//2
-        table = class_table(n)
-        lam, c = table.lambdas, table.cosines
-        upper = [(a, b) for a in range(lam.size) for b in range(a + 1, lam.size)]
-        same = [(a, a) for a in range(lam.size)]
-        assert table.pair_fold.tolist() == [a * lam.size + b for a, b in same + upper]
-        expected = np.column_stack([(c * c / n**2).sum(axis=1)]
-                                   + [2.0 * c[:, a] * c[:, b] / n**2 for a, b in upper])
-        assert np.abs(table.fold(table.pair_coeff) - expected).max() <= 1e-16
-        assert all(not array.flags.writeable for array in (table.pair_fold, table.mirror))
-
     def test_rows_mirror_onto_the_half_table(self):
         # c_a(l) = c_a(n - l), so the table keeps the rows l <= n//2 and
         # offset l reads row min(l, n - l)
@@ -292,6 +279,7 @@ class TestClassTable:
             table = class_table(n)
             assert table.mirror.tolist() == [min(l, n - l) for l in range(n)]
             assert table.cosines.shape == (n // 2 + 1, n // 2 + 1)
+            assert not table.mirror.flags.writeable
 
     @pytest.mark.parametrize("n", [2, 9, 10, 1001, 2048])
     def test_cosines_in_row_blocks_equal_the_one_shot_table(self, monkeypatch, n):
@@ -363,6 +351,13 @@ class TestSpectralGap:
         lattice = LatticeSpec((7, 4, 3))
         eigs = np.sort(np.linalg.eigvalsh(dense_walk_matrix(lattice)))
         assert abs(spectral_gap(lattice) - (1.0 - eigs[-2])) < 1e-12
+
+    @pytest.mark.parametrize("dims", [(2,), (3,), (2, 2), (2, 3), (4, 6), (5, 5), (19, 5),
+                                      (7, 4, 3), (9, 9, 9), (3, 3, 3, 3), (1001, 1003)])
+    def test_per_cycle_gap_matches_class_tuple_enumeration(self, dims):
+        # (1001, 1003) has N = 1004003 vertices, over the dense limit
+        lattice = LatticeSpec(dims)
+        assert abs(spectral_gap(lattice) - enumerated_spectral_gap(lattice)) <= 1e-15
 
     def test_long_cycle_builds_no_cosine_table(self):
         # the gap reads only lambda_a; an eager (n//2 + 1)^2 cosine table
