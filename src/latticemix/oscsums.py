@@ -38,16 +38,18 @@ import numpy as np
 
 from .errors import ParityError, ResolutionError
 from .kernels import _class_pair_sum, simpson_intervals, simpson_weights
-from .spectral import HALF, class_table, cycle_amplitude_grid
+from .spectral import HALF, _GRID_GROUP_NODES, _check_phase_time, _CentredGrid, class_table
 
 MAX_PRODUCT_DT = 0.02
 
 # Largest n1*n2 product_integral_exact accepts; its cost is quadratic in it.
 MAX_EXACT_PRODUCT = 10_000
 
-# Nodes per chunk of a product_integral_curve segment.  Even, so every chunk
-# of a halving sweep starts on a coarse node.
-_CURVE_CHUNK = 2**17
+# Nodes per chunk of a product_integral_curve segment: one whole group of
+# centred blocks, so every chunk but a segment's last is filled in place,
+# and its two value rows (129 KiB) and the grid scratch stay in cache.  Even,
+# so every chunk of a halving sweep starts on a coarse node.
+_CURVE_CHUNK = _GRID_GROUP_NODES
 
 
 def _check_odd(n: int) -> int:
@@ -76,12 +78,6 @@ def _osc_series(n: int, offset: int):
     # the pairs are row-major, so (a, a) sits at a*(width + 1)
     coeff[:, :: table.lambdas.size + 1] = 0.0
     return table, HALF * table.pair_omega, coeff
-
-
-def _osc_on_grid(n: int, offset: int, t0: float, h: float, count: int) -> np.ndarray:
-    amp = cycle_amplitude_grid(n, offset, t0, h, count, HALF)
-    constant = n + (n * (int(offset) % n == 0) - 1)
-    return n * n * np.abs(amp) ** 2 - constant
 
 
 def integrated_osc_sum(n: int, offset: int, T: float) -> float:
@@ -128,18 +124,24 @@ def product_integral_curve(
 
     Composite Simpson segment by segment between consecutive horizons: each
     segment gets an even number of intervals of length h <= dt, and node
-    values come from the O(n) folded form on a uniform grid, _CURVE_CHUNK
-    nodes at a time, so memory stays bounded for any horizon.  With halving,
-    the nodes are evaluated once at step h/2; the curve uses every other
-    node and the halved curve, returned second (None without halving), all
-    of them, so it is at exactly h/2 on every segment.  Chunk and segment
-    totals are combined with math.fsum so half a million accumulation steps
-    do not erode the result.
+    values come from the O(n) folded form on a uniform grid as
+    osc(t) = n^2*P_t(0, l) - n - (n*[l == 0] - 1), with P_t from
+    spectral.cycle_probability_grid's centred blocks.  The grid tables are
+    built once per cycle and step, so segments of one step share them.  A
+    segment runs in chunks of _CURVE_CHUNK nodes on two preallocated rows:
+    the probabilities of both cycles, each turned into osc in place, then
+    their product, weighted by kernels.simpson_weights; memory stays bounded
+    for any horizon.  With halving, the nodes are evaluated once at step
+    h/2; the curve uses every other node and the halved curve, returned
+    second (None without halving), all of them, so it is at exactly h/2 on
+    every segment.  Chunk and segment totals are combined with math.fsum so
+    half a million accumulation steps do not erode the result.  A horizon
+    with HALF*T >= spectral.MAX_PHASE_TIME is refused before any node is
+    evaluated.
     """
     n1, n2 = _check_coprime_dims((n1, n2))
     if not (0 < dt <= MAX_PRODUCT_DT):
         raise ResolutionError(f"dt must lie in (0, {MAX_PRODUCT_DT}], got {dt}")
-    l1, l2 = offsets
     grid = np.asarray(T_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("need a non-empty 1-D horizon grid")
@@ -148,7 +150,12 @@ def product_integral_curve(
         raise ValueError(
             f"horizons must be finite, positive and strictly increasing, got T = {bad[0]}"
         )
+    _check_phase_time(HALF * grid.max())
 
+    cycles = [(n, int(offset) % n) for n, offset in zip((n1, n2), offsets)]
+    constants = [n + (n * (offset == 0) - 1) for n, offset in cycles]
+    rows = np.empty((2, _CURVE_CHUNK))
+    grids = []
     split = 2 if halving else 1
     partials, fine_partials = [], []
     curve = np.empty(grid.size)
@@ -159,11 +166,14 @@ def product_integral_curve(
         intervals = simpson_intervals(length, dt)
         h = length / intervals / split
         count = intervals * split + 1
+        if not grids or grids[0].h != h:
+            grids = [_CentredGrid(n, offset, h, HALF) for n, offset in cycles]
         sums, fine_sums = [], []
         for lo in range(0, count, _CURVE_CHUNK):
             hi = min(lo + _CURVE_CHUNK, count)
-            t0 = prev + h * lo
-            vals = _osc_on_grid(n1, l1, t0, h, hi - lo) * _osc_on_grid(n2, l2, t0, h, hi - lo)
+            first = _osc_fill(grids[0], prev, lo, rows[0, : hi - lo], n1, constants[0])
+            second = _osc_fill(grids[1], prev, lo, rows[1, : hi - lo], n2, constants[1])
+            vals = np.multiply(first, second, out=first)
             # lo is even, so vals[::split] starts on the coarse node lo // split
             coarse = simpson_weights(lo // split, -(-hi // split), intervals + 1)
             sums.append(float(coarse @ vals[::split]))
@@ -176,6 +186,15 @@ def product_integral_curve(
             halved[idx] = math.fsum(fine_partials)
         prev = horizon
     return curve, halved
+
+
+def _osc_fill(tables: _CentredGrid, t0: float, first: int, row: np.ndarray, n: int,
+              constant: int) -> np.ndarray:
+    """osc(t) = n^2*P_t(0, l) - constant at t0 + h*(first + k) into row, k < row.size."""
+    tables.fill(t0, first, row)
+    row *= n * n
+    row -= constant
+    return row
 
 
 def product_integral_exact(n1: int, n2: int, offsets: tuple[int, int], T: float) -> float:

@@ -34,14 +34,36 @@ The walk's spectrum on the product lattice is the set of averages
 (1/d) * sum_k lambda_{a_k}, so its gap below the top eigenvalue 1 is the
 smallest per-cycle gap 1 - lambda_1 over d, read from the eigenvalues alone.
 
-cycle_amplitude_at evaluates the sum at every offset and any times, and
-cycle_amplitude_grid at one offset on a long uniform grid.  The former takes
-its phases from unit_phases, a table-driven cos/sin (Cody-Waite reduction
-modulo 2*pi/4096, a 4096-entry table, short Taylor corrections) that costs
-a fraction of numpy's complex exp; its half-amplitude product
+cycle_amplitude_at evaluates the sum at every offset and any times.  It
+takes its phases from unit_phases, a table-driven cos/sin (Cody-Waite
+reduction modulo 2*pi/4096, a 4096-entry table, short Taylor corrections)
+that costs a fraction of numpy's complex exp; its half-amplitude product
 (cosines @ cos(theta), cosines @ sin(theta))/n over the rows l <= n//2 also
-serves the sampler directly.  A scaled time |scale*t| >= 2**52 is refused:
-there one ulp of the phase is a radian or more.
+serves the sampler directly.
+
+cycle_amplitude_grid is that route at one offset on a uniform time grid.
+cycle_probability_grid evaluates the squared amplitude at one offset on a
+long uniform grid t0 + h*k, in centred blocks of 2m + 1 nodes t_b + r*h,
+|r| <= m.  With the anchors A_a = c_a(l)/n * exp(i*f_a*t_b), f_a =
+scale*lambda_a, the amplitude there is P + i*Q and P - i*Q for
+
+    P = sum_a A_a*cos(f_a*r*h),   Q = sum_a A_a*sin(f_a*r*h),   r >= 0,
+
+so both halves of a block come from two real products of the stacked
+[Re A; Im A] with the real tables cos(f_a*r*h) and sin(f_a*r*h), half the
+multiply-adds of a complex product over every node, and no complex array of
+nodes is formed.  Each group of blocks takes one exponential at its first
+node; its block anchors are that times a per-step table, so no phase error
+accumulates.  Both phases are taken exactly: the time t0 + h*k is split
+into a 26-bit part and a small rest (Dekker's product, Knuth's sum) and the
+frequency likewise, so f*t is a sum of an exact product and a small term,
+and the anchors do not carry the rounding of a long time (about 1e-13 rad at
+t = 1000) into the nodes.  The tables belong to one cycle, offset, step and
+scale (_CentredGrid), so a caller that walks one grid in chunks builds them
+once.
+
+A scaled time |scale*t| >= 2**52 is refused by every route: there one ulp
+of the phase is a radian or more.
 """
 
 from __future__ import annotations
@@ -69,9 +91,19 @@ MAX_PARTIAL_ENTRIES = 2**28
 # needs the table itself plus temporaries of one block.
 _COSINE_BLOCK = 2**16
 
-# Nodes per block of cycle_amplitude_grid.  Every block starts from an exact
-# exponential anchor, so phase error never accumulates past one block.
-_GRID_BLOCK = 256
+# Half-width m of a centred block of cycle_probability_grid: the block is
+# the 2m + 1 nodes t_b + r*h, |r| <= m, and its tables have m + 1 columns.
+_GRID_HALF = 128
+
+# Blocks per group of cycle_probability_grid.  A group takes one exact
+# exponential; its block anchors are that times a per-step table entry.
+_GRID_GROUP = 32
+
+# Nodes of one whole group of blocks: 8224, even.
+_GRID_GROUP_NODES = _GRID_GROUP * (2 * _GRID_HALF + 1)
+
+# Times per cycle_amplitude_at call of cycle_amplitude_grid.
+_GRID_CHUNK = 2**12
 
 # Largest |scale*t| taken by the arbitrary-time routes: from 2**52 on, one ulp
 # of the phase lambda*scale*t is 1 rad or more, so the phase carries nothing.
@@ -373,31 +405,168 @@ def _reduce_phase(theta, y, k, steps) -> None:
     np.subtract(y, np.multiply(k, _PHASE_LO, out=k), out=y)
 
 
-def cycle_amplitude_grid(
+def cycle_probability_grid(
     n: int, offset: int, t0: float, h: float, count: int, scale: float
 ) -> np.ndarray:
-    """Amplitude at one offset over the uniform time grid t0 + h*arange(count).
+    """|<offset|exp(i*Abar*t*scale)|0>|^2 over the uniform time grid t0 + h*arange(count).
 
-    The grid is cut into blocks of R = _GRID_BLOCK nodes t0 + h*(b*R + k).
-    Block b's exact anchor exp(i*scale*(t0 + b*R*h)*lambda_a) is folded into
-    its class coefficients, so the whole grid is one complex product
-    (anchors * c(l)/n) @ base with base[a, k] = exp(i*scale*k*h*lambda_a).
-    Anchors are exact exponentials, so no phase drift accumulates.
+    The grid runs in centred blocks (see the module docstring) on the tables
+    of _CentredGrid.  A grid that reaches |scale*t| >= MAX_PHASE_TIME is
+    refused before any node is evaluated.
     """
     n = _check_cycle(n)
     count = int(count)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if count == 0:
-        return np.empty(0, dtype=complex)
-    table = class_table(n)
-    freq = float(scale) * table.lambdas
-    coeff = table.cosines[table.mirror[int(offset) % n]] / n
-    block = min(_GRID_BLOCK, count)
-    starts = t0 + h * np.arange(0, count, block)
-    anchors = np.exp(1j * np.multiply.outer(starts, freq)) * coeff
-    base = np.exp(1j * h * np.multiply.outer(freq, np.arange(block)))
-    return (anchors @ base).ravel()[:count]
+    t0, h = float(t0), float(h)
+    if not (np.isfinite(t0) and np.isfinite(h)):
+        raise ValueError(f"grid start and step must be finite, got t0 = {t0}, h = {h}")
+    if not (np.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be positive and finite, got {scale}")
+    if count:
+        _check_phase_time(float(scale) * max(abs(t0), abs(t0 + h * (count - 1))))
+    return _CentredGrid(n, offset, h, scale).fill(t0, 0, np.empty(count))
+
+
+def cycle_amplitude_grid(
+    n: int, offset: int, t0: float, h: float, count: int, scale: float
+) -> np.ndarray:
+    """Complex amplitude at one offset over the uniform time grid t0 + h*arange(count).
+
+    cycle_amplitude_at at the grid times, _GRID_CHUNK times per call, so
+    memory stays bounded.  No library code calls it: the Simpson curves run
+    on the tables of cycle_probability_grid (_CentredGrid).  The name stays
+    because the benchmark's tracer reports a work rate for it.
+    """
+    n = _check_cycle(n)
+    count = int(count)
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    times = float(t0) + float(h) * np.arange(count)
+    out = np.empty(count, dtype=complex)
+    for lo in range(0, count, _GRID_CHUNK):
+        out[lo : lo + _GRID_CHUNK] = cycle_amplitude_at(n, times[lo : lo + _GRID_CHUNK],
+                                                       scale)[:, int(offset) % n]
+    return out
+
+
+class _CentredGrid:
+    """Tables of cycle_probability_grid for one cycle, offset, step h and time scale.
+
+    cos[a, r] and sin[a, r] hold cos(f_a*r*h) and sin(f_a*r*h) for r <= m,
+    and steps[b, a] = exp(i*f_a*(b*(2m + 1) + m)*h), the phase of block b's
+    centre from the start of its group, for b < _GRID_GROUP.  The step
+    phases and the group anchors are taken exactly (_exact_phases), so
+    neither carries the rounding of a long time into its exponential.  The
+    scratch of one group is kept too, so a fill allocates nothing; an
+    instance serves one caller at a time.
+    """
+
+    def __init__(self, n: int, offset: int, h: float, scale: float):
+        table = class_table(n)
+        self.h = h
+        self.freq = float(scale) * table.lambdas
+        self.coeff = table.cosines[table.mirror[int(offset) % n]] / n
+        self._freq_hi = _high_half(self.freq)
+        self._freq_lo = self.freq - self._freq_hi
+        half, width = _GRID_HALF, table.lambdas.size
+        theta = np.multiply.outer(self.freq, h * np.arange(half + 1))
+        self.cos, self.sin = np.cos(theta), np.sin(theta)
+        centres = np.arange(_GRID_GROUP) * (2 * half + 1) + half
+        self.steps = self._exact_phases(*_split_time(0.0, h, centres[:, None].astype(float)))
+        self._anchors = np.empty((_GRID_GROUP, width), dtype=complex)
+        self._stacked = np.empty((2 * _GRID_GROUP, width))
+        self._even = np.empty((2 * _GRID_GROUP, half + 1))
+        self._odd = np.empty((2 * _GRID_GROUP, half + 1))
+        self._re = np.empty((_GRID_GROUP, half + 1))
+        self._im = np.empty((_GRID_GROUP, half + 1))
+        self._spare = np.empty(_GRID_GROUP * (2 * half + 1))
+
+    def _exact_phases(self, c, d) -> np.ndarray:
+        """exp(i*f*(c + d)), broadcast against the frequencies f, for c of 26 bits and a small d.
+
+        With f split as f_hi + f_lo, f_hi of 26 bits, f_hi*c is exact and
+        f_lo*c + f*d is small, so the phase f*(c + d) is held to about 2**-78
+        of itself, and each exponential is of an exact argument.
+        """
+        small = c * self._freq_lo
+        small += d * self.freq
+        phases = np.exp(1j * (c * self._freq_hi))
+        phases *= np.exp(1j * small)
+        return phases
+
+    def fill(self, t0: float, first: int, out: np.ndarray) -> np.ndarray:
+        """The probabilities at t0 + h*(first + k), k < out.size, into out; returns out.
+
+        A last block past the end of out is evaluated whole into scratch,
+        and only its nodes on the grid are copied.
+        """
+        half = _GRID_HALF
+        width = 2 * half + 1
+        count = out.size
+        for lo in range(0, count, _GRID_GROUP_NODES):
+            hi = min(lo + _GRID_GROUP_NODES, count)
+            blocks = -(-(hi - lo) // width)
+            anchor = self._exact_phases(*_split_time(t0, self.h, float(first + lo)))
+            anchor *= self.coeff
+            anchors = np.multiply(self.steps[:blocks], anchor, out=self._anchors[:blocks])
+            stacked = self._stacked[: 2 * blocks]
+            stacked[:blocks] = anchors.real
+            stacked[blocks:] = anchors.imag
+            # [Re P; Im P] and [Re Q; Im Q], r = 0..m; Q is 0 at r = 0
+            even = np.matmul(stacked, self.cos, out=self._even[: 2 * blocks])
+            odd = np.matmul(stacked, self.sin, out=self._odd[: 2 * blocks])
+            whole = blocks * width == hi - lo
+            dest = out[lo:hi] if whole else self._spare[: blocks * width]
+            nodes = dest.reshape(blocks, width)
+            p_re, p_im, q_re, q_im = even[:blocks], even[blocks:], odd[:blocks], odd[blocks:]
+            re, im = self._re[:blocks], self._im[:blocks]
+            # node m + r: |P + i*Q|^2 = (Re P - Im Q)^2 + (Im P + Re Q)^2
+            _squared_modulus(np.subtract(p_re, q_im, out=re), np.add(p_im, q_re, out=im),
+                             nodes[:, half:])
+            # node m - r: |P - i*Q|^2; r = 0 writes node m again, with the same value
+            _squared_modulus(np.add(p_re, q_im, out=re), np.subtract(p_im, q_re, out=im),
+                             nodes[:, half::-1])
+            if not whole:
+                out[lo:hi] = dest[: hi - lo]
+        return out
+
+
+# Veltkamp's splitting constant 2**27 + 1: x*_SPLIT - (x*_SPLIT - x) keeps the
+# 26 leading significant bits of a double, and the rest is exact.
+_SPLIT = 2.0**27 + 1.0
+
+
+def _high_half(x):
+    """x rounded to 26 significant bits; x - _high_half(x) is exact and of 26 bits too."""
+    scaled = x * _SPLIT
+    return scaled - (scaled - x)
+
+
+def _split_time(t0, h, k):
+    """(c, d) with c + d = t0 + h*k to about 2**-78 of it, and c of 26 significant bits.
+
+    t0 and h are doubles and k a whole number below 2**53 as a double (or an
+    array of them).  Dekker's exact product gives h*k as p + error and
+    Knuth's exact sum gives t0 + p as s + error, so only the last rounding
+    of d is lost.
+    """
+    p = h * k
+    h_hi, k_hi = _high_half(h), _high_half(k)
+    h_lo, k_lo = h - h_hi, k - k_hi
+    p_err = ((h_hi * k_hi - p) + h_hi * k_lo + h_lo * k_hi) + h_lo * k_lo
+    s = t0 + p
+    v = s - t0
+    s_err = (t0 - (s - v)) + (p - v)
+    c = _high_half(s)
+    return c, (s - c) + (s_err + p_err)
+
+
+def _squared_modulus(re: np.ndarray, im: np.ndarray, out: np.ndarray) -> None:
+    """re^2 + im^2 into out; re and im are squared in place."""
+    np.multiply(re, re, out=re)
+    np.multiply(im, im, out=im)
+    np.add(re, im, out=out)
 
 
 def product_amplitude(lattice: LatticeSpec, source: tuple[int, ...], t: float) -> np.ndarray:

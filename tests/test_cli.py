@@ -134,6 +134,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("kernel", "--dims", "9", "--kind", "instant", "--t", "1e300"),
         ("mix-repeated", "--dims", "5,3", "--T", "1e300", "--mode", "sampled"),
+        ("conjecture", "--range", "10,30", "--pairs", "1", "--T-max", "1e300"),
     ])
     def test_phase_past_the_limit_is_one_line(self, tmp_path, capsys, argv):
         out = str(tmp_path / "a.csv")

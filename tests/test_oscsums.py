@@ -190,6 +190,22 @@ class TestProductIntegral:
         assert np.all(np.abs(halved64 - halved) <= 1e-12 * np.abs(halved))
         assert np.all(np.abs(plain64 - plain) <= 1e-12 * np.abs(plain))
 
+    @pytest.mark.parametrize("pair, offsets", [((19, 5), (4, 7)), ((13, 11), (4, 7)),
+                                               ((21, 19), (0, 0)), ((21, 19), (4, 7))])
+    def test_curve_matches_plain_simpson_of_node_products(self, pair, offsets):
+        # 12.345 is no multiple of dt: one ragged segment of 618 coarse and
+        # 1236 fine intervals, the same counts plain Simpson takes at dt and
+        # dt/2; the nodes come from the arbitrary-time route
+        T = 12.345
+        curve, halved = product_integral_curve(*pair, offsets, [T], 0.02, halving=True)
+
+        def product(ts):
+            return osc_sum_fast(pair[0], offsets[0], ts) * osc_sum_fast(pair[1], offsets[1], ts)
+
+        for value, dt in ((curve[0], 0.02), (halved[0], 0.01)):
+            oracle = simpson_integral(product, 0.0, T, dt)
+            assert abs(value - oracle) <= 1e-12 * abs(oracle)
+
     def test_halving_off_the_dt_lattice(self):
         # 12.345 is no multiple of dt: the coarse step is 12.345/618, and
         # the halved curve runs at exactly half of it

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,11 @@ from latticemix.spectral import (
     HALF,
     MAX_PHASE_TIME,
     LatticeSpec,
+    _split_time,
     cycle_amplitude,
     cycle_amplitude_at,
     cycle_amplitude_grid,
+    cycle_probability_grid,
     class_table,
     product_amplitude,
     spectral_gap,
@@ -93,23 +98,55 @@ class TestCycleAmplitude:
         with pytest.raises(ValueError):
             cycle_amplitude(5, 0, np.inf)
 
-    def test_offset_and_grid_forms_agree(self):
-        # the 805-node grids span 3 full blocks of 256 nodes and a ragged
-        # fourth, from an off-origin start, on odd and even cycles
-        cases = ((9, 0, 0.0, 0.5, 23), (9, 3, 0.0, 0.5, 23),
-                 (19, 4, 7.25, 0.013, 805), (20, 13, 7.25, 0.013, 805),
-                 (20, 10, 7.25, 0.013, 805))
-        for n, offset, t0, h, count in cases:
-            ts = t0 + h * np.arange(count)
-            full = np.array(
-                [cycle_amplitude(n, 0, t, HALF)[offset] for t in ts]
-            )
-            at = cycle_amplitude_at(n, ts, HALF)[:, offset]
-            grid = cycle_amplitude_grid(n, offset, t0, h, count, HALF)
-            assert grid.shape == (count,)
-            assert np.abs(full - at).max() < 1e-12
-            assert np.abs(full - grid).max() < 1e-11
-        assert cycle_amplitude_grid(19, 4, 7.25, 0.013, 0, HALF).size == 0
+    # (n, offset, t0, h, count): one node, two nodes, a part of one centred
+    # block (257 nodes), whole blocks and a ragged last one, and more than one
+    # group (32 blocks, 8224 nodes) ending in a ragged block, from off-origin
+    # starts up to 1e6, on odd and even cycles
+    GRID_CASES = ((9, 0, 0.0, 0.5, 1), (9, 3, 0.0, 0.5, 2), (9, 3, 0.0, 0.5, 23),
+                  (19, 4, 7.25, 0.013, 805), (20, 13, 7.25, 0.013, 805),
+                  (20, 10, 7.25, 0.013, 805), (19, 4, 3.5e3, 0.01, 257),
+                  (21, 5, 1e6, 0.01, 8224 + 300), (20, 7, 9.87e5, 0.013, 8224 + 257))
+
+    @pytest.mark.parametrize("n, offset, t0, h, count", GRID_CASES)
+    def test_offset_and_grid_forms_agree(self, n, offset, t0, h, count):
+        ts = t0 + h * np.arange(count)
+        at = cycle_amplitude_at(n, ts, HALF)[:, offset]
+        amp = cycle_amplitude_grid(n, offset, t0, h, count, HALF)
+        assert amp.shape == (count,) and amp.dtype == complex
+        assert np.abs(amp - at).max() < 1e-12
+        grid = cycle_probability_grid(n, offset, t0, h, count, HALF)
+        assert grid.shape == (count,) and grid.dtype == float
+        # every node, so both halves of every centred block are checked
+        assert np.abs(grid - np.abs(at) ** 2).max() < 1e-11
+        # the one-time column at nodes spread over the grid, the last included
+        picks = np.unique(np.r_[np.arange(0, count, 37), count - 1])
+        full = np.array([cycle_amplitude(n, 0, ts[k], HALF)[offset] for k in picks])
+        assert np.abs(full - at[picks]).max() < 1e-12
+        assert np.abs(np.abs(full) ** 2 - grid[picks]).max() < 1e-11
+
+    def test_grid_takes_an_empty_grid(self):
+        assert cycle_probability_grid(19, 4, 7.25, 0.013, 0, HALF).shape == (0,)
+
+    def test_split_time_is_exact(self):
+        # c + d = t0 + h*k to 2**-78 of it, c of 26 significant bits or fewer
+        rng = np.random.default_rng(3)
+        for t0, h, k in [(0.0, 0.01, 0.0), (7.25, 0.013, 805.0), (-3.5, 0.1, 2.0**52 - 1),
+                         *zip(rng.uniform(-1e6, 1e6, 50), rng.uniform(1e-4, 1.0, 50),
+                              rng.integers(0, 2**40, 50).astype(float))]:
+            c, d = _split_time(float(t0), float(h), float(k))
+            exact = Fraction(float(t0)) + Fraction(float(h)) * Fraction(float(k))
+            assert abs(Fraction(c) + Fraction(d) - exact) <= abs(exact) * Fraction(1, 2**78)
+            mantissa = Fraction(c) / Fraction(2) ** (math.frexp(c)[1] - 26)
+            assert mantissa.denominator == 1
+
+    def test_grid_refuses_phase_past_the_limit(self):
+        # the last node reaches scale*t = 2**52; the first node alone would not
+        t_last = MAX_PHASE_TIME / HALF
+        with pytest.raises(ValueError, match="past the phase limit 2"):
+            cycle_probability_grid(9, 1, t_last - 10.0, 5.0, 3, HALF)
+        for t0, h in ((np.nan, 0.1), (0.0, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                cycle_probability_grid(9, 1, t0, h, 3, HALF)
 
 
 class TestCycleAmplitudeAt:
