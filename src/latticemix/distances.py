@@ -9,7 +9,9 @@ the expensive definitions:
 * the maximum pairwise column distance d(P) equals the maximum over nonzero
   lattice shifts s of tv(first_column, first_column rolled by s); every
   Kernel column is even in each coordinate, so every sign pattern of s
-  gives the same tv and one orthant of shifts suffices.
+  gives the same tv and one orthant of shifts suffices, and each shift's
+  sum is even under x -> s - x, so its orbits {x, s - x} along the last
+  axis are summed once each, at half the entries.
 
 d(P) is submultiplicative under kernel composition and sits in the sandwich
 tv(c, u) <= d(P) <= 2 * tv(c, u) for doubly stochastic P.
@@ -24,8 +26,9 @@ import numpy as np
 
 from .kernels import Kernel
 
-# Entries of one gathered block of rolled columns in pairwise_column_distance.
-_SHIFT_BLOCK = 2**18
+# Entries of one gathered operand of pairwise_column_distance; its three
+# operands of a chunk stay within a 2 MB cache.
+_SHIFT_BLOCK = 2**16
 
 
 def uniform(size: int) -> np.ndarray:
@@ -50,34 +53,58 @@ def pairwise_column_distance(kernel: Kernel) -> float:
     """d(P) = max over column pairs of their tv distance.
 
     Circulant shortcut: columns are shifts of the first, so only the
-    tv between the first column and each of its N - 1 nonzero rolls is needed.
-    The column is even along every axis k (Kernel stores it mirrored), so
+    tv between the first column c and each of its N - 1 nonzero rolls is
+    needed.  c is even along every axis (Kernel stores it mirrored), so
     negating coordinate k maps tv(c, c rolled by v) onto the roll by v with
     v_k negated, and only the shifts 0..n_k//2 on every axis, one orthant,
-    are scanned.  The rolls along the last axis are gathered through the
-    index rows idx[s, x] = (x - s) mod n_last, built for one chunk of shifts
-    at a time that keeps a block near _SHIFT_BLOCK entries, so the Python
-    loop runs only over chunks and the shifts of the leading axes.
+    are scanned.  Evenness also halves each shift's sum: the summand
+    |c(x) - c(x - s)| is unchanged under x -> s - x, so along the last axis
+    only one representative of each orbit {x, s - x} is summed, weighted 1
+    at a fixed point x = s - x and 2 for a pair.  The representatives are
+    x = ceil(s/2) + j for j <= n//2, and on an even cycle an odd shift has
+    no fixed point, so its last one repeats a pair and is weighted 0.  The
+    weights are scaled into the gathered operands, which is exact.  Those
+    are gathered for one chunk of last-axis shifts at a time, as windows of
+    the grid written twice along that axis, in chunks that keep an operand
+    near _SHIFT_BLOCK entries; a leading shift is a window of the shifted
+    operand written twice along every leading axis, so the Python loop
+    runs only over chunks and the shifts of the leading axes.
     """
-    grid = kernel.grid
-    dims = kernel.lattice.dims
-    *lead, last = [range(n // 2 + 1) for n in dims]
-    x = np.arange(dims[-1])
-    lead_axes = tuple(range(1, len(dims)))
-    step = max(1, _SHIFT_BLOCK // grid.size)
+    *lead, n = kernel.lattice.dims
+    reps = n // 2 + 1
+    twice = np.concatenate((kernel.grid, kernel.grid), axis=-1)
+    # windows[t, ..., j] = c(., (t + j) mod n), a view
+    windows = np.ndarray((n, *lead, reps), float, twice, 0,
+                         (twice.itemsize, *twice.strides[:-1], twice.itemsize))
+    # representative weights for even s (row 0) and odd s (row 1): x = s/2
+    # is fixed, and so is x = (s + n)/2, the last representative, when
+    # s + n is even; on an even cycle an odd s repeats its last pair
+    weight = np.full((2, reps), 2.0)
+    weight[0, 0] = 1.0
+    weight[n % 2, -1] = 1.0
+    if n % 2 == 0:
+        weight[1, -1] = 0.0
+    lead_shifts = list(itertools.product(*(range(m // 2 + 1) for m in lead)))
+    step = max(1, _SHIFT_BLOCK // (kernel.lattice.size // n * reps))
     best = 0.0
-    for lo in range(0, len(last), step):
-        chunk = np.arange(lo, min(lo + step, len(last)))
-        idx = (x[None, :] - chunk[:, None]) % dims[-1]
-        # rolls[k] is the grid rolled by chunk[k] along the last axis
-        rolls = np.ascontiguousarray(np.moveaxis(grid[..., idx], -2, 0))
-        for shift in itertools.product(*lead):
-            diff = np.roll(rolls, shift, axis=lead_axes)
-            np.subtract(diff, grid, out=diff)
+    for lo in range(0, reps, step):
+        shifts = np.arange(lo, min(lo + step, reps))
+        scale = weight[shifts % 2].reshape(shifts.size, *(1 for _ in lead), reps)
+        # here[k, ..., j] = c(., x_j) and there[k, ..., j] = c(., x_j - s) at s = shifts[k]
+        here = windows[(shifts + 1) // 2]
+        there = windows[-(shifts // 2) % n]
+        here *= scale
+        there *= scale
+        # there written twice along every leading axis: each leading roll is a window of it
+        for axis in range(1, there.ndim - 1):
+            there = np.concatenate((there, there), axis=axis)
+        diff = np.empty_like(here)
+        for shift in lead_shifts:
+            rolled = there[(slice(None), *(slice(m - v, 2 * m - v) for v, m in zip(shift, lead)))]
+            np.subtract(here, rolled, out=diff)
             np.abs(diff, out=diff)
-            tvs = 0.5 * diff.reshape(len(diff), -1).sum(axis=1)
-            best = max(best, float(tvs.max()))
-    return best
+            best = max(best, float(diff.reshape(shifts.size, -1).sum(axis=1).max()))
+    return 0.5 * best
 
 
 def rounds_to_threshold(alpha: float) -> int:

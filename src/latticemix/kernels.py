@@ -8,7 +8,7 @@ cycle, so every kernel of it is even in each coordinate; Kernel stores the
 column mirrored through spectral.ClassTable.mirror (see mirrored), which
 makes it bitwise even, and refuses a column that is not even to within
 1e-12.  That lets distances.pairwise_column_distance scan one orthant of
-shifts.
+shifts, and half of each shift's entries.
 
 Three constructions are provided:
 
@@ -34,7 +34,15 @@ Three constructions are provided:
   and it blocks the rows and chunks the horizons.  The return curve and the
   exact oscillatory sums pass it plain class-pair rows in the same way.  Since
   c_a(l) = c_a(n - l), only the rows l <= n//2 of each factor are
-  contracted and the column is mirrored from them.
+  contracted and the column is mirrored from them.  The weight takes one of
+  two forms per sub-block of terms.  Where every |x| >= 1, its sine is
+  sin(T*alpha)*cos(T*beta) + cos(T*alpha)*sin(T*beta), with alpha the
+  leading factors' frequency sum and beta the last factor's, from
+  per-factor phases of exact arguments (_exact_phases): no sine per term,
+  and no rounding of a long x in its sine.  A sub-block holding any
+  |x| < 1 (the exact zeros, tuples of an even cycle that cancel only to
+  rounding, short horizons) takes the sine of the rounded x
+  (_sinc_average), which is exactly 1 at x = 0.
 * averaged_kernel_quadrature: the same average by composite Simpson over
   batched amplitudes on a time grid, kept deliberately independent of the
   per-frequency path so the two can cross-check each other.
@@ -54,8 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionError
-from .spectral import (MAX_PARTIAL_ENTRIES, LatticeSpec, _check_entries, class_table,
-                       cycle_amplitude_at, product_amplitude)
+from .spectral import (MAX_PARTIAL_ENTRIES, LatticeSpec, _check_entries, _high_half,
+                       class_table, cycle_amplitude_at, product_amplitude)
 
 MAX_QUADRATURE_DT = 0.05
 
@@ -126,7 +134,8 @@ def mirrored(grid: np.ndarray, dims) -> np.ndarray:
 def _check_stochastic(cols: np.ndarray, tol: float, what: str) -> None:
     totals = cols.sum(axis=-1, keepdims=True).ravel()
     worst = float(totals[np.abs(totals - 1.0).argmax()])
-    if abs(worst - 1.0) > tol:
+    # a NaN sum fails too
+    if not abs(worst - 1.0) <= tol:
         raise ValueError(f"{what}: column sums to {worst}, off 1 by > {tol}")
 
 
@@ -162,6 +171,66 @@ def _sinc_average(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.copyto(x, 1.0, where=zero)
     np.copyto(out, 1.0, where=zero)
     return np.divide(out, x, out=out)
+
+
+def _separable_sinc(lead: np.ndarray, last: np.ndarray, freq: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """sin(x)/x into `out` for x[T, i, k] = T*(alpha_i + beta_k), from the phases of the summands.
+
+    `lead` holds sin(T*alpha_i)/T and cos(T*alpha_i)/T at [T, i, :], `last`
+    cos(T*beta_k) and sin(T*beta_k) at [T, :, k], and `freq` the rounded
+    alpha_i + beta_k at [i, k].  So sin(x) = sin(T*alpha)*cos(T*beta)
+    + cos(T*alpha)*sin(T*beta) is one product of depth 2 per horizon, with
+    no sine.  The weight is off by a few roundings of itself plus about
+    2**-52/|x|, where the sine of a rounded x is off by about 2**-52 whatever
+    |x| is; so this route serves only blocks with every |x| >= 1.
+    """
+    np.matmul(lead, last, out=out)
+    return np.divide(out, freq, out=out)
+
+
+def _exact_phases(omega: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """exp(i*T*omega) at [T, k] for the horizons `ts` and the frequencies `omega`.
+
+    T and omega are split into 26-bit halves (spectral._high_half), so
+    T_hi*omega_hi is exact and the rest of T*omega, about 2**-25 of it, is
+    rounded once: each exponential is of T*omega to about 2**-78 of itself,
+    however long the horizon.  T is split at 2**-28 of its size and scaled
+    back, which is exact and keeps the split clear of overflow.
+    """
+    t_hi = _high_half(ts * 2.0**-28)[:, None] * 2.0**28
+    w_hi = _high_half(omega)
+    rest = t_hi * (omega - w_hi) + (ts[:, None] - t_hi) * omega
+    phases = np.exp(1j * (t_hi * w_hi))
+    phases *= np.exp(1j * rest)
+    return phases
+
+
+def _split_phases(leading, omega_last: np.ndarray, ts: np.ndarray):
+    """The `lead` and `last` operands of _separable_sinc at the horizons `ts`.
+
+    The leading phase of a tuple is the product of its factors' exact
+    phases, in the row-major order of _class_pair_sum's summed leading axis.
+    """
+    lead = np.ones((ts.size, 1), dtype=complex)
+    for _, omega, _ in leading:
+        lead = (lead[:, :, None] * _exact_phases(omega, ts)[:, None, :]).reshape(ts.size, -1)
+    lead /= ts[:, None]
+    last = _exact_phases(omega_last, ts)
+    return np.stack((lead.imag, lead.real), axis=-1), np.stack((last.real, last.imag), axis=1)
+
+
+def _cancellation_gap(lead: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """min over k of |lead_i + omega_k|, as rounded, for each i.
+
+    The rounded sum is monotone in omega_k, so the least one is next to
+    -lead_i in the sorted omega: the entries on either side of it.
+    """
+    order = np.sort(omega)
+    at = np.searchsorted(order, -lead)
+    below = order[np.maximum(at - 1, 0)]
+    above = order[np.minimum(at, order.size - 1)]
+    return np.minimum(np.abs(lead + below), np.abs(lead + above))
 
 
 def _load_checkpoint(path: str, meta: tuple) -> tuple[int, np.ndarray] | None:
@@ -260,7 +329,11 @@ def _class_pair_sum(factors, horizons, checkpoint: str | None = None) -> np.ndar
     horizons in chunks that keep a block's weights near _WEIGHT_BLOCK
     entries, evaluated in sub-blocks of about _SINC_BLOCK entries into
     buffers that stay in cache; then each leading factor's table is
-    contracted in turn.  The result is flattened row-major over
+    contracted in turn.  A sub-block whose every |x| is at least 1, by the
+    least |x| of each leading row (_cancellation_gap), takes the separable
+    weight (_separable_sinc) from the phases of its chunk of horizons,
+    built once at the first such sub-block; any other takes _sinc_average,
+    the same doubles as the sine of the rounded x always gave.  The result is flattened row-major over
     (T, l_1, ..., l_d).  A chunk's partial sums of more than
     MAX_PARTIAL_ENTRIES doubles are refused with SizeError (_horizon_chunk)
     before the fold.
@@ -282,12 +355,18 @@ def _class_pair_sum(factors, horizons, checkpoint: str | None = None) -> np.ndar
         lead = np.add.outer(lead, omega).ravel()
     pairs, rows = omega_last.size, min(_BLOCK_SIZE, lead.size)
     step = max(1, _SINC_BLOCK // (chunk * pairs))
+    # lead row 0 sums the leading factors' folded columns 0 and the last factor
+    # has its pairs (a, a), all of frequency 0, so the sub-block of row 0 has
+    # x = 0 and takes _sinc_average, and a table of one sub-block needs no gaps
+    gap = _cancellation_gap(lead, omega_last) if lead.size > step else None
     weights = np.empty(chunk * rows * pairs)
     freq, x = np.empty((step, pairs)), np.empty((chunk, step, pairs))
 
     out = []
     for t0 in range(0, horizons.size, chunk):
         ts = horizons[t0 : t0 + chunk]
+        # |x| >= reach[i] on lead row i, with equality at its nearest cancellation
+        reach, phases = None if gap is None else ts.min() * gap, None
         start, partial = 0, np.zeros((ts.size * lead.size, coeff_last.shape[0]))
         if checkpoint:
             meta = (_CHECKPOINT_VERSION, *(table.n for table, _, _ in factors), *ts, _BLOCK_SIZE)
@@ -302,8 +381,14 @@ def _class_pair_sum(factors, horizons, checkpoint: str | None = None) -> np.ndar
             for sub in range(lo, hi, step):
                 width = min(step, hi - sub)
                 np.add(lead[sub : sub + width, None], omega_last, out=freq[:width])
-                np.multiply(ts[:, None, None], freq[:width], out=x[: ts.size, :width])
-                _sinc_average(x[: ts.size, :width], block[:, sub - lo : sub - lo + width])
+                dest = block[:, sub - lo : sub - lo + width]
+                if reach is not None and reach[sub : sub + width].min() >= 1.0:
+                    if phases is None:
+                        phases = _split_phases(leading, omega_last, ts)
+                    _separable_sinc(phases[0][:, sub : sub + width], phases[1], freq[:width], dest)
+                else:
+                    np.multiply(ts[:, None, None], freq[:width], out=x[: ts.size, :width])
+                    _sinc_average(x[: ts.size, :width], dest)
             sums = block.reshape(-1, pairs) @ coeff_last.T
             blocks[:, lo:hi] = sums.reshape(ts.size, hi - lo, -1)
             if checkpoint and (count + 1) % _CHECKPOINT_EVERY == 0 and hi < lead.size:

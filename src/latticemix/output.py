@@ -24,10 +24,22 @@ def format_value(value) -> str:
     return str(value)
 
 
+def _column_text(values) -> list[str]:
+    """format_value of each entry of one column, with one formatter for a column of one kind."""
+    kinds = set(map(type, values))
+    if kinds <= {float, np.float64}:
+        return ["%.17g" % v for v in values]
+    if kinds <= {int, np.int64}:
+        return [str(v) for v in values]
+    if kinds <= {bool, np.bool_}:
+        return ["true" if v else "false" for v in values]
+    return [format_value(v) for v in values]
+
+
 def write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+    """Header, then one line per row; the rows are of equal length and formatted column by column."""
+    columns = [_column_text(column) for column in zip(*rows)]
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -84,6 +96,9 @@ def write_svg(path: str, x_label: str, y_label: str, x, series: dict) -> None:
     def sy(y):
         return height - margin - (y - y_lo) / y_span * (height - 2 * margin)
 
+    # the same operations in the same order on arrays, so the same doubles
+    px = sx(xs).tolist()
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:g} {height:g}">',
         f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
@@ -112,9 +127,8 @@ def write_svg(path: str, x_label: str, y_label: str, x, series: dict) -> None:
     )
     for idx, (name, ys) in enumerate(series.items()):
         color = _SERIES_COLORS[idx % len(_SERIES_COLORS)]
-        points = " ".join(
-            f"{sx(float(xv)):.2f},{sy(float(yv)):.2f}" for xv, yv in zip(xs, ys)
-        )
+        py = sy(np.asarray(ys, dtype=float)).tolist()
+        points = " ".join(f"{xv:.2f},{yv:.2f}" for xv, yv in zip(px, py))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{points}"/>'

@@ -10,6 +10,8 @@ tests need.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import scipy.linalg
 
@@ -215,6 +217,36 @@ def allpairs_column_distance(matrix: np.ndarray) -> float:
     for a in range(n):
         for b in range(a + 1, n):
             best = max(best, 0.5 * np.abs(matrix[:, a] - matrix[:, b]).sum())
+    return best
+
+
+def orthant_column_distance(kernel: Kernel, block: int = 2**18) -> float:
+    """d(P) as the max over the orthant shifts 0 <= s_k <= n_k//2 of tv(c, c rolled by s).
+
+    The scan distances.pairwise_column_distance made before it halved each
+    shift's sum: every entry of every orthant shift is summed.  The rolls
+    along the last axis are gathered through the index rows
+    idx[s, x] = (x - s) mod n_last, for chunks of shifts that keep a block
+    near `block` entries, and the leading shifts by np.roll.
+    """
+    grid = kernel.grid
+    dims = kernel.lattice.dims
+    *lead, last = [range(n // 2 + 1) for n in dims]
+    x = np.arange(dims[-1])
+    lead_axes = tuple(range(1, len(dims)))
+    step = max(1, block // grid.size)
+    best = 0.0
+    for lo in range(0, len(last), step):
+        chunk = np.arange(lo, min(lo + step, len(last)))
+        idx = (x[None, :] - chunk[:, None]) % dims[-1]
+        # rolls[k] is the grid rolled by chunk[k] along the last axis
+        rolls = np.ascontiguousarray(np.moveaxis(grid[..., idx], -2, 0))
+        for shift in itertools.product(*lead):
+            diff = np.roll(rolls, shift, axis=lead_axes)
+            np.subtract(diff, grid, out=diff)
+            np.abs(diff, out=diff)
+            tvs = 0.5 * diff.reshape(len(diff), -1).sum(axis=1)
+            best = max(best, float(tvs.max()))
     return best
 
 

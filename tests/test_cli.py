@@ -9,7 +9,7 @@ import pytest
 
 from latticemix import cli
 from latticemix.cli import build_parser, main
-from latticemix.output import write_json
+from latticemix.output import format_value, write_csv, write_json, write_svg
 from latticemix.spectral import LatticeSpec
 
 from oracles import enumerated_spectral_gap
@@ -334,6 +334,40 @@ class TestOutputs:
         assert len(rows) == 2004
         gaps = np.array([float(row[header.index("joint_gap")]) for row in rows])
         assert np.abs(gaps - enumerated_spectral_gap(LatticeSpec((1001, 1003)))).max() <= 1e-15
+
+    def test_csv_columns_match_the_per_cell_format(self, tmp_path):
+        # one formatter per column of one kind, format_value per cell otherwise
+        columns = {
+            "int": [1, np.int64(-2), 30, 0],
+            "float": [0.1, np.float64(1.0 / 3.0), -0.0, math.inf],
+            "bool": [True, np.bool_(False), False, np.bool_(True)],
+            "text": ["a", "b c", "", "d"],
+            "mixed": [1, 2.5, True, np.float32(0.1)],
+            "other": [np.int32(3), np.float32(1e-3), None, np.uint8(7)],
+        }
+        rows = list(zip(*columns.values()))
+        expected = "\n".join([",".join(columns)]
+                             + [",".join(format_value(v) for v in row) for row in rows]) + "\n"
+        out = tmp_path / "columns.csv"
+        write_csv(str(out), list(columns), iter(rows))
+        assert read(out).decode() == expected
+        write_csv(str(out), ["empty"], [])
+        assert read(out) == b"empty\n"
+
+    def test_svg_points_match_the_per_point_format(self, tmp_path):
+        rng = np.random.default_rng(4)
+        x = np.cumsum(rng.random(300))
+        series = {"a": rng.random(300), "b": list(rng.normal(size=300)), "c": np.zeros(300)}
+        out = tmp_path / "plot.svg"
+        write_svg(str(out), "x", "y", x, series)
+        ys = np.concatenate([np.asarray(y, dtype=float) for y in series.values()])
+        x_lo, x_span = x.min(), x.max() - x.min()
+        y_lo, y_span = ys.min(), ys.max() - ys.min()
+        for ys in series.values():
+            points = " ".join(f"{60.0 + (float(xv) - x_lo) / x_span * 680.0:.2f},"
+                              f"{440.0 - (float(yv) - y_lo) / y_span * 380.0:.2f}"
+                              for xv, yv in zip(x, ys))
+            assert f'points="{points}"' in read(out).decode()
 
     def test_svg_output(self, tmp_path):
         out = str(tmp_path / "fig1.svg")

@@ -22,9 +22,11 @@ from latticemix.kernels import (
     instantaneous_kernel,
     kernel_power,
 )
+from latticemix.experiments import deviation_time
 from latticemix.spectral import LatticeSpec
 
-from oracles import allpairs_column_distance, full_matrix, mixing_scan, point_mass, uniform_kernel
+from oracles import (allpairs_column_distance, full_matrix, mixing_scan, orthant_column_distance,
+                     point_mass, uniform_kernel)
 
 
 def assorted_kernels():
@@ -118,6 +120,37 @@ class TestPairwiseColumnDistance:
             assert np.array_equal(grid, negated), kernel.kind
             oracle = allpairs_column_distance(full_matrix(kernel))
             assert abs(pairwise_column_distance(kernel) - oracle) < 1e-12, kernel.kind
+
+    HALF_SCAN_DIMS = [(2,), (3,), (9,), (12,), (19, 5), (8, 6), (9, 9), (12, 8, 4), (7, 5, 3)]
+
+    def half_scan_kernels(self, dims):
+        """Random even columns, an instantaneous kernel, and an averaged one with its square."""
+        lattice = LatticeSpec(dims)
+        analytic = averaged_kernel_analytic(lattice, 9.0 if len(dims) == 3 else 30.0)
+        return [*(self.random_even_column(dims, seed) for seed in range(3)),
+                instantaneous_kernel(lattice, 2.7), analytic, kernel_power(analytic, 2),
+                identity_kernel(lattice)]
+
+    @pytest.mark.parametrize("dims", HALF_SCAN_DIMS)
+    def test_orbit_half_scan_matches_orthant_scan(self, dims):
+        # odd and even last axes, odd and even shifts on each, one to three factors
+        for kernel in self.half_scan_kernels(dims):
+            oracle = orthant_column_distance(kernel)
+            assert abs(pairwise_column_distance(kernel) - oracle) <= 1e-14 * oracle, kernel.kind
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 500])
+    def test_orbit_half_scan_in_chunks_matches_orthant_scan(self, monkeypatch, block):
+        # the last-axis shifts span several chunks, down to one shift per chunk
+        monkeypatch.setattr(distances, "_SHIFT_BLOCK", block)
+        for dims in self.HALF_SCAN_DIMS:
+            for kernel in self.half_scan_kernels(dims):
+                oracle = orthant_column_distance(kernel)
+                assert abs(pairwise_column_distance(kernel) - oracle) <= 1e-14 * oracle
+
+    def test_orbit_half_scan_at_the_deviation_time(self):
+        kernel = averaged_kernel_analytic(LatticeSpec((55, 53)), deviation_time(55, 53))
+        oracle = orthant_column_distance(kernel)
+        assert abs(pairwise_column_distance(kernel) - oracle) <= 1e-14 * oracle
 
     def test_sandwich_inequality(self):
         # tv(c, u) <= d(P) <= 2 * tv(c, u) for every kernel this package builds

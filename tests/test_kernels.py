@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import latticemix.kernels as kernels_module
 from latticemix.classical import lazy_kernel
 from latticemix.errors import ResolutionError, SizeError
+from latticemix.experiments import deviation_time
 from latticemix.kernels import (
     Kernel,
     _fold,
@@ -378,6 +380,123 @@ class TestFoldedContraction:
 
     def test_zero_horizon_osc_integral_is_zero(self):
         assert integrated_osc_sum(5, 0, 0.0) == 0.0
+
+
+class TestSeparableWeights:
+    """sin(x)/x from exact per-factor phases, against long double and the unfolded sum."""
+
+    @staticmethod
+    def sampled_terms():
+        """20 folded pair frequencies of Z_55 and 20 pair frequencies of Z_53, at time scale 1/2.
+
+        The folded column 0, of frequency 0, is left out, so no term is an
+        exact zero.
+        """
+        rng = np.random.default_rng(5)
+        first, second = class_table(55), class_table(53)
+        alpha, _ = _fold(first, 0.5 * first.pair_omega, first.pair_coeff)
+        beta = 0.5 * second.pair_omega
+        return (alpha[rng.choice(np.arange(1, alpha.size), 20, replace=False)],
+                beta[rng.choice(beta.size, 20, replace=False)])
+
+    @pytest.mark.parametrize("T", [1234.5, 1e6, 3.1e6, deviation_time(55, 53)])
+    def test_separable_weights_match_long_double_sines(self, T):
+        # 400 terms x = T*(alpha + beta) of (55, 53); the separable weight is
+        # off by the rounding of its numerator over |x|, so by at most 1e-18
+        # at the long horizons, where the sine of the rounded x is ~1e-16 off;
+        # the deviation time has all 53 bits, so both halves of its split count
+        alpha, beta = self.sampled_terms()
+        ts = np.array([T])
+        lead, last = kernels_module._split_phases([(None, alpha, None)], beta, ts)
+        freq = alpha[:, None] + beta
+        got = kernels_module._separable_sinc(lead, last, freq, np.empty((1,) + freq.shape))[0]
+        x = T * freq
+        assert np.abs(x).min() >= 1.0
+        exact = np.longdouble(T) * (alpha.astype(np.longdouble)[:, None] + beta)
+        reference = np.sin(exact) / exact
+        err = np.abs(got - reference).astype(float)
+        assert (err <= 1e-18 + 2.0**-51 / np.abs(x)).all()
+        if T >= 1e6:
+            assert err.max() <= 1e-18
+            rounded = kernels_module._sinc_average(x.copy(), np.empty_like(x))
+            assert np.abs(rounded - reference).max() > 10.0 * err.max()
+
+    def test_exact_phases_hold_past_the_split_range(self):
+        # T*(2**27 + 1) overflows from T = 1.34e300; the split is taken at 2**-28 of T
+        omega = np.array([0.0, 0.25, -0.5, 1.0])
+        phases = kernels_module._exact_phases(omega, np.array([1e301, 3.0]))
+        assert np.isfinite(phases).all()
+        assert np.abs(np.abs(phases) - 1.0).max() <= 1e-15
+        assert np.abs(phases[1] - np.exp(3j * omega)).max() <= 1e-15
+
+    @pytest.mark.parametrize("dims, T, one_row", [((9, 7), 30.0, True), ((9, 7), 1e5, True),
+                                                  ((7, 5, 3), 4e3, True), ((8, 6), 1e6, True),
+                                                  ((55, 53), 2e6, False), ((21, 19, 9), 1e5, False)])
+    def test_sub_blocks_route_by_their_least_x(self, monkeypatch, dims, T, one_row):
+        # the sub-blocks with some |x| < 1 take _sinc_average, so their
+        # weights are the sines of the rounded x bit for bit, and every
+        # other sub-block the separable product; by rows, or in the sub-blocks
+        # of many rows that hold rows of both kinds
+        routes = {"sinc": [], "separable": []}
+        sinc, separable = kernels_module._sinc_average, kernels_module._separable_sinc
+
+        def spy_sinc(x, out):
+            routes["sinc"].append(np.abs(x).min())
+            return sinc(x, out)
+
+        def spy_separable(lead, last, freq, out):
+            routes["separable"].append(T * np.abs(freq).min())
+            return separable(lead, last, freq, out)
+
+        if one_row:
+            monkeypatch.setattr(kernels_module, "_SINC_BLOCK", class_table(dims[-1]).lambdas.size ** 2)
+        monkeypatch.setattr(kernels_module, "_sinc_average", spy_sinc)
+        monkeypatch.setattr(kernels_module, "_separable_sinc", spy_separable)
+        column = averaged_kernel_analytic(LatticeSpec(dims), T).first_column
+        assert max(routes["sinc"]) < 1.0 <= min(routes["separable"], default=1.0)
+        if T > 30.0:
+            assert routes["separable"]
+        oracle = unfolded_class_pair_sum(
+            TestFoldedContraction.unfolded_tables(dims, lambda n: slice(None)), [T])
+        assert np.abs(column - oracle).max() <= 1e-13
+
+    @pytest.mark.parametrize("dims, T", [((13, 11), 7.0), ((7, 5), 8.0), ((23,), 12.0),
+                                         ((9, 7), 30.0)])
+    def test_one_sub_block_builds_no_phases(self, monkeypatch, dims, T):
+        # the sub-block of leading row 0 holds x = 0, so a table of one
+        # sub-block takes _sinc_average whole and never builds a phase
+        def must_not_run(*args):
+            raise AssertionError("phases built for a kernel without separable sub-blocks")
+
+        monkeypatch.setattr(kernels_module, "_exact_phases", must_not_run)
+        monkeypatch.setattr(kernels_module, "_cancellation_gap", must_not_run)
+        averaged_kernel_analytic(LatticeSpec(dims), T)
+
+    @pytest.mark.parametrize("dims", [(44, 44), (8, 6)])
+    @pytest.mark.parametrize("T", [1e6, 1e7])
+    def test_tuples_cancelling_to_rounding_match_unfolded_sum(self, dims, T):
+        # lambda_{n/2-a} = -lambda_a on an even cycle, so some tuples sum to
+        # about 1e-16 and |x| < 1: their sub-blocks keep _sinc_average
+        column = averaged_kernel_analytic(LatticeSpec(dims), T).first_column
+        oracle = unfolded_class_pair_sum(
+            TestFoldedContraction.unfolded_tables(dims, lambda n: slice(None)), [T])
+        assert np.abs(column - oracle).max() <= 1e-13
+
+    def test_a_column_summing_to_nan_is_refused(self):
+        # a NaN sum compares false both ways, so it is refused by name
+        with pytest.raises(ValueError, match="column sums to nan"):
+            kernels_module._check_stochastic(np.array([np.nan, 1.0]), 1e-9, "nan column")
+
+    def test_cancellation_gap_is_the_least_rounded_sum(self):
+        rng = np.random.default_rng(2)
+        table = class_table(12)
+        cases = [(np.array([0.0, 0.5, -0.5, 1.0, -2.0, 3.0]), table.pair_omega),
+                 (rng.uniform(-2, 2, 50), rng.uniform(-2, 2, 7)),
+                 (rng.uniform(-2, 2, 30), np.array([0.25])),
+                 (_fold(table, table.pair_omega, table.pair_coeff)[0], table.pair_omega)]
+        for lead, omega in cases:
+            brute = np.abs(lead[:, None] + omega).min(axis=1)
+            assert np.array_equal(kernels_module._cancellation_gap(lead, omega), brute)
 
 
 class TestKernelPower:
