@@ -38,8 +38,9 @@ Three constructions are provided:
   two forms per sub-block of terms.  Where every |x| >= 1, its sine is
   sin(T*alpha)*cos(T*beta) + cos(T*alpha)*sin(T*beta), with alpha the
   leading factors' frequency sum and beta the last factor's, from
-  per-factor phases of exact arguments (_exact_phases): no sine per term,
-  and no rounding of a long x in its sine.  A sub-block holding any
+  per-factor phases of exact arguments (spectral._exact_phases, the one
+  exact-phase routine, shared with the Simpson grid anchors): no sine per
+  term, and no rounding of a long x in its sine.  A sub-block holding any
   |x| < 1 (the exact zeros, tuples of an even cycle that cancel only to
   rounding, short horizons) takes the sine of the rounded x
   (_sinc_average), which is exactly 1 at x = 0.
@@ -62,8 +63,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionError
-from .spectral import (MAX_PARTIAL_ENTRIES, LatticeSpec, _check_entries, _high_half,
-                       class_table, cycle_amplitude_at, product_amplitude)
+from .spectral import (LatticeSpec, _check_entries, _exact_phases, class_table,
+                       cycle_amplitude_at, product_amplitude)
 
 MAX_QUADRATURE_DT = 0.05
 
@@ -101,6 +102,9 @@ class Kernel:
             raise ValueError(
                 f"column length {col.size} != vertex count {self.lattice.size}"
             )
+        # NaN compares false in both checks below, so it is refused first
+        if not np.isfinite(col).all():
+            raise ValueError(f"kernel entry {col[~np.isfinite(col)][0]} is not finite")
         if col.min() < -1e-12:
             raise ValueError(f"kernel entry {col.min()} below -1e-12")
         # the ufunc np.clip(col, 0.0, None) calls, without its Python wrapper
@@ -189,23 +193,6 @@ def _separable_sinc(lead: np.ndarray, last: np.ndarray, freq: np.ndarray,
     return np.divide(out, freq, out=out)
 
 
-def _exact_phases(omega: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """exp(i*T*omega) at [T, k] for the horizons `ts` and the frequencies `omega`.
-
-    T and omega are split into 26-bit halves (spectral._high_half), so
-    T_hi*omega_hi is exact and the rest of T*omega, about 2**-25 of it, is
-    rounded once: each exponential is of T*omega to about 2**-78 of itself,
-    however long the horizon.  T is split at 2**-28 of its size and scaled
-    back, which is exact and keeps the split clear of overflow.
-    """
-    t_hi = _high_half(ts * 2.0**-28)[:, None] * 2.0**28
-    w_hi = _high_half(omega)
-    rest = t_hi * (omega - w_hi) + (ts[:, None] - t_hi) * omega
-    phases = np.exp(1j * (t_hi * w_hi))
-    phases *= np.exp(1j * rest)
-    return phases
-
-
 def _split_phases(leading, omega_last: np.ndarray, ts: np.ndarray):
     """The `lead` and `last` operands of _separable_sinc at the horizons `ts`.
 
@@ -214,9 +201,10 @@ def _split_phases(leading, omega_last: np.ndarray, ts: np.ndarray):
     """
     lead = np.ones((ts.size, 1), dtype=complex)
     for _, omega, _ in leading:
-        lead = (lead[:, :, None] * _exact_phases(omega, ts)[:, None, :]).reshape(ts.size, -1)
+        phases = _exact_phases(omega, ts[:, None])
+        lead = (lead[:, :, None] * phases[:, None, :]).reshape(ts.size, -1)
     lead /= ts[:, None]
-    last = _exact_phases(omega_last, ts)
+    last = _exact_phases(omega_last, ts[:, None])
     return np.stack((lead.imag, lead.real), axis=-1), np.stack((last.real, last.imag), axis=1)
 
 
@@ -275,7 +263,7 @@ def _horizon_chunk(widths, rows_last: int, horizons: int) -> int:
     """Horizons per chunk of _class_pair_sum over tables of `widths` classes.
 
     Refuses with SizeError a chunk whose partial sums exceed
-    MAX_PARTIAL_ENTRIES doubles.  Only the class counts are read, so a
+    spectral.MAX_PARTIAL_ENTRIES doubles.  Only the class counts are read, so a
     caller can check before it builds any class-pair table: the first factor
     has 1 + w(w-1)/2 folded pairs and every other factor w^2, the last
     factor's pairs are contracted in blocks of _BLOCK_SIZE leading rows, and
@@ -284,8 +272,7 @@ def _horizon_chunk(widths, rows_last: int, horizons: int) -> int:
     *lead, pairs = [1 + widths[0] * (widths[0] - 1) // 2, *(w * w for w in widths[1:])]
     lead_rows = math.prod(lead)
     chunk = min(horizons, max(1, _WEIGHT_BLOCK // (min(_BLOCK_SIZE, lead_rows) * pairs)))
-    _check_entries(chunk * lead_rows * rows_last, "class-pair partial sums",
-                   MAX_PARTIAL_ENTRIES)
+    _check_entries(chunk * lead_rows * rows_last, "class-pair partial sums")
     return chunk
 
 
@@ -333,10 +320,10 @@ def _class_pair_sum(factors, horizons, checkpoint: str | None = None) -> np.ndar
     least |x| of each leading row (_cancellation_gap), takes the separable
     weight (_separable_sinc) from the phases of its chunk of horizons,
     built once at the first such sub-block; any other takes _sinc_average,
-    the same doubles as the sine of the rounded x always gave.  The result is flattened row-major over
-    (T, l_1, ..., l_d).  A chunk's partial sums of more than
-    MAX_PARTIAL_ENTRIES doubles are refused with SizeError (_horizon_chunk)
-    before the fold.
+    the same doubles as the sine of the rounded x always gave.  The result
+    is flattened row-major over (T, l_1, ..., l_d).  A chunk's partial sums
+    of more than spectral.MAX_PARTIAL_ENTRIES doubles are refused with
+    SizeError (_horizon_chunk) before the fold.
 
     With one horizon, the partial sums are checkpointable so a long run
     survives interruption; the block order is fixed, so a resumed run adds

@@ -54,13 +54,14 @@ so both halves of a block come from two real products of the stacked
 multiply-adds of a complex product over every node, and no complex array of
 nodes is formed.  Each group of blocks takes one exponential at its first
 node; its block anchors are that times a per-step table, so no phase error
-accumulates.  Both phases are taken exactly: the time t0 + h*k is split
-into a 26-bit part and a small rest (Dekker's product, Knuth's sum) and the
-frequency likewise, so f*t is a sum of an exact product and a small term,
-and the anchors do not carry the rounding of a long time (about 1e-13 rad at
-t = 1000) into the nodes.  The tables belong to one cycle, offset, step and
-scale (_CentredGrid), so a caller that walks one grid in chunks builds them
-once.
+accumulates.  Both phases are taken exactly by _exact_phases, the one
+exact-phase routine, which the separable class-pair weights of the kernels
+call too: the time t0 + h*k is split into a 26-bit part and a small rest
+(Dekker's product, Knuth's sum) and the frequency likewise, so f*t is a sum
+of an exact product and a small term, and the anchors do not carry the
+rounding of a long time (about 1e-13 rad at t = 1000) into the nodes.  The
+tables belong to one cycle, offset, step and scale (_CentredGrid), so a
+caller that walks one grid in chunks builds them once.
 
 A scaled time |scale*t| >= 2**52 is refused by every route: there one ulp
 of the phase is a radian or more.
@@ -186,7 +187,7 @@ class ClassTable:
         peak is the table plus one block.
         """
         n, width = self.n, self.lambdas.size
-        _check_entries(width * width, f"cosines c_a(l) of Z_{n}", MAX_PARTIAL_ENTRIES)
+        _check_entries(width * width, f"cosines c_a(l) of Z_{n}")
         classes = np.arange(width)
         mult = np.where((classes == 0) | (2 * classes == n), 1.0, 2.0)
         out = np.empty((width, width))
@@ -217,17 +218,16 @@ class ClassTable:
     def pair_rows(self, offsets) -> np.ndarray:
         """Rows `offsets` (a list or a slice) of the class-pair coefficients, l <= n//2."""
         c = self.cosines[offsets]
-        _check_entries(c.shape[0] * c.shape[1] ** 2, f"class-pair coefficients of Z_{self.n}",
-                       MAX_PARTIAL_ENTRIES)
+        _check_entries(c.shape[0] * c.shape[1] ** 2, f"class-pair coefficients of Z_{self.n}")
         return (c[:, :, None] * c[:, None, :]).reshape(c.shape[0], -1) / float(self.n) ** 2
 
 
-def _check_entries(entries: int, what: str, cap: int) -> None:
-    """Refuse with SizeError, before allocating, an array of more than cap doubles."""
-    if entries > cap:
+def _check_entries(entries: int, what: str) -> None:
+    """Refuse with SizeError, before allocating, an array over MAX_PARTIAL_ENTRIES doubles."""
+    if entries > MAX_PARTIAL_ENTRIES:
         raise SizeError(
-            f"{what} need {entries} doubles ({entries * 8 / 2**30:.1f} GiB), "
-            f"over the cap of {cap} ({cap * 8 / 2**30:.0f} GiB)"
+            f"{what} need {entries} doubles ({entries * 8 / 2**30:.1f} GiB), over the cap of "
+            f"{MAX_PARTIAL_ENTRIES} ({MAX_PARTIAL_ENTRIES * 8 / 2**30:.0f} GiB)"
         )
 
 
@@ -467,13 +467,11 @@ class _CentredGrid:
         self.h = h
         self.freq = float(scale) * table.lambdas
         self.coeff = table.cosines[table.mirror[int(offset) % n]] / n
-        self._freq_hi = _high_half(self.freq)
-        self._freq_lo = self.freq - self._freq_hi
         half, width = _GRID_HALF, table.lambdas.size
         theta = np.multiply.outer(self.freq, h * np.arange(half + 1))
         self.cos, self.sin = np.cos(theta), np.sin(theta)
         centres = np.arange(_GRID_GROUP) * (2 * half + 1) + half
-        self.steps = self._exact_phases(*_split_time(0.0, h, centres[:, None].astype(float)))
+        self.steps = _exact_phases(self.freq, 0.0, h, centres[:, None].astype(float))
         self._anchors = np.empty((_GRID_GROUP, width), dtype=complex)
         self._stacked = np.empty((2 * _GRID_GROUP, width))
         self._even = np.empty((2 * _GRID_GROUP, half + 1))
@@ -481,19 +479,6 @@ class _CentredGrid:
         self._re = np.empty((_GRID_GROUP, half + 1))
         self._im = np.empty((_GRID_GROUP, half + 1))
         self._spare = np.empty(_GRID_GROUP * (2 * half + 1))
-
-    def _exact_phases(self, c, d) -> np.ndarray:
-        """exp(i*f*(c + d)), broadcast against the frequencies f, for c of 26 bits and a small d.
-
-        With f split as f_hi + f_lo, f_hi of 26 bits, f_hi*c is exact and
-        f_lo*c + f*d is small, so the phase f*(c + d) is held to about 2**-78
-        of itself, and each exponential is of an exact argument.
-        """
-        small = c * self._freq_lo
-        small += d * self.freq
-        phases = np.exp(1j * (c * self._freq_hi))
-        phases *= np.exp(1j * small)
-        return phases
 
     def fill(self, t0: float, first: int, out: np.ndarray) -> np.ndarray:
         """The probabilities at t0 + h*(first + k), k < out.size, into out; returns out.
@@ -507,7 +492,7 @@ class _CentredGrid:
         for lo in range(0, count, _GRID_GROUP_NODES):
             hi = min(lo + _GRID_GROUP_NODES, count)
             blocks = -(-(hi - lo) // width)
-            anchor = self._exact_phases(*_split_time(t0, self.h, float(first + lo)))
+            anchor = _exact_phases(self.freq, t0, self.h, float(first + lo))
             anchor *= self.coeff
             anchors = np.multiply(self.steps[:blocks], anchor, out=self._anchors[:blocks])
             stacked = self._stacked[: 2 * blocks]
@@ -543,13 +528,33 @@ def _high_half(x):
     return scaled - (scaled - x)
 
 
+def _exact_phases(freq, t0, h=0.0, k=0.0) -> np.ndarray:
+    """exp(i*f*t) at t = t0 + h*k, broadcast against the frequencies f = `freq`.
+
+    The one exact-phase routine: the time is split as c + d (_split_time)
+    and f as f_hi + f_lo, with c and f_hi of 26 bits each, so f_hi*c is
+    exact and f_lo*c + f*d, about 2**-25 of the phase, is rounded once.  So
+    the phase f*t is held to about 2**-78 of itself, however long the time,
+    and each exponential is of an exact argument.
+    """
+    c, d = _split_time(t0, h, k)
+    freq_hi = _high_half(freq)
+    small = c * (freq - freq_hi)
+    small += d * freq
+    phases = np.exp(1j * (c * freq_hi))
+    phases *= np.exp(1j * small)
+    return phases
+
+
 def _split_time(t0, h, k):
     """(c, d) with c + d = t0 + h*k to about 2**-78 of it, and c of 26 significant bits.
 
     t0 and h are doubles and k a whole number below 2**53 as a double (or an
     array of them).  Dekker's exact product gives h*k as p + error and
     Knuth's exact sum gives t0 + p as s + error, so only the last rounding
-    of d is lost.
+    of d is lost.  The head c is split at 2**-28 of the sum and scaled
+    back, which is exact and keeps it clear of the overflow of
+    x*(2**27 + 1) from x = 1.34e300; with h = k = 0 both error terms are 0.
     """
     p = h * k
     h_hi, k_hi = _high_half(h), _high_half(k)
@@ -558,7 +563,7 @@ def _split_time(t0, h, k):
     s = t0 + p
     v = s - t0
     s_err = (t0 - (s - v)) + (p - v)
-    c = _high_half(s)
+    c = _high_half(s * 2.0**-28) * 2.0**28
     return c, (s - c) + (s_err + p_err)
 
 

@@ -200,12 +200,16 @@ class TestPartialSumCap:
             assert "pair_coeff" not in built and "pair_omega" not in built
 
     def test_cap_counts_horizons_and_rows(self, monkeypatch):
-        import latticemix.kernels as kernels_module
+        import latticemix.spectral as spectral_module
 
-        # (7, 5): 1 + 4*3/2 folded leading class pairs times 3 half rows per horizon
-        monkeypatch.setattr(kernels_module, "MAX_PARTIAL_ENTRIES", 21)
+        # (7, 5): 1 + 4*3/2 folded leading class pairs times 3 half rows per
+        # horizon; the cap is spectral's, which the class tables check too,
+        # so they are built first under the real cap
+        for n in (7, 5):
+            class_table(n).pair_coeff
+        monkeypatch.setattr(spectral_module, "MAX_PARTIAL_ENTRIES", 21)
         averaged_kernel_analytic(LatticeSpec((7, 5)), 3.0)
-        monkeypatch.setattr(kernels_module, "MAX_PARTIAL_ENTRIES", 20)
+        monkeypatch.setattr(spectral_module, "MAX_PARTIAL_ENTRIES", 20)
         with pytest.raises(SizeError, match="21 doubles"):
             averaged_kernel_analytic(LatticeSpec((7, 5)), 3.0)
 
@@ -421,14 +425,6 @@ class TestSeparableWeights:
             rounded = kernels_module._sinc_average(x.copy(), np.empty_like(x))
             assert np.abs(rounded - reference).max() > 10.0 * err.max()
 
-    def test_exact_phases_hold_past_the_split_range(self):
-        # T*(2**27 + 1) overflows from T = 1.34e300; the split is taken at 2**-28 of T
-        omega = np.array([0.0, 0.25, -0.5, 1.0])
-        phases = kernels_module._exact_phases(omega, np.array([1e301, 3.0]))
-        assert np.isfinite(phases).all()
-        assert np.abs(np.abs(phases) - 1.0).max() <= 1e-15
-        assert np.abs(phases[1] - np.exp(3j * omega)).max() <= 1e-15
-
     @pytest.mark.parametrize("dims, T, one_row", [((9, 7), 30.0, True), ((9, 7), 1e5, True),
                                                   ((7, 5, 3), 4e3, True), ((8, 6), 1e6, True),
                                                   ((55, 53), 2e6, False), ((21, 19, 9), 1e5, False)])
@@ -559,6 +555,14 @@ class TestKernelType:
             Kernel(LatticeSpec((3,)), np.array([0.5, 0.25 + 2e-12, 0.25 - 2e-12]), kind="odd")
         with pytest.raises(ValueError, match="mirror image by"):
             Kernel(LatticeSpec((4, 3)), np.arange(12.0) / 66.0, kind="odd")
+
+    @pytest.mark.parametrize("col", [[np.nan] * 3, [np.nan, 0.5, 0.5], [0.0, np.inf, np.inf],
+                                     [1.0, -np.inf, -np.inf]])
+    def test_refuses_a_column_that_is_not_finite(self, col):
+        # NaN compares false in the sign and evenness checks, and d(P) of an
+        # all-NaN column would read 0, so a non-finite entry is refused by name
+        with pytest.raises(ValueError, match="is not finite"):
+            Kernel(LatticeSpec((3,)), np.array(col), kind="not finite")
 
     def test_stores_the_mirrored_column(self):
         # within 1e-12 of even, the half x_k <= n_k//2 is copied over the rest

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from latticemix.errors import SizeError
+from latticemix.experiments import deviation_time
 from latticemix.spectral import (
     FULL,
     HALF,
     MAX_PHASE_TIME,
     LatticeSpec,
+    _exact_phases,
     _split_time,
     cycle_amplitude,
     cycle_amplitude_at,
@@ -128,9 +130,11 @@ class TestCycleAmplitude:
         assert cycle_probability_grid(19, 4, 7.25, 0.013, 0, HALF).shape == (0,)
 
     def test_split_time_is_exact(self):
-        # c + d = t0 + h*k to 2**-78 of it, c of 26 significant bits or fewer
+        # c + d = t0 + h*k to 2**-78 of it, c of 26 significant bits or fewer;
+        # c*(2**27 + 1) would overflow near 1e301, so c is split at 2**-28 of it
         rng = np.random.default_rng(3)
         for t0, h, k in [(0.0, 0.01, 0.0), (7.25, 0.013, 805.0), (-3.5, 0.1, 2.0**52 - 1),
+                         (1.2345e301, 0.3, 7.0),
                          *zip(rng.uniform(-1e6, 1e6, 50), rng.uniform(1e-4, 1.0, 50),
                               rng.integers(0, 2**40, 50).astype(float))]:
             c, d = _split_time(float(t0), float(h), float(k))
@@ -147,6 +151,66 @@ class TestCycleAmplitude:
         for t0, h in ((np.nan, 0.1), (0.0, np.inf)):
             with pytest.raises(ValueError, match="finite"):
                 cycle_probability_grid(9, 1, t0, h, 3, HALF)
+
+
+class TestExactPhases:
+    """_exact_phases, exp(i*f*t) of the exact product f*t at t = t0 + h*k."""
+
+    # pi to 40 significant digits: its error moves a phase of 1e9 rad by 1e-31
+    PI = Fraction("3.141592653589793238462643383279502884197")
+
+    @classmethod
+    def reference(cls, freq, t: Fraction) -> np.ndarray:
+        """exp(i*f*t) from f*t reduced mod 2*pi in rationals, then rounded once."""
+        out = []
+        for f in freq:
+            x = Fraction(float(f)) * t
+            reduced = float(x - math.floor(x / (2 * cls.PI) + Fraction(1, 2)) * 2 * cls.PI)
+            out.append(complex(math.cos(reduced), math.sin(reduced)))
+        return np.array(out)
+
+    @staticmethod
+    def bound(freq, t: float) -> np.ndarray:
+        # a few roundings of a unit phasor plus the phase error: the small
+        # term, about 2**-25 of f*t, is rounded once, so about 2**-78 of f*t;
+        # 1.5e-15 at |f*t| = 1e8, 7.5e-15 at 1e9 (2.5e-15 seen there)
+        return 2.0**-50 + np.abs(freq * t) * 2.0**-77
+
+    def test_plain_horizons_match_rational_phases(self):
+        rng = np.random.default_rng(11)
+        freq = np.concatenate((rng.uniform(-1.0, 1.0, 12), HALF * class_table(97).lambdas[::7]))
+        for t in np.r_[10.0 ** rng.uniform(0.0, 9.0, 12), 1e9, deviation_time(95, 93)]:
+            got = _exact_phases(freq, float(t))
+            assert got.shape == freq.shape
+            err = np.abs(got - self.reference(freq, Fraction(float(t))))
+            assert (err <= self.bound(freq, t)).all()
+            if t <= 1e7:
+                assert err.max() <= 1e-15
+
+    def test_grid_nodes_match_rational_phases(self):
+        # t0 + h*k taken exactly, t0 and h*k both large and of either sign,
+        # |t| below 1e7 and below 1e9
+        rng = np.random.default_rng(12)
+        freq = np.concatenate((rng.uniform(-1.0, 1.0, 12), HALF * class_table(95).lambdas[::7]))
+        for span in (5e6, 5e8):
+            for t0, h, k in zip(rng.uniform(-span, span, 6), rng.uniform(1e-3, 0.2, 6),
+                                rng.integers(0, 4 * span, 6).astype(float)):
+                got = _exact_phases(freq, float(t0), float(h), np.array([[k], [k + 1.0]]))
+                assert got.shape == (2, freq.size)
+                for row, node in zip(got, (k, k + 1.0)):
+                    exact = Fraction(float(t0)) + Fraction(float(h)) * Fraction(node)
+                    err = np.abs(row - self.reference(freq, exact))
+                    assert (err <= self.bound(freq, float(exact))).all()
+                    if abs(exact) <= 1e7:
+                        assert err.max() <= 1e-15
+
+    def test_exact_phases_hold_past_the_split_range(self):
+        # T*(2**27 + 1) overflows from T = 1.34e300; the split is taken at 2**-28 of T
+        omega = np.array([0.0, 0.25, -0.5, 1.0])
+        phases = _exact_phases(omega, np.array([1e301, 3.0])[:, None])
+        assert np.isfinite(phases).all()
+        assert np.abs(np.abs(phases) - 1.0).max() <= 1e-15
+        assert np.abs(phases[1] - np.exp(3j * omega)).max() <= 1e-15
 
 
 class TestCycleAmplitudeAt:
