@@ -43,7 +43,8 @@ Three constructions are provided:
   term, and no rounding of a long x in its sine.  A sub-block holding any
   |x| < 1 (the exact zeros, tuples of an even cycle that cancel only to
   rounding, short horizons) takes the sine of the rounded x
-  (_sinc_average), which is exactly 1 at x = 0.
+  (_sinc_average), which is exactly 1 at x = 0.  Past the largest double
+  (T near 1e308) an x that overflows takes weight 0 (_far_sinc_average).
 * averaged_kernel_quadrature: the same average by composite Simpson over
   batched amplitudes on a time grid, kept deliberately independent of the
   per-frequency path so the two can cross-check each other.
@@ -54,6 +55,7 @@ through the circulant diagonalization.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import tempfile
@@ -175,6 +177,18 @@ def _sinc_average(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.copyto(x, 1.0, where=zero)
     np.copyto(out, 1.0, where=zero)
     return np.divide(out, x, out=out)
+
+
+def _far_sinc_average(ts: np.ndarray, freq: np.ndarray, x: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+    """_sinc_average of x = T*freq where it may overflow: an infinite x weighs 0, within 1e-308."""
+    with np.errstate(over="ignore"):
+        np.multiply(ts[:, None, None], freq, out=x)
+    far = np.isinf(x)
+    np.copyto(x, 1.0, where=far)    # a finite stand-in for the sine; a NaN stays NaN
+    _sinc_average(x, out)
+    np.copyto(out, 0.0, where=far)
+    return out
 
 
 def _separable_sinc(lead: np.ndarray, last: np.ndarray, freq: np.ndarray,
@@ -348,12 +362,16 @@ def _class_pair_sum(factors, horizons, checkpoint: str | None = None) -> np.ndar
     gap = _cancellation_gap(lead, omega_last) if lead.size > step else None
     weights = np.empty(chunk * rows * pairs)
     freq, x = np.empty((step, pairs)), np.empty((chunk, step, pairs))
+    # rounding is monotone, so an x overflows only if max(T)*sum_k max|omega_k|,
+    # in Python floats, does; any other call runs without the guard
+    far = math.isinf(float(horizons.max()) * sum(float(np.abs(o).max()) for _, o, _ in factors))
 
     out = []
     for t0 in range(0, horizons.size, chunk):
         ts = horizons[t0 : t0 + chunk]
         # |x| >= reach[i] on lead row i, with equality at its nearest cancellation
-        reach, phases = None if gap is None else ts.min() * gap, None
+        with np.errstate(over="ignore") if far else contextlib.nullcontext():
+            reach, phases = None if gap is None else ts.min() * gap, None
         start, partial = 0, np.zeros((ts.size * lead.size, coeff_last.shape[0]))
         if checkpoint:
             meta = (_CHECKPOINT_VERSION, *(table.n for table, _, _ in factors), *ts, _BLOCK_SIZE)
@@ -373,6 +391,8 @@ def _class_pair_sum(factors, horizons, checkpoint: str | None = None) -> np.ndar
                     if phases is None:
                         phases = _split_phases(leading, omega_last, ts)
                     _separable_sinc(phases[0][:, sub : sub + width], phases[1], freq[:width], dest)
+                elif far:
+                    _far_sinc_average(ts, freq[:width], x[: ts.size, :width], dest)
                 else:
                     np.multiply(ts[:, None, None], freq[:width], out=x[: ts.size, :width])
                     _sinc_average(x[: ts.size, :width], dest)
@@ -435,8 +455,16 @@ def averaged_return_probability(lattice: LatticeSpec, horizons) -> np.ndarray:
 
 
 def simpson_intervals(length: float, dt: float) -> int:
-    """Fewest intervals for composite Simpson over `length`: even, >= 2, each <= dt."""
-    intervals = max(2, int(np.ceil(length / dt)))
+    """Fewest intervals for composite Simpson over `length`: even, >= 2, each <= dt.
+
+    A count that is not finite or reaches 2**52 is refused: a halving sweep
+    doubles it, and spectral._split_time needs node indices below 2**53.
+    """
+    ratio = float(length) / float(dt)   # an overflow is inf, with no numpy warning
+    if not ratio <= 2.0**52 - 2:         # the even count of a larger ratio reaches 2**52
+        raise ValueError(f"Simpson rule over {length:.6g} at step {dt:.6g} needs {ratio:.6g} "
+                         f"intervals, past the grid limit 2**52")
+    intervals = max(2, math.ceil(ratio))
     return intervals + intervals % 2
 
 

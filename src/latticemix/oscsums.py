@@ -126,7 +126,7 @@ def product_integral_curve(
     segment gets an even number of intervals of length h <= dt, and node
     values come from the O(n) folded form on a uniform grid as
     osc(t) = n^2*P_t(0, l) - n - (n*[l == 0] - 1), with P_t from
-    spectral.cycle_probability_grid's centred blocks.  The grid tables are
+    spectral._CentredGrid, built only here.  The grid tables are
     built once per cycle and step, so segments of one step share them.  A
     segment runs in chunks of _CURVE_CHUNK nodes on two preallocated rows:
     the probabilities of both cycles, each turned into osc in place, then
@@ -136,8 +136,8 @@ def product_integral_curve(
     second (None without halving), all of them, so it is at exactly h/2 on
     every segment.  Chunk and segment totals are combined with math.fsum so
     half a million accumulation steps do not erode the result.  A horizon
-    with HALF*T >= spectral.MAX_PHASE_TIME is refused before any node is
-    evaluated.
+    with HALF*T >= spectral.MAX_PHASE_TIME, or a segment of 2**52 or more
+    intervals, is refused before any node is evaluated.
     """
     n1, n2 = _check_coprime_dims((n1, n2))
     if not (0 < dt <= MAX_PRODUCT_DT):
@@ -145,12 +145,14 @@ def product_integral_curve(
     grid = np.asarray(T_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("need a non-empty 1-D horizon grid")
-    bad = grid[~np.isfinite(grid) | (np.diff(grid, prepend=0.0) <= 0)]
+    lengths = np.diff(grid, prepend=0.0)
+    bad = grid[~np.isfinite(grid) | (lengths <= 0)]
     if bad.size:
         raise ValueError(
             f"horizons must be finite, positive and strictly increasing, got T = {bad[0]}"
         )
     _check_phase_time(HALF * grid.max())
+    counts = [simpson_intervals(length, dt) for length in lengths]
 
     cycles = [(n, int(offset) % n) for n, offset in zip((n1, n2), offsets)]
     constants = [n + (n * (offset == 0) - 1) for n, offset in cycles]
@@ -161,9 +163,7 @@ def product_integral_curve(
     curve = np.empty(grid.size)
     halved = np.empty(grid.size) if halving else None
     prev = 0.0
-    for idx, horizon in enumerate(grid):
-        length = horizon - prev
-        intervals = simpson_intervals(length, dt)
+    for idx, (horizon, length, intervals) in enumerate(zip(grid, lengths, counts)):
         h = length / intervals / split
         count = intervals * split + 1
         if not grids or grids[0].h != h:

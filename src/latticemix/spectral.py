@@ -41,11 +41,12 @@ that costs a fraction of numpy's complex exp; its half-amplitude product
 (cosines @ cos(theta), cosines @ sin(theta))/n over the rows l <= n//2 also
 serves the sampler directly.
 
-cycle_amplitude_grid is that route at one offset on a uniform time grid.
-cycle_probability_grid evaluates the squared amplitude at one offset on a
-long uniform grid t0 + h*k, in centred blocks of 2m + 1 nodes t_b + r*h,
-|r| <= m.  With the anchors A_a = c_a(l)/n * exp(i*f_a*t_b), f_a =
-scale*lambda_a, the amplitude there is P + i*Q and P - i*Q for
+_CentredGrid, the one uniform-grid evaluator, serves only the Simpson curve
+(oscsums.product_integral_curve, which checks the grid's limits).  It
+evaluates the squared amplitude at one offset on a long uniform grid
+t0 + h*k, in centred blocks of 2m + 1 nodes t_b + r*h, |r| <= m.  With the
+anchors A_a = c_a(l)/n * exp(i*f_a*t_b), f_a = scale*lambda_a, the
+amplitude there is P + i*Q and P - i*Q for
 
     P = sum_a A_a*cos(f_a*r*h),   Q = sum_a A_a*sin(f_a*r*h),   r >= 0,
 
@@ -60,8 +61,9 @@ call too: the time t0 + h*k is split into a 26-bit part and a small rest
 (Dekker's product, Knuth's sum) and the frequency likewise, so f*t is a sum
 of an exact product and a small term, and the anchors do not carry the
 rounding of a long time (about 1e-13 rad at t = 1000) into the nodes.  The
-tables belong to one cycle, offset, step and scale (_CentredGrid), so a
-caller that walks one grid in chunks builds them once.
+tables belong to one cycle, offset, step and scale, so a caller that walks
+one grid in chunks builds them once.  cycle_amplitude_grid is only a name
+kept for the benchmark's tracer.
 
 A scaled time |scale*t| >= 2**52 is refused by every route: there one ulp
 of the phase is a radian or more.
@@ -92,19 +94,16 @@ MAX_PARTIAL_ENTRIES = 2**28
 # needs the table itself plus temporaries of one block.
 _COSINE_BLOCK = 2**16
 
-# Half-width m of a centred block of cycle_probability_grid: the block is
+# Half-width m of a centred block of _CentredGrid: the block is
 # the 2m + 1 nodes t_b + r*h, |r| <= m, and its tables have m + 1 columns.
 _GRID_HALF = 128
 
-# Blocks per group of cycle_probability_grid.  A group takes one exact
+# Blocks per group of _CentredGrid.  A group takes one exact
 # exponential; its block anchors are that times a per-step table entry.
 _GRID_GROUP = 32
 
 # Nodes of one whole group of blocks: 8224, even.
 _GRID_GROUP_NODES = _GRID_GROUP * (2 * _GRID_HALF + 1)
-
-# Times per cycle_amplitude_at call of cycle_amplitude_grid.
-_GRID_CHUNK = 2**12
 
 # Largest |scale*t| taken by the arbitrary-time routes: from 2**52 on, one ulp
 # of the phase lambda*scale*t is 1 rad or more, so the phase carries nothing.
@@ -405,53 +404,21 @@ def _reduce_phase(theta, y, k, steps) -> None:
     np.subtract(y, np.multiply(k, _PHASE_LO, out=k), out=y)
 
 
-def cycle_probability_grid(
-    n: int, offset: int, t0: float, h: float, count: int, scale: float
-) -> np.ndarray:
-    """|<offset|exp(i*Abar*t*scale)|0>|^2 over the uniform time grid t0 + h*arange(count).
-
-    The grid runs in centred blocks (see the module docstring) on the tables
-    of _CentredGrid.  A grid that reaches |scale*t| >= MAX_PHASE_TIME is
-    refused before any node is evaluated.
-    """
-    n = _check_cycle(n)
-    count = int(count)
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    t0, h = float(t0), float(h)
-    if not (np.isfinite(t0) and np.isfinite(h)):
-        raise ValueError(f"grid start and step must be finite, got t0 = {t0}, h = {h}")
-    if not (np.isfinite(scale) and scale > 0):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
-    if count:
-        _check_phase_time(float(scale) * max(abs(t0), abs(t0 + h * (count - 1))))
-    return _CentredGrid(n, offset, h, scale).fill(t0, 0, np.empty(count))
-
-
 def cycle_amplitude_grid(
     n: int, offset: int, t0: float, h: float, count: int, scale: float
 ) -> np.ndarray:
     """Complex amplitude at one offset over the uniform time grid t0 + h*arange(count).
 
-    cycle_amplitude_at at the grid times, _GRID_CHUNK times per call, so
-    memory stays bounded.  No library code calls it: the Simpson curves run
-    on the tables of cycle_probability_grid (_CentredGrid).  The name stays
-    because the benchmark's tracer reports a work rate for it.
+    No library code calls it; the name stays because the benchmark's tracer
+    reports a work rate for it.
     """
-    n = _check_cycle(n)
-    count = int(count)
-    if count < 0:
+    if int(count) < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    times = float(t0) + float(h) * np.arange(count)
-    out = np.empty(count, dtype=complex)
-    for lo in range(0, count, _GRID_CHUNK):
-        out[lo : lo + _GRID_CHUNK] = cycle_amplitude_at(n, times[lo : lo + _GRID_CHUNK],
-                                                       scale)[:, int(offset) % n]
-    return out
+    return cycle_amplitude_at(n, t0 + h * np.arange(int(count)), scale)[:, int(offset) % n]
 
 
 class _CentredGrid:
-    """Tables of cycle_probability_grid for one cycle, offset, step h and time scale.
+    """The Simpson curve's uniform grid: tables for one cycle, offset, step h and time scale.
 
     cos[a, r] and sin[a, r] hold cos(f_a*r*h) and sin(f_a*r*h) for r <= m,
     and steps[b, a] = exp(i*f_a*(b*(2m + 1) + m)*h), the phase of block b's
@@ -459,7 +426,8 @@ class _CentredGrid:
     phases and the group anchors are taken exactly (_exact_phases), so
     neither carries the rounding of a long time into its exponential.  The
     scratch of one group is kept too, so a fill allocates nothing; an
-    instance serves one caller at a time.
+    instance serves one caller at a time.  It checks no input: its one
+    builder, oscsums.product_integral_curve, checks the grid's limits.
     """
 
     def __init__(self, n: int, offset: int, h: float, scale: float):

@@ -143,6 +143,30 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "past the phase limit 2**52" in err
         assert not os.path.exists(out)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ("conjecture", "--range", "10,20", "--pairs", "1", "--T-max", "10", "--dt", "1e-320"),
+        ("kernel", "--dims", "5,3", "--kind", "averaged-quad", "--T", "1", "--dt", "1e-320"),
+        ("kernel", "--dims", "5,3", "--kind", "averaged-quad", "--T", "1e300"),
+    ])
+    def test_simpson_count_past_the_grid_limit_is_one_line(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "a.csv")
+        assert run(*argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "intervals, past the grid limit 2**52" in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ("kernel", "--dims", "9", "--kind", "averaged", "--T", "1e308"),
+        ("kernel", "--dims", "9,7", "--kind", "averaged", "--T", "1.7e308"),
+        ("theorem3", "--n1", "9", "--n2", "7", "--T", "1.7e308", "--relaxed", "--tier", "slow"),
+    ])
+    def test_averaged_kernel_past_the_largest_double(self, tmp_path, capsys, argv):
+        # T*omega overflows for some terms, which take weight 0
+        assert run(*argv, "--out", str(tmp_path / "a.json")) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("message", ["Unable to allocate 1.49 GiB for an array", ""],
                              ids=["numpy", "bare"])
     def test_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch, message):

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import latticemix.kernels as kernels_module
 from latticemix.classical import lazy_kernel
+from latticemix.distances import pairwise_column_distance
 from latticemix.errors import ResolutionError, SizeError
 from latticemix.experiments import deviation_time
 from latticemix.kernels import (
@@ -138,6 +141,16 @@ class TestSimpsonRule:
         for cuts in ([0, 4, 11], [0, 1, 2, 7, 11], [0, 5, 6, 10, 11]):
             parts = [simpson_weights(lo, hi, 11) for lo, hi in zip(cuts, cuts[1:])]
             assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_counts_the_grid_cannot_index_are_refused(self):
+        # the largest even count below 2**52 is taken, and one that rounds up
+        # to 2**52 is not; a quotient that overflows is inf, with no warning
+        assert simpson_intervals(2.0**52 - 2, 1.0) == 2**52 - 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for length, dt in ((2.0**52 - 1, 1.0), (1e300, 0.05), (10.0, 1e-320)):
+                with pytest.raises(ValueError, match=r"past the grid limit 2\*\*52"):
+                    simpson_intervals(length, dt)
 
 
 class TestBatchedQuadrature:
@@ -477,6 +490,43 @@ class TestSeparableWeights:
         oracle = unfolded_class_pair_sum(
             TestFoldedContraction.unfolded_tables(dims, lambda n: slice(None)), [T])
         assert np.abs(column - oracle).max() <= 1e-13
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dims, T, near", [((9,), 1e308, 1e300), ((9, 7), 1.7e308, 1e300),
+                                               ((45, 43), 1.7e308, 1e301), ((5, 3, 3), 1.7e308, 1e300)])
+    def test_weights_past_the_largest_double_are_zero(self, dims, T, near):
+        # some T*x overflow to +-inf and take weight 0, within 1e-308 of
+        # sin(x)/x there; every other weight is below 1e-300 at both horizons
+        # too, so the column is the one at a horizon short of the overflow, bit
+        # for bit; (45, 43) mixes separable sub-blocks with overflowing ones
+        kernel = averaged_kernel_analytic(LatticeSpec(dims), T)
+        near_column = averaged_kernel_analytic(LatticeSpec(dims), near).first_column
+        assert np.array_equal(kernel.first_column, near_column)
+        if dims == (9, 7):
+            # ROADMAP item 1's d(P_inf) of (9, 7)
+            assert abs(pairwise_column_distance(kernel) - 0.2109) < 1e-4
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_guard_only_past_the_largest_double(self, monkeypatch):
+        # on Z_9 the largest |omega| is 1 + cos(pi/9), so T*omega stays finite
+        # at T = 9e307 and the call runs without the guard
+        def must_not_run(*args):
+            raise AssertionError("overflow guard taken")
+
+        monkeypatch.setattr(kernels_module, "_far_sinc_average", must_not_run)
+        averaged_kernel_analytic(LatticeSpec((9,)), 9e307)
+        with pytest.raises(AssertionError, match="overflow guard taken"):
+            averaged_kernel_analytic(LatticeSpec((9,)), 1e308)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_weights_keep_other_values(self):
+        # an overflowing x takes 0, x = 0 takes 1, a finite x its sin(x)/x,
+        # and a NaN stays NaN
+        freq = np.array([[3.0, -3.0, 0.0, 1e-300, np.nan]])
+        out = kernels_module._far_sinc_average(np.array([1e308]), freq, np.empty((1, 1, 5)),
+                                               np.empty((1, 1, 5)))
+        expected = np.array([0.0, 0.0, 1.0, np.sin(1e8) / 1e8, np.nan])
+        assert np.array_equal(out.ravel(), expected, equal_nan=True)
 
     def test_a_column_summing_to_nan_is_refused(self):
         # a NaN sum compares false both ways, so it is refused by name

@@ -218,6 +218,25 @@ class TestProductIntegral:
         averaged_return_probability(LatticeSpec((1001,)), [3.0])
         assert "pair_coeff" not in vars(class_table(1001))
 
+    def test_grid_refuses_phase_past_the_limit(self, monkeypatch):
+        # the last horizon reaches HALF*T = 2**52, and a segment of 2**52 or
+        # more intervals cannot be indexed: both are refused before any grid
+        # is built, so before any node is evaluated; the first horizon alone
+        # is not refused
+        def must_not_run(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(oscsums, "_CentredGrid", must_not_run)
+        with pytest.raises(ValueError, match="past the phase limit 2"):
+            product_integral_curve(19, 5, (1, 2), [10.0, 2.0**53], 0.02)
+        with pytest.raises(ValueError, match="past the grid limit 2"):
+            product_integral_curve(19, 5, (1, 2), [10.0, 1e15], 0.02)
+        with pytest.raises(ValueError, match="needs inf intervals"):
+            product_integral_curve(19, 5, (1, 2), [10.0], 1e-320)
+        monkeypatch.undo()
+        curve, _ = product_integral_curve(19, 5, (1, 2), [10.0], 0.02)
+        assert np.isfinite(curve).all()
+
     def test_exact_path_size_guard(self):
         with pytest.raises(ValueError):
             product_integral_exact(103, 101, (0, 0), 10.0)

@@ -11,12 +11,12 @@ from latticemix.spectral import (
     HALF,
     MAX_PHASE_TIME,
     LatticeSpec,
+    _CentredGrid,
     _exact_phases,
     _split_time,
     cycle_amplitude,
     cycle_amplitude_at,
     cycle_amplitude_grid,
-    cycle_probability_grid,
     class_table,
     product_amplitude,
     spectral_gap,
@@ -116,7 +116,7 @@ class TestCycleAmplitude:
         amp = cycle_amplitude_grid(n, offset, t0, h, count, HALF)
         assert amp.shape == (count,) and amp.dtype == complex
         assert np.abs(amp - at).max() < 1e-12
-        grid = cycle_probability_grid(n, offset, t0, h, count, HALF)
+        grid = _CentredGrid(n, offset, h, HALF).fill(t0, 0, np.empty(count))
         assert grid.shape == (count,) and grid.dtype == float
         # every node, so both halves of every centred block are checked
         assert np.abs(grid - np.abs(at) ** 2).max() < 1e-11
@@ -126,8 +126,20 @@ class TestCycleAmplitude:
         assert np.abs(full - at[picks]).max() < 1e-12
         assert np.abs(np.abs(full) ** 2 - grid[picks]).max() < 1e-11
 
+    @pytest.mark.parametrize("n, offset, t0, h, count",
+                             GRID_CASES + ((31, 2, 3e7, 0.02, 9000), (97, 11, 4.5e6, 0.01, 16453)))
+    def test_centred_grid_matches_exact_phase_sum(self, n, offset, t0, h, count):
+        # every node against |sum_a (c_a(l)/n)*exp(i*f_a*t)|^2 with each phase
+        # of the exact product f_a*t; the route of cycle_amplitude_at rounds
+        # theta = f_a*t first and reads 5.6e-12 to 1.5e-10 off it at these long starts
+        grid = _CentredGrid(n, offset, h, HALF).fill(t0, 0, np.empty(count))
+        table = class_table(n)
+        coeff = table.cosines[table.mirror[offset % n]] / n
+        phases = _exact_phases(HALF * table.lambdas, t0, h, np.arange(count, dtype=float)[:, None])
+        assert np.abs(grid - np.abs(phases @ coeff) ** 2).max() <= 1e-15
+
     def test_grid_takes_an_empty_grid(self):
-        assert cycle_probability_grid(19, 4, 7.25, 0.013, 0, HALF).shape == (0,)
+        assert _CentredGrid(19, 4, 0.013, HALF).fill(7.25, 0, np.empty(0)).shape == (0,)
 
     def test_split_time_is_exact(self):
         # c + d = t0 + h*k to 2**-78 of it, c of 26 significant bits or fewer;
@@ -143,14 +155,9 @@ class TestCycleAmplitude:
             mantissa = Fraction(c) / Fraction(2) ** (math.frexp(c)[1] - 26)
             assert mantissa.denominator == 1
 
-    def test_grid_refuses_phase_past_the_limit(self):
-        # the last node reaches scale*t = 2**52; the first node alone would not
-        t_last = MAX_PHASE_TIME / HALF
-        with pytest.raises(ValueError, match="past the phase limit 2"):
-            cycle_probability_grid(9, 1, t_last - 10.0, 5.0, 3, HALF)
-        for t0, h in ((np.nan, 0.1), (0.0, np.inf)):
-            with pytest.raises(ValueError, match="finite"):
-                cycle_probability_grid(9, 1, t0, h, 3, HALF)
+    def test_amplitude_grid_refuses_a_negative_count(self):
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            cycle_amplitude_grid(9, 1, 0.0, 0.5, -1, HALF)
 
 
 class TestExactPhases:
