@@ -209,6 +209,13 @@ def _decade_grid(t_max: float) -> list[float]:
     return grid
 
 
+def _record_artifact(record, table: dict, plot: tuple, **fields) -> _Artifact:
+    """An experiment record's artifact: config, scalars and verdicts, then `fields`."""
+    payload = {"config": record.config, "scalars": record.scalars,
+               "verdicts": record.verdicts, **fields}
+    return _Artifact(payload, table, plot, 0 if record.all_passed else 2)
+
+
 def _emit(resolved: dict, command: str, artifact: _Artifact) -> None:
     out = resolved["out"]
     fmt = resolved["format"]
@@ -309,18 +316,11 @@ def _run_mix_coordinate(resolved) -> _Artifact:
     )
     factor_tv = record.curves["factor_tv"]
     sweeps = np.arange(factor_tv.shape[0])
-    payload = {
-        "config": record.config,
-        "scalars": record.scalars,
-        "verdicts": record.verdicts,
-        "warnings": record.warnings,
-        "factor_tv": factor_tv,
-    }
     table = {"sweep": sweeps,
              **{f"tv_factor{axis + 1}": tv for axis, tv in enumerate(factor_tv.T)}}
     plot = ("sweep", "tv", sweeps,
             {f"factor {axis + 1}": tv for axis, tv in enumerate(factor_tv.T)})
-    return _Artifact(payload, table, plot, 0 if record.all_passed else 2)
+    return _record_artifact(record, table, plot, warnings=record.warnings, factor_tv=factor_tv)
 
 
 def _run_mix_repeated(resolved) -> _Artifact:
@@ -330,12 +330,6 @@ def _run_mix_repeated(resolved) -> _Artifact:
         trajectories=resolved["trajectories"], seed=resolved["seed"],
     )
     curves = record.curves
-    payload = {
-        "config": record.config,
-        "scalars": record.scalars,
-        "verdicts": record.verdicts,
-        "curves": curves,
-    }
     if resolved["mode"] == "exact":
         table = curves
         plot = ("rounds", "distance", curves["rounds"],
@@ -345,7 +339,7 @@ def _run_mix_repeated(resolved) -> _Artifact:
         index = np.arange(lattice.size)
         table = {"index": index, **curves}
         plot = ("vertex index", "probability", index, curves)
-    return _Artifact(payload, table, plot, 0 if record.all_passed else 2)
+    return _record_artifact(record, table, plot, curves=curves)
 
 
 def _run_lemma2(resolved) -> _Artifact:
@@ -416,17 +410,11 @@ def _run_fig1(resolved) -> _Artifact:
     record = return_probability_curves(dims[0], dims[1], t_max=resolved["t_max"])
     curves = record.curves
     uniform = np.full(curves["T"].size, record.scalars["uniform_level"])
-    payload = {
-        "config": record.config,
-        "scalars": record.scalars,
-        "verdicts": record.verdicts,
-        "curves": curves,
-    }
     table = {**curves, "uniform_level": uniform}
     plot = ("averaging horizon T", "return probability", curves["T"],
             {"quantum": curves["quantum_return"],
              "classical": curves["classical_return"], "uniform": uniform})
-    return _Artifact(payload, table, plot, 0 if record.all_passed else 2)
+    return _record_artifact(record, table, plot, curves=curves)
 
 
 def _io(default_format: str, formats=("csv", "json", "svg")) -> tuple[_Option, ...]:

@@ -38,7 +38,8 @@ import numpy as np
 
 from .errors import ParityError, ResolutionError
 from .kernels import _class_pair_sum, simpson_intervals, simpson_weights
-from .spectral import HALF, _GRID_GROUP_NODES, _check_phase_time, _CentredGrid, class_table
+from .spectral import (HALF, _GRID_BLOCK, _GRID_GROUP_NODES, _check_phase_time, _CentredGrid,
+                       class_table)
 
 MAX_PRODUCT_DT = 0.02
 
@@ -46,9 +47,9 @@ MAX_PRODUCT_DT = 0.02
 MAX_EXACT_PRODUCT = 10_000
 
 # Nodes per chunk of a product_integral_curve segment: one whole group of
-# centred blocks, so every chunk but a segment's last is filled in place,
-# and its two value rows (129 KiB) and the grid scratch stay in cache.  Even,
-# so every chunk of a halving sweep starts on a coarse node.
+# centred blocks, the most one grid fill evaluates, so its two value rows
+# (129 KiB) and the grid scratch stay in cache.  Even, so every chunk of a
+# halving sweep starts on a coarse node.
 _CURVE_CHUNK = _GRID_GROUP_NODES
 
 
@@ -129,7 +130,8 @@ def product_integral_curve(
     spectral._CentredGrid, built only here.  The grid tables are
     built once per cycle and step, so segments of one step share them.  A
     segment runs in chunks of _CURVE_CHUNK nodes on two preallocated rows:
-    the probabilities of both cycles, each turned into osc in place, then
+    each chunk is one grid fill of the whole blocks that cover it, anchored
+    at its first node, for both cycles, each turned into osc in place, then
     their product, weighted by kernels.simpson_weights; memory stays bounded
     for any horizon.  With halving, the nodes are evaluated once at step
     h/2; the curve uses every other node and the halved curve, returned
@@ -156,7 +158,7 @@ def product_integral_curve(
 
     cycles = [(n, int(offset) % n) for n, offset in zip((n1, n2), offsets)]
     constants = [n + (n * (offset == 0) - 1) for n, offset in cycles]
-    rows = np.empty((2, _CURVE_CHUNK))
+    rows = np.empty((2, _GRID_GROUP_NODES))
     grids = []
     split = 2 if halving else 1
     partials, fine_partials = [], []
@@ -171,8 +173,12 @@ def product_integral_curve(
         sums, fine_sums = [], []
         for lo in range(0, count, _CURVE_CHUNK):
             hi = min(lo + _CURVE_CHUNK, count)
-            first = _osc_fill(grids[0], prev, lo, rows[0, : hi - lo], n1, constants[0])
-            second = _osc_fill(grids[1], prev, lo, rows[1, : hi - lo], n2, constants[1])
+            span = -(-(hi - lo) // _GRID_BLOCK) * _GRID_BLOCK
+            for tables, row, (n, _), constant in zip(grids, rows, cycles, constants):
+                osc = tables.fill(prev, lo, row[:span])[: hi - lo]
+                osc *= n * n    # osc(t) = n^2*P_t(0, l) - constant
+                osc -= constant
+            first, second = rows[:, : hi - lo]
             vals = np.multiply(first, second, out=first)
             # lo is even, so vals[::split] starts on the coarse node lo // split
             coarse = simpson_weights(lo // split, -(-hi // split), intervals + 1)
@@ -186,15 +192,6 @@ def product_integral_curve(
             halved[idx] = math.fsum(fine_partials)
         prev = horizon
     return curve, halved
-
-
-def _osc_fill(tables: _CentredGrid, t0: float, first: int, row: np.ndarray, n: int,
-              constant: int) -> np.ndarray:
-    """osc(t) = n^2*P_t(0, l) - constant at t0 + h*(first + k) into row, k < row.size."""
-    tables.fill(t0, first, row)
-    row *= n * n
-    row -= constant
-    return row
 
 
 def product_integral_exact(n1: int, n2: int, offsets: tuple[int, int], T: float) -> float:

@@ -53,10 +53,10 @@ amplitude there is P + i*Q and P - i*Q for
 so both halves of a block come from two real products of the stacked
 [Re A; Im A] with the real tables cos(f_a*r*h) and sin(f_a*r*h), half the
 multiply-adds of a complex product over every node, and no complex array of
-nodes is formed.  Each group of blocks takes one exponential at its first
-node; its block anchors are that times a per-step table, so no phase error
-accumulates.  Both phases are taken exactly by _exact_phases, the one
-exact-phase routine, which the separable class-pair weights of the kernels
+nodes is formed.  One fill evaluates one group of at most 32 whole blocks
+and takes one exponential at its first node; the block anchors are that
+times a per-step table, so no phase error accumulates.  Both phases are
+taken exactly by _exact_phases, the one exact-phase routine, which the separable class-pair weights of the kernels
 call too: the time t0 + h*k is split into a 26-bit part and a small rest
 (Dekker's product, Knuth's sum) and the frequency likewise, so f*t is a sum
 of an exact product and a small term, and the anchors do not carry the
@@ -97,13 +97,14 @@ _COSINE_BLOCK = 2**16
 # Half-width m of a centred block of _CentredGrid: the block is
 # the 2m + 1 nodes t_b + r*h, |r| <= m, and its tables have m + 1 columns.
 _GRID_HALF = 128
+_GRID_BLOCK = 2 * _GRID_HALF + 1
 
-# Blocks per group of _CentredGrid.  A group takes one exact
-# exponential; its block anchors are that times a per-step table entry.
+# Blocks per group of _CentredGrid, the most one fill evaluates.  A group takes
+# one exact exponential; its block anchors are that times a per-step table entry.
 _GRID_GROUP = 32
 
 # Nodes of one whole group of blocks: 8224, even.
-_GRID_GROUP_NODES = _GRID_GROUP * (2 * _GRID_HALF + 1)
+_GRID_GROUP_NODES = _GRID_GROUP * _GRID_BLOCK
 
 # Largest |scale*t| taken by the arbitrary-time routes: from 2**52 on, one ulp
 # of the phase lambda*scale*t is 1 rad or more, so the phase carries nothing.
@@ -425,9 +426,10 @@ class _CentredGrid:
     centre from the start of its group, for b < _GRID_GROUP.  The step
     phases and the group anchors are taken exactly (_exact_phases), so
     neither carries the rounding of a long time into its exponential.  The
-    scratch of one group is kept too, so a fill allocates nothing; an
-    instance serves one caller at a time.  It checks no input: its one
-    builder, oscsums.product_integral_curve, checks the grid's limits.
+    scratch of the one group a fill evaluates is kept, so a fill allocates
+    no node arrays; an instance serves one caller at a time.  It checks no
+    input: its one builder, oscsums.product_integral_curve, checks the
+    grid's limits.
     """
 
     def __init__(self, n: int, offset: int, h: float, scale: float):
@@ -438,7 +440,7 @@ class _CentredGrid:
         half, width = _GRID_HALF, table.lambdas.size
         theta = np.multiply.outer(self.freq, h * np.arange(half + 1))
         self.cos, self.sin = np.cos(theta), np.sin(theta)
-        centres = np.arange(_GRID_GROUP) * (2 * half + 1) + half
+        centres = np.arange(_GRID_GROUP) * _GRID_BLOCK + half
         self.steps = _exact_phases(self.freq, 0.0, h, centres[:, None].astype(float))
         self._anchors = np.empty((_GRID_GROUP, width), dtype=complex)
         self._stacked = np.empty((2 * _GRID_GROUP, width))
@@ -446,42 +448,33 @@ class _CentredGrid:
         self._odd = np.empty((2 * _GRID_GROUP, half + 1))
         self._re = np.empty((_GRID_GROUP, half + 1))
         self._im = np.empty((_GRID_GROUP, half + 1))
-        self._spare = np.empty(_GRID_GROUP * (2 * half + 1))
 
     def fill(self, t0: float, first: int, out: np.ndarray) -> np.ndarray:
         """The probabilities at t0 + h*(first + k), k < out.size, into out; returns out.
 
-        A last block past the end of out is evaluated whole into scratch,
-        and only its nodes on the grid are copied.
+        out holds whole blocks of 2m + 1 nodes, at most _GRID_GROUP of them:
+        one group, anchored at node `first` by one exact exponential.
         """
         half = _GRID_HALF
-        width = 2 * half + 1
-        count = out.size
-        for lo in range(0, count, _GRID_GROUP_NODES):
-            hi = min(lo + _GRID_GROUP_NODES, count)
-            blocks = -(-(hi - lo) // width)
-            anchor = _exact_phases(self.freq, t0, self.h, float(first + lo))
-            anchor *= self.coeff
-            anchors = np.multiply(self.steps[:blocks], anchor, out=self._anchors[:blocks])
-            stacked = self._stacked[: 2 * blocks]
-            stacked[:blocks] = anchors.real
-            stacked[blocks:] = anchors.imag
-            # [Re P; Im P] and [Re Q; Im Q], r = 0..m; Q is 0 at r = 0
-            even = np.matmul(stacked, self.cos, out=self._even[: 2 * blocks])
-            odd = np.matmul(stacked, self.sin, out=self._odd[: 2 * blocks])
-            whole = blocks * width == hi - lo
-            dest = out[lo:hi] if whole else self._spare[: blocks * width]
-            nodes = dest.reshape(blocks, width)
-            p_re, p_im, q_re, q_im = even[:blocks], even[blocks:], odd[:blocks], odd[blocks:]
-            re, im = self._re[:blocks], self._im[:blocks]
-            # node m + r: |P + i*Q|^2 = (Re P - Im Q)^2 + (Im P + Re Q)^2
-            _squared_modulus(np.subtract(p_re, q_im, out=re), np.add(p_im, q_re, out=im),
-                             nodes[:, half:])
-            # node m - r: |P - i*Q|^2; r = 0 writes node m again, with the same value
-            _squared_modulus(np.add(p_re, q_im, out=re), np.subtract(p_im, q_re, out=im),
-                             nodes[:, half::-1])
-            if not whole:
-                out[lo:hi] = dest[: hi - lo]
+        blocks = out.size // _GRID_BLOCK
+        anchor = _exact_phases(self.freq, t0, self.h, float(first))
+        anchor *= self.coeff
+        anchors = np.multiply(self.steps[:blocks], anchor, out=self._anchors[:blocks])
+        stacked = self._stacked[: 2 * blocks]
+        stacked[:blocks] = anchors.real
+        stacked[blocks:] = anchors.imag
+        # [Re P; Im P] and [Re Q; Im Q], r = 0..m; Q is 0 at r = 0
+        even = np.matmul(stacked, self.cos, out=self._even[: 2 * blocks])
+        odd = np.matmul(stacked, self.sin, out=self._odd[: 2 * blocks])
+        nodes = out.reshape(blocks, _GRID_BLOCK)
+        p_re, p_im, q_re, q_im = even[:blocks], even[blocks:], odd[:blocks], odd[blocks:]
+        re, im = self._re[:blocks], self._im[:blocks]
+        # node m + r: |P + i*Q|^2 = (Re P - Im Q)^2 + (Im P + Re Q)^2
+        _squared_modulus(np.subtract(p_re, q_im, out=re), np.add(p_im, q_re, out=im),
+                         nodes[:, half:])
+        # node m - r: |P - i*Q|^2; r = 0 writes node m again, with the same value
+        _squared_modulus(np.add(p_re, q_im, out=re), np.subtract(p_im, q_re, out=im),
+                         nodes[:, half::-1])
         return out
 
 

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from latticemix import cli
+from latticemix.classical import lazy_kernel
 from latticemix.cli import build_parser, main
 from latticemix.output import format_value, write_csv, write_json, write_svg
 from latticemix.spectral import LatticeSpec
 
-from oracles import enumerated_spectral_gap
+from oracles import enumerated_spectral_gap, full_matrix
 
 
 def run(*argv) -> int:
@@ -68,6 +69,26 @@ class TestExitCodes:
 
     def test_missing_required_flag_is_one(self, tmp_path):
         assert run("lemma2", "--out", str(tmp_path / "r.json")) == 1
+
+    def test_no_subcommand_prints_help_and_is_one(self, capsys):
+        assert run() == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: latticemix") and captured.err == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("kernel", "--dims", "9,7", "--kind", "instant"), "kernel --kind instant requires --t"),
+        (("kernel", "--dims", "9,7", "--kind", "averaged"), "kernel --kind averaged requires --T"),
+        (("kernel", "--dims", "9,7", "--kind", "averaged-quad"),
+         "kernel --kind averaged-quad requires --T"),
+        (("fig1", "--dims", "19"), "fig1 requires exactly two cycle lengths"),
+        (("conjecture", "--pairs", "1", "--T-max", "0"), "bad --T-max value '0': must be > 0"),
+    ])
+    def test_missing_or_out_of_range_value_is_one_line(self, tmp_path, capsys, argv, message):
+        out = str(tmp_path / "a.csv")
+        assert run(*argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith(message + "\n")
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("argv", [
         ("kernel", "--dims", "1,x"),
@@ -325,6 +346,15 @@ class TestOutputs:
         assert columns[0].size == 105
         assert np.abs(columns[0] - columns[1]).max() <= 1e-6
 
+    def test_lazy_kernel_power_matches_the_matrix_power(self, tmp_path):
+        out = str(tmp_path / "k.json")
+        assert run("kernel", "--dims", "9,7", "--kind", "lazy", "--power", "3",
+                   "--format", "json", "--out", out) == 0
+        payload = json.loads(read(out))
+        matrix = full_matrix(lazy_kernel(LatticeSpec((9, 7))))
+        expected = np.linalg.matrix_power(matrix, 3)[:, 0]
+        assert np.abs(np.array(payload["first_column"]) - expected).max() <= 1e-12
+
     def test_kernel_power_zero_is_identity(self, tmp_path):
         out = str(tmp_path / "k.json")
         assert run("kernel", "--dims", "5,3", "--T", "2", "--power", "0",
@@ -454,6 +484,15 @@ class TestConfigResolution:
         assert run(*argv, "--config", str(config), "--out", str(tmp_path / "a.out")) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and key in err
+
+    def test_config_file_skips_comment_and_blank_lines(self, tmp_path):
+        config = tmp_path / "job.cfg"
+        config.write_text("# lemma2 at n = 19\n\nn=19\n   \n  # horizon\nT=100\n")
+        out = str(tmp_path / "r.json")
+        assert run("lemma2", "--config", str(config), "--out", out) == 0
+        flagged = str(tmp_path / "f.json")
+        assert run("lemma2", "--n", "19", "--T", "100", "--out", flagged) == 0
+        assert read(out) == read(flagged)
 
     def test_config_line_without_equals_is_one_line(self, tmp_path, capsys):
         config = tmp_path / "job.cfg"

@@ -250,3 +250,7 @@ class TestEpsilonMixingTime:
                 [uniform_kernel(lattice), uniform_kernel(lattice)],
                 0.1,
             )
+        with pytest.raises(ValueError, match="2 times vs 1 kernels"):
+            epsilon_mixing_time(np.array([1.0, 2.0]), [uniform_kernel(lattice)], 0.1)
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\), got 1"):
+            epsilon_mixing_time(np.array([1.0]), [uniform_kernel(lattice)], 1.0)

@@ -131,6 +131,9 @@ class TestRepeatedMeasurement:
             repeated_measurement_run(LatticeSpec((5,)), 1.0, rounds=0)
         with pytest.raises(ValueError):
             repeated_measurement_run(LatticeSpec((5,)), 1.0, rounds=1, mode="bogus")
+        with pytest.raises(ValueError, match="need at least one trajectory, got 0"):
+            repeated_measurement_run(LatticeSpec((5,)), 1.0, rounds=1, mode="sampled",
+                                     trajectories=0)
 
 
 class TestCoordinateWise:
@@ -157,6 +160,12 @@ class TestCoordinateWise:
             coordinate_wise_run(LatticeSpec((5, 3)), rounds=-1)
         with pytest.raises(SizeError, match="dense limit"):
             coordinate_wise_run(LatticeSpec((1_000_000, 2)))
+
+    def test_rejects_epsilon_of_one_and_a_short_times_list(self):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\), got 1.0"):
+            coordinate_wise_run(LatticeSpec((5, 3)), epsilon=1.0)
+        with pytest.raises(ValueError, match="1 times for 2 coordinates"):
+            coordinate_wise_run(LatticeSpec((5, 3)), times=[2.0])
 
     @pytest.mark.parametrize("rounds", [0, 2, None])
     @pytest.mark.parametrize("dims", [(9, 7), (4,), (6, 5, 3), (2, 2)],

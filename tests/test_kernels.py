@@ -112,6 +112,13 @@ class TestAveragedKernels:
         with pytest.raises(ResolutionError):
             averaged_kernel_quadrature(LatticeSpec((5,)), 1.0, 0.2)
 
+    @pytest.mark.parametrize("T", [0.0, -1.0])
+    def test_quadrature_and_return_curve_refuse_a_non_positive_horizon(self, T):
+        with pytest.raises(ValueError, match="averaging horizon must be positive"):
+            averaged_kernel_quadrature(LatticeSpec((5,)), T, 0.02)
+        with pytest.raises(ValueError, match="averaging horizons must be positive and finite"):
+            averaged_return_probability(LatticeSpec((5, 3)), [T])
+
     def test_stochasticity_suite(self):
         for dims, T in (((5,), 3.0), ((19, 5), 24.0), ((7, 3), 11.0)):
             assert_doubly_stochastic(averaged_kernel_analytic(LatticeSpec(dims), T))
@@ -591,6 +598,10 @@ class TestKernelPower:
 
 
 class TestKernelType:
+    def test_refuses_a_column_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="column length 4 != vertex count 3"):
+            Kernel(LatticeSpec((3,)), np.full(4, 0.25), kind="long")
+
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             Kernel(LatticeSpec((3,)), np.array([1.0, 1e-6, -1e-6]), kind="bad")

@@ -16,8 +16,9 @@ from latticemix.oscsums import (
     product_integral_exact,
     sample_coprime_odd_pairs,
 )
-from latticemix.kernels import averaged_return_probability
-from latticemix.spectral import HALF, LatticeSpec, class_table, cycle_amplitude
+from latticemix.kernels import averaged_return_probability, simpson_intervals
+from latticemix.spectral import (HALF, _GRID_BLOCK, _GRID_GROUP_NODES, LatticeSpec, _CentredGrid,
+                                 class_table, cycle_amplitude)
 
 from oracles import (
     osc_sum_direct,
@@ -190,6 +191,34 @@ class TestProductIntegral:
         assert np.all(np.abs(halved64 - halved) <= 1e-12 * np.abs(halved))
         assert np.all(np.abs(plain64 - plain) <= 1e-12 * np.abs(plain))
 
+    @pytest.mark.parametrize("chunk", [_GRID_GROUP_NODES, 64])
+    def test_each_fill_is_one_group_of_whole_blocks_at_its_chunk_start(self, monkeypatch, chunk):
+        # segments of 500, 808 and 10000 fine intervals: at 8224-node chunks
+        # one ragged chunk each, the last a whole group and then a ragged one
+        grid = [5.0, 13.08, 113.08]
+        curve, halved = product_integral_curve(19, 5, (1, 2), grid, 0.02, halving=True)
+        fill, calls = _CentredGrid.fill, []
+
+        def spy(self, t0, first, out):
+            calls.append((t0, first, out.size))
+            return fill(self, t0, first, out)
+
+        monkeypatch.setattr(_CentredGrid, "fill", spy)
+        monkeypatch.setattr(oscsums, "_CURVE_CHUNK", chunk)
+        spied, spied_halved = product_integral_curve(19, 5, (1, 2), grid, 0.02, halving=True)
+        expected = []
+        for t0, length in zip([0.0] + grid[:-1], np.diff(grid, prepend=0.0)):
+            count = 2 * simpson_intervals(length, 0.02) + 1
+            for lo in range(0, count, chunk):
+                span = -(-(min(lo + chunk, count) - lo) // _GRID_BLOCK) * _GRID_BLOCK
+                expected += [(t0, lo, span)] * 2
+        assert calls == expected
+        assert all(size % _GRID_BLOCK == 0 and size <= _GRID_GROUP_NODES for _, _, size in calls)
+        assert np.all(np.abs(spied - curve) <= 1e-12 * np.abs(curve))
+        assert np.all(np.abs(spied_halved - halved) <= 1e-12 * np.abs(halved))
+        if chunk == _GRID_GROUP_NODES:
+            assert np.array_equal(spied, curve) and np.array_equal(spied_halved, halved)
+
     @pytest.mark.parametrize("pair, offsets", [((19, 5), (4, 7)), ((13, 11), (4, 7)),
                                                ((21, 19), (0, 0)), ((21, 19), (4, 7))])
     def test_curve_matches_plain_simpson_of_node_products(self, pair, offsets):
@@ -253,6 +282,8 @@ class TestProductIntegral:
         for T in (math.nan, math.inf):                        # not finite
             with pytest.raises(ValueError, match=f"T = {T}"):
                 product_integral_curve(19, 5, (0, 0), [10.0, T], 0.02)
+        with pytest.raises(ValueError, match="need a non-empty 1-D horizon grid"):
+            product_integral_curve(19, 5, (0, 0), [], 0.02)
 
 
 class TestProductBound:

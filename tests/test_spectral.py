@@ -11,6 +11,8 @@ from latticemix.spectral import (
     HALF,
     MAX_PHASE_TIME,
     LatticeSpec,
+    _GRID_BLOCK,
+    _GRID_GROUP_NODES,
     _CentredGrid,
     _exact_phases,
     _split_time,
@@ -25,6 +27,21 @@ from latticemix.spectral import (
 
 from oracles import (dense_walk_matrix, enumerated_spectral_gap, exp_amplitude_at,
                      expm_amplitude_column)
+
+
+def centred_grid(n, offset, t0, h, count):
+    """_CentredGrid probabilities at t0 + h*k, k < count, filled one anchored group at a time.
+
+    Each fill takes the whole blocks that cover its group's nodes, as the
+    Simpson curve's chunks do, and keeps the nodes that lie on the grid.
+    """
+    grid, out = _CentredGrid(n, offset, h, HALF), np.empty(count)
+    span = np.empty(_GRID_GROUP_NODES)
+    for lo in range(0, count, _GRID_GROUP_NODES):
+        hi = min(lo + _GRID_GROUP_NODES, count)
+        whole = -(-(hi - lo) // _GRID_BLOCK) * _GRID_BLOCK
+        out[lo:hi] = grid.fill(t0, lo, span[:whole])[: hi - lo]
+    return out
 
 
 class TestEigenphases:
@@ -116,7 +133,7 @@ class TestCycleAmplitude:
         amp = cycle_amplitude_grid(n, offset, t0, h, count, HALF)
         assert amp.shape == (count,) and amp.dtype == complex
         assert np.abs(amp - at).max() < 1e-12
-        grid = _CentredGrid(n, offset, h, HALF).fill(t0, 0, np.empty(count))
+        grid = centred_grid(n, offset, t0, h, count)
         assert grid.shape == (count,) and grid.dtype == float
         # every node, so both halves of every centred block are checked
         assert np.abs(grid - np.abs(at) ** 2).max() < 1e-11
@@ -132,7 +149,7 @@ class TestCycleAmplitude:
         # every node against |sum_a (c_a(l)/n)*exp(i*f_a*t)|^2 with each phase
         # of the exact product f_a*t; the route of cycle_amplitude_at rounds
         # theta = f_a*t first and reads 5.6e-12 to 1.5e-10 off it at these long starts
-        grid = _CentredGrid(n, offset, h, HALF).fill(t0, 0, np.empty(count))
+        grid = centred_grid(n, offset, t0, h, count)
         table = class_table(n)
         coeff = table.cosines[table.mirror[offset % n]] / n
         phases = _exact_phases(HALF * table.lambdas, t0, h, np.arange(count, dtype=float)[:, None])
