@@ -160,6 +160,15 @@ class TestSimpsonRule:
                     simpson_intervals(length, dt)
 
 
+    @pytest.mark.parametrize("length, dt", [(12.345, 0.02), (0.03, 0.02), (0.05, 0.02),
+                                            (10.0, 0.02), (0.07, 0.02), (1.0, 0.3)])
+    def test_intervals_are_even_and_no_longer_than_dt(self, length, dt):
+        # 0.03/0.02 and 0.05/0.02 round up to an odd count first
+        intervals = simpson_intervals(length, dt)
+        assert intervals % 2 == 0 and intervals >= 2
+        assert length / intervals <= dt
+
+
 class TestBatchedQuadrature:
     @pytest.mark.parametrize("dims, T", [((4, 6), 3.7), ((9,), 5.0), ((7, 5, 3), 2.4)])
     def test_equals_weighted_instantaneous_kernels(self, dims, T):
@@ -550,6 +559,52 @@ class TestSeparableWeights:
         for lead, omega in cases:
             brute = np.abs(lead[:, None] + omega).min(axis=1)
             assert np.array_equal(kernels_module._cancellation_gap(lead, omega), brute)
+
+
+class TestStochasticTolerances:
+    """Each builder refuses a column off 1 by twice its tolerance."""
+
+    def test_instantaneous_kernel(self, monkeypatch):
+        amplitude = kernels_module.product_amplitude
+        monkeypatch.setattr(kernels_module, "product_amplitude",
+                            lambda *args: amplitude(*args) * np.sqrt(1.0 + 2e-9))
+        with pytest.raises(ValueError, match="instantaneous kernel t=2.0: column sums to"):
+            instantaneous_kernel(LatticeSpec((7, 5)), 2.0)
+
+    def test_analytic_kernel(self, monkeypatch):
+        pair_sum = kernels_module._class_pair_sum
+        monkeypatch.setattr(kernels_module, "_class_pair_sum",
+                            lambda *args: pair_sum(*args) * (1.0 + 2e-9))
+        with pytest.raises(ValueError, match="analytic averaged kernel T=3.0: column sums to"):
+            averaged_kernel_analytic(LatticeSpec((7, 5)), 3.0)
+
+    def test_quadrature_nodes(self, monkeypatch):
+        amplitude = kernels_module.cycle_amplitude_at
+        monkeypatch.setattr(kernels_module, "cycle_amplitude_at",
+                            lambda *args: amplitude(*args) * np.sqrt(1.0 + 2e-9))
+        with pytest.raises(ValueError, match="instantaneous kernels at t = 0.0"):
+            averaged_kernel_quadrature(LatticeSpec((7,)), 2.0, 0.05)
+
+    def test_quadrature_kernel(self, monkeypatch):
+        # the weights, not the nodes, are off, so only the sum of the rule is
+        weights = kernels_module.simpson_weights
+        monkeypatch.setattr(kernels_module, "simpson_weights",
+                            lambda *args: weights(*args) * (1.0 + 2e-8))
+        with pytest.raises(ValueError, match="quadrature averaged kernel T=2.0: column sums to"):
+            averaged_kernel_quadrature(LatticeSpec((7,)), 2.0, 0.05)
+
+    @pytest.mark.parametrize("rounds", [2, 5])
+    def test_kernel_power(self, rounds):
+        # a column summing to 1 + e has powers summing to (1 + e)**rounds
+        kernel = averaged_kernel_analytic(LatticeSpec((7, 5)), 3.0)
+        heavy = Kernel(kernel.lattice, kernel.first_column * (1.0 + 2e-9), kind="heavy")
+        with pytest.raises(ValueError, match=f"kernel power {rounds}: column sums to"):
+            kernel_power(heavy, rounds)
+
+    def test_kernel_entry_just_below_the_floor(self):
+        col = np.array([1.0 + 4e-12, 0.0, -2e-12, -2e-12, 0.0])
+        with pytest.raises(ValueError, match="below -1e-12"):
+            Kernel(LatticeSpec((5,)), col, kind="negative")
 
 
 class TestKernelPower:

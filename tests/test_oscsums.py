@@ -235,6 +235,18 @@ class TestProductIntegral:
             oracle = simpson_integral(product, 0.0, T, dt)
             assert abs(value - oracle) <= 1e-12 * abs(oracle)
 
+    @pytest.mark.parametrize("offsets", [(0, 0), (4, 7)])
+    def test_segments_of_different_steps_match_the_closed_form(self, offsets):
+        # segments of 1, 1.5 and 9.845 take the steps 1/50, 1.5/76 and
+        # 9.845/494, so a grid table kept from an earlier segment would put
+        # the later nodes at the wrong times (0.4% off at 12.345)
+        grid = [1.0, 2.5, 12.345]
+        curve, halved = product_integral_curve(21, 19, offsets, grid, 0.02, halving=True)
+        for T, value, fine in zip(grid, curve, halved):
+            exact = product_integral_exact(21, 19, offsets, T)
+            assert abs(value - exact) <= 1e-8 * abs(exact)
+            assert abs(fine - exact) <= 1e-8 * abs(exact)
+
     def test_halving_off_the_dt_lattice(self):
         # 12.345 is no multiple of dt: the coarse step is 12.345/618, and
         # the halved curve runs at exactly half of it
@@ -367,6 +379,11 @@ class TestSweep:
         assert all(n1 > n2 and n1 % 2 == n2 % 2 == 1 for n1, n2 in pairs)
         assert (15, 11)[::-1] not in pairs
         assert not any(math.gcd(a, b) > 1 for a, b in pairs)
+
+    def test_pair_range_includes_both_ends(self):
+        assert coprime_odd_pairs(10, 13) == [(13, 11)]
+        assert coprime_odd_pairs(11, 13) == [(13, 11)]
+        assert coprime_odd_pairs(12, 13) == []
 
     def test_sampling_is_deterministic(self):
         a = sample_coprime_odd_pairs(10, 100, 10, seed=3)
