@@ -30,6 +30,7 @@ test suite:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -38,8 +39,8 @@ import numpy as np
 
 from .errors import ParityError, ResolutionError
 from .kernels import _class_pair_sum, simpson_intervals, simpson_weights
-from .spectral import (HALF, _GRID_BLOCK, _GRID_GROUP_NODES, _check_phase_time, _CentredGrid,
-                       class_table)
+from .spectral import (HALF, _GRID_BLOCK, _GRID_GROUP_NODES, _check_phase_time, _exact_phases,
+                       _grid_fill, _grid_tables, class_table)
 
 MAX_PRODUCT_DT = 0.02
 
@@ -47,10 +48,14 @@ MAX_PRODUCT_DT = 0.02
 MAX_EXACT_PRODUCT = 10_000
 
 # Nodes per chunk of a product_integral_curve segment: one whole group of
-# centred blocks, the most one grid fill evaluates, so its two value rows
-# (129 KiB) and the grid scratch stay in cache.  Even, so every chunk of a
+# centred blocks, the most one spectral._grid_fill evaluates, so its two value
+# rows (129 KiB) and the fill's scratch stay in cache.  Even, so every chunk of a
 # halving sweep starts on a coarse node.
 _CURVE_CHUNK = _GRID_GROUP_NODES
+
+# Chunks whose anchors one exact-phase call takes (8.4M nodes at full size),
+# so the anchor rows stay near 1024*(n//2 + 1) complex numbers at any horizon.
+_ANCHOR_ROWS = 1024
 
 
 def _check_odd(n: int) -> int:
@@ -127,13 +132,15 @@ def product_integral_curve(
     segment gets an even number of intervals of length h <= dt, and node
     values come from the O(n) folded form on a uniform grid as
     osc(t) = n^2*P_t(0, l) - n - (n*[l == 0] - 1), with P_t from
-    spectral._CentredGrid, built only here.  The grid tables are
-    built once per cycle and step, so segments of one step share them.  A
-    segment runs in chunks of _CURVE_CHUNK nodes on two preallocated rows:
-    each chunk is one grid fill of the whole blocks that cover it, anchored
-    at its first node, for both cycles, each turned into osc in place, then
-    their product, weighted by kernels.simpson_weights; memory stays bounded
-    for any horizon.  With halving, the nodes are evaluated once at step
+    spectral._grid_fill, called only here, on the tables
+    spectral._grid_tables caches per cycle, step and scale.  A segment runs
+    in chunks of _CURVE_CHUNK nodes on two preallocated rows: each chunk is
+    one fill of the whole blocks that cover it, for both cycles, each turned
+    into osc in place, then their product, weighted by
+    kernels.simpson_weights.  Each cycle takes the anchors of the chunks,
+    at their first nodes, in one spectral._exact_phases call per
+    _ANCHOR_ROWS chunks of a segment, so memory stays bounded for any
+    horizon.  With halving, the nodes are evaluated once at step
     h/2; the curve uses every other node and the halved curve, returned
     second (None without halving), all of them, so it is at exactly h/2 on
     every segment.  Chunk and segment totals are combined with math.fsum so
@@ -156,10 +163,12 @@ def product_integral_curve(
     _check_phase_time(HALF * grid.max())
     counts = [simpson_intervals(length, dt) for length in lengths]
 
-    cycles = [(n, int(offset) % n) for n, offset in zip((n1, n2), offsets)]
-    constants = [n + (n * (offset == 0) - 1) for n, offset in cycles]
+    cycles = []
+    for n, offset in zip((n1, n2), offsets):
+        offset, table = int(offset) % n, class_table(n)
+        # the anchors' weights c_a(l)/n, and osc(t) = n^2*P_t(0, l) - constant
+        cycles.append((n, table.cosines[table.mirror[offset]] / n, n + (n * (offset == 0) - 1)))
     rows = np.empty((2, _GRID_GROUP_NODES))
-    grids = []
     split = 2 if halving else 1
     partials, fine_partials = [], []
     curve = np.empty(grid.size)
@@ -168,15 +177,20 @@ def product_integral_curve(
     for idx, (horizon, length, intervals) in enumerate(zip(grid, lengths, counts)):
         h = length / intervals / split
         count = intervals * split + 1
-        if not grids or grids[0].h != h:
-            grids = [_CentredGrid(n, offset, h, HALF) for n, offset in cycles]
+        tables = [_grid_tables(n, h, HALF) for n, _, _ in cycles]
         sums, fine_sums = [], []
         for lo in range(0, count, _CURVE_CHUNK):
+            chunk = lo // _CURVE_CHUNK % _ANCHOR_ROWS
+            if chunk == 0:
+                # the next chunks' anchors, at their first nodes, one exact-phase call per cycle
+                starts = np.arange(lo, min(lo + _ANCHOR_ROWS * _CURVE_CHUNK, count), _CURVE_CHUNK)
+                anchors = [_exact_phases(freq, prev, h, starts[:, None].astype(float)) * coeff
+                           for (freq, *_), (_, coeff, _) in zip(tables, cycles)]
             hi = min(lo + _CURVE_CHUNK, count)
             span = -(-(hi - lo) // _GRID_BLOCK) * _GRID_BLOCK
-            for tables, row, (n, _), constant in zip(grids, rows, cycles, constants):
-                osc = tables.fill(prev, lo, row[:span])[: hi - lo]
-                osc *= n * n    # osc(t) = n^2*P_t(0, l) - constant
+            for table, anchor, row, (n, _, constant) in zip(tables, anchors, rows, cycles):
+                osc = _grid_fill(table, anchor[chunk], row[:span])[: hi - lo]
+                osc *= n * n
                 osc -= constant
             first, second = rows[:, : hi - lo]
             vals = np.multiply(first, second, out=first)
@@ -233,14 +247,20 @@ def bound_row(params: dict, lhs: float, rhs: float) -> dict:
 
 
 def coprime_odd_pairs(lo: int, hi: int) -> list[tuple[int, int]]:
-    """All pairs (n1, n2), lo <= n2 < n1 <= hi, both odd and coprime."""
+    """All pairs (n1, n2), lo <= n2 < n1 <= hi, both odd and coprime, as a fresh list."""
+    return list(_coprime_odd_pairs(lo, hi))
+
+
+@functools.lru_cache(maxsize=64)
+def _coprime_odd_pairs(lo: int, hi: int) -> tuple[tuple[int, int], ...]:
+    """The pairs of coprime_odd_pairs, computed once per range."""
     odds = [n for n in range(lo, hi + 1) if n % 2 == 1 and n >= 3]
-    return [
+    return tuple(
         (n1, n2)
         for i, n2 in enumerate(odds)
         for n1 in odds[i + 1 :]
         if math.gcd(n1, n2) == 1
-    ]
+    )
 
 
 def sample_coprime_odd_pairs(lo: int, hi: int, count: int, seed: int) -> list[tuple[int, int]]:

@@ -41,9 +41,8 @@ that costs a fraction of numpy's complex exp; its half-amplitude product
 (cosines @ cos(theta), cosines @ sin(theta))/n over the rows l <= n//2 also
 serves the sampler directly.
 
-_CentredGrid, the one uniform-grid evaluator, serves only the Simpson curve
-(oscsums.product_integral_curve, which checks the grid's limits).  It
-evaluates the squared amplitude at one offset on a long uniform grid
+The Simpson curve (oscsums.product_integral_curve, which checks the grid's
+limits) evaluates the squared amplitude at one offset on a long uniform grid
 t0 + h*k, in centred blocks of 2m + 1 nodes t_b + r*h, |r| <= m.  With the
 anchors A_a = c_a(l)/n * exp(i*f_a*t_b), f_a = scale*lambda_a, the
 amplitude there is P + i*Q and P - i*Q for
@@ -53,17 +52,18 @@ amplitude there is P + i*Q and P - i*Q for
 so both halves of a block come from two real products of the stacked
 [Re A; Im A] with the real tables cos(f_a*r*h) and sin(f_a*r*h), half the
 multiply-adds of a complex product over every node, and no complex array of
-nodes is formed.  One fill evaluates one group of at most 32 whole blocks
-and takes one exponential at its first node; the block anchors are that
-times a per-step table, so no phase error accumulates.  Both phases are
-taken exactly by _exact_phases, the one exact-phase routine, which the separable class-pair weights of the kernels
-call too: the time t0 + h*k is split into a 26-bit part and a small rest
-(Dekker's product, Knuth's sum) and the frequency likewise, so f*t is a sum
-of an exact product and a small term, and the anchors do not carry the
-rounding of a long time (about 1e-13 rad at t = 1000) into the nodes.  The
-tables belong to one cycle, offset, step and scale, so a caller that walks
-one grid in chunks builds them once.  cycle_amplitude_grid is only a name
-kept for the benchmark's tracer.
+nodes is formed.  _grid_tables(n, h, scale) holds those tables and the
+per-step phases of the block centres, cached per cycle, step and scale (64
+keys, like class_table); _grid_fill keeps no state and evaluates one group
+of at most 32 whole blocks from the exponential at its first node, times the
+offset's c_a(l)/n.  The block anchors are that times a per-step phase, so
+no phase error accumulates.  Both phases are taken exactly by _exact_phases,
+the one exact-phase routine, which the separable class-pair weights of the
+kernels call too: the time t0 + h*k is split into a 26-bit part and a small
+rest (Dekker's product, Knuth's sum) and the frequency likewise, so f*t is
+a sum of an exact product and a small term, and the anchors do not carry
+the rounding of a long time (about 1e-13 rad at t = 1000) into the nodes.
+cycle_amplitude_grid is only a name kept for the benchmark's tracer.
 
 A scaled time |scale*t| >= 2**52 is refused by every route: there one ulp
 of the phase is a radian or more.
@@ -94,13 +94,13 @@ MAX_PARTIAL_ENTRIES = 2**28
 # needs the table itself plus temporaries of one block.
 _COSINE_BLOCK = 2**16
 
-# Half-width m of a centred block of _CentredGrid: the block is
+# Half-width m of a centred block of the Simpson grid: the block is
 # the 2m + 1 nodes t_b + r*h, |r| <= m, and its tables have m + 1 columns.
 _GRID_HALF = 128
 _GRID_BLOCK = 2 * _GRID_HALF + 1
 
-# Blocks per group of _CentredGrid, the most one fill evaluates.  A group takes
-# one exact exponential; its block anchors are that times a per-step table entry.
+# Blocks per group of the Simpson grid, the most one _grid_fill evaluates.  A group
+# takes one exact exponential; its block anchors are that times a per-step table entry.
 _GRID_GROUP = 32
 
 # Nodes of one whole group of blocks: 8224, even.
@@ -418,64 +418,47 @@ def cycle_amplitude_grid(
     return cycle_amplitude_at(n, t0 + h * np.arange(int(count)), scale)[:, int(offset) % n]
 
 
-class _CentredGrid:
-    """The Simpson curve's uniform grid: tables for one cycle, offset, step h and time scale.
+@functools.lru_cache(maxsize=64)
+def _grid_tables(n: int, h: float, scale: float) -> tuple[np.ndarray, ...]:
+    """The Simpson grid's read-only tables (freq, cos, sin, steps) for one cycle, step h and scale.
 
-    cos[a, r] and sin[a, r] hold cos(f_a*r*h) and sin(f_a*r*h) for r <= m,
-    and steps[b, a] = exp(i*f_a*(b*(2m + 1) + m)*h), the phase of block b's
-    centre from the start of its group, for b < _GRID_GROUP.  The step
-    phases and the group anchors are taken exactly (_exact_phases), so
-    neither carries the rounding of a long time into its exponential.  The
-    scratch of the one group a fill evaluates is kept, so a fill allocates
-    no node arrays; an instance serves one caller at a time.  It checks no
-    input: its one builder, oscsums.product_integral_curve, checks the
-    grid's limits.
+    freq[a] = scale*lambda_a; cos[a, r] and sin[a, r] hold cos(f_a*r*h) and
+    sin(f_a*r*h) for r <= m; steps[b, a] = exp(i*f_a*(b*(2m + 1) + m)*h) is
+    the phase of block b's centre from the start of its group, b <
+    _GRID_GROUP, taken exactly (_exact_phases).  Cached like class_table,
+    64 keys.  It checks no input: its one caller,
+    oscsums.product_integral_curve, checks the grid's limits.
     """
+    freq = float(scale) * class_table(n).lambdas
+    theta = np.multiply.outer(freq, h * np.arange(_GRID_HALF + 1))
+    centres = np.arange(_GRID_GROUP) * _GRID_BLOCK + _GRID_HALF
+    steps = _exact_phases(freq, 0.0, h, centres[:, None].astype(float))
+    return tuple(map(_frozen, (freq, np.cos(theta), np.sin(theta), steps)))
 
-    def __init__(self, n: int, offset: int, h: float, scale: float):
-        table = class_table(n)
-        self.h = h
-        self.freq = float(scale) * table.lambdas
-        self.coeff = table.cosines[table.mirror[int(offset) % n]] / n
-        half, width = _GRID_HALF, table.lambdas.size
-        theta = np.multiply.outer(self.freq, h * np.arange(half + 1))
-        self.cos, self.sin = np.cos(theta), np.sin(theta)
-        centres = np.arange(_GRID_GROUP) * _GRID_BLOCK + half
-        self.steps = _exact_phases(self.freq, 0.0, h, centres[:, None].astype(float))
-        self._anchors = np.empty((_GRID_GROUP, width), dtype=complex)
-        self._stacked = np.empty((2 * _GRID_GROUP, width))
-        self._even = np.empty((2 * _GRID_GROUP, half + 1))
-        self._odd = np.empty((2 * _GRID_GROUP, half + 1))
-        self._re = np.empty((_GRID_GROUP, half + 1))
-        self._im = np.empty((_GRID_GROUP, half + 1))
 
-    def fill(self, t0: float, first: int, out: np.ndarray) -> np.ndarray:
-        """The probabilities at t0 + h*(first + k), k < out.size, into out; returns out.
+def _grid_fill(tables, anchor: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The probabilities of one group of whole blocks into out; returns out.
 
-        out holds whole blocks of 2m + 1 nodes, at most _GRID_GROUP of them:
-        one group, anchored at node `first` by one exact exponential.
-        """
-        half = _GRID_HALF
-        blocks = out.size // _GRID_BLOCK
-        anchor = _exact_phases(self.freq, t0, self.h, float(first))
-        anchor *= self.coeff
-        anchors = np.multiply(self.steps[:blocks], anchor, out=self._anchors[:blocks])
-        stacked = self._stacked[: 2 * blocks]
-        stacked[:blocks] = anchors.real
-        stacked[blocks:] = anchors.imag
-        # [Re P; Im P] and [Re Q; Im Q], r = 0..m; Q is 0 at r = 0
-        even = np.matmul(stacked, self.cos, out=self._even[: 2 * blocks])
-        odd = np.matmul(stacked, self.sin, out=self._odd[: 2 * blocks])
-        nodes = out.reshape(blocks, _GRID_BLOCK)
-        p_re, p_im, q_re, q_im = even[:blocks], even[blocks:], odd[:blocks], odd[blocks:]
-        re, im = self._re[:blocks], self._im[:blocks]
-        # node m + r: |P + i*Q|^2 = (Re P - Im Q)^2 + (Im P + Re Q)^2
-        _squared_modulus(np.subtract(p_re, q_im, out=re), np.add(p_im, q_re, out=im),
-                         nodes[:, half:])
-        # node m - r: |P - i*Q|^2; r = 0 writes node m again, with the same value
-        _squared_modulus(np.add(p_re, q_im, out=re), np.subtract(p_im, q_re, out=im),
-                         nodes[:, half::-1])
-        return out
+    `tables` come from _grid_tables; anchor[a] = c_a(l)/n * exp(i*f_a*t) at
+    the group's first node t, so node k of out lies at t + k*h.  out holds
+    whole blocks of 2m + 1 nodes, at most _GRID_GROUP of them.
+    """
+    _, cos, sin, steps = tables
+    half = _GRID_HALF
+    blocks = out.size // _GRID_BLOCK
+    anchors = steps[:blocks] * anchor
+    stacked = np.concatenate((anchors.real, anchors.imag))
+    # [Re P; Im P] and [Re Q; Im Q], r = 0..m; Q is 0 at r = 0
+    even, odd = stacked @ cos, stacked @ sin
+    nodes = out.reshape(blocks, _GRID_BLOCK)
+    p_re, p_im, q_re, q_im = even[:blocks], even[blocks:], odd[:blocks], odd[blocks:]
+    # node m + r: |P + i*Q|^2 = (Re P - Im Q)^2 + (Im P + Re Q)^2
+    re, im = p_re - q_im, p_im + q_re
+    _squared_modulus(re, im, nodes[:, half:])
+    # node m - r: |P - i*Q|^2; r = 0 writes node m again, with the same value
+    _squared_modulus(np.add(p_re, q_im, out=re), np.subtract(p_im, q_re, out=im),
+                     nodes[:, half::-1])
+    return out
 
 
 # Veltkamp's splitting constant 2**27 + 1: x*_SPLIT - (x*_SPLIT - x) keeps the

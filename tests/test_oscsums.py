@@ -17,8 +17,8 @@ from latticemix.oscsums import (
     sample_coprime_odd_pairs,
 )
 from latticemix.kernels import averaged_return_probability, simpson_intervals
-from latticemix.spectral import (HALF, _GRID_BLOCK, _GRID_GROUP_NODES, LatticeSpec, _CentredGrid,
-                                 class_table, cycle_amplitude)
+from latticemix.spectral import (HALF, _GRID_BLOCK, _GRID_GROUP_NODES, LatticeSpec, _exact_phases,
+                                 _grid_tables, class_table, cycle_amplitude)
 
 from oracles import (
     osc_sum_direct,
@@ -191,28 +191,40 @@ class TestProductIntegral:
         assert np.all(np.abs(halved64 - halved) <= 1e-12 * np.abs(halved))
         assert np.all(np.abs(plain64 - plain) <= 1e-12 * np.abs(plain))
 
-    @pytest.mark.parametrize("chunk", [_GRID_GROUP_NODES, 64])
-    def test_each_fill_is_one_group_of_whole_blocks_at_its_chunk_start(self, monkeypatch, chunk):
+    @pytest.mark.parametrize("chunk, anchor_rows", [(_GRID_GROUP_NODES, 1024), (64, 3)])
+    def test_each_fill_is_one_group_of_whole_blocks_at_its_chunk_start(self, monkeypatch, chunk,
+                                                                        anchor_rows):
         # segments of 500, 808 and 10000 fine intervals: at 8224-node chunks
-        # one ragged chunk each, the last a whole group and then a ragged one
+        # one ragged chunk each, the last a whole group and then a ragged one;
+        # each chunk's anchor, taken in one call with up to anchor_rows - 1
+        # other chunks' anchors, is bitwise the exact-phase call at its first
+        # node alone, times the offset's row c_a(l)/n
         grid = [5.0, 13.08, 113.08]
         curve, halved = product_integral_curve(19, 5, (1, 2), grid, 0.02, halving=True)
-        fill, calls = _CentredGrid.fill, []
+        fill, calls = oscsums._grid_fill, []
 
-        def spy(self, t0, first, out):
-            calls.append((t0, first, out.size))
-            return fill(self, t0, first, out)
+        def spy(tables, anchor, out):
+            calls.append((tables, anchor.copy(), out.size))
+            return fill(tables, anchor, out)
 
-        monkeypatch.setattr(_CentredGrid, "fill", spy)
+        monkeypatch.setattr(oscsums, "_grid_fill", spy)
         monkeypatch.setattr(oscsums, "_CURVE_CHUNK", chunk)
+        monkeypatch.setattr(oscsums, "_ANCHOR_ROWS", anchor_rows)
         spied, spied_halved = product_integral_curve(19, 5, (1, 2), grid, 0.02, halving=True)
         expected = []
         for t0, length in zip([0.0] + grid[:-1], np.diff(grid, prepend=0.0)):
-            count = 2 * simpson_intervals(length, 0.02) + 1
+            intervals = simpson_intervals(length, 0.02)
+            h, count = length / intervals / 2, 2 * intervals + 1
             for lo in range(0, count, chunk):
                 span = -(-(min(lo + chunk, count) - lo) // _GRID_BLOCK) * _GRID_BLOCK
-                expected += [(t0, lo, span)] * 2
-        assert calls == expected
+                for n, offset in ((19, 1), (5, 2)):
+                    tables, table = _grid_tables(n, h, HALF), class_table(n)
+                    anchor = _exact_phases(tables[0], t0, h, float(lo))
+                    expected.append((tables, anchor * (table.cosines[offset] / n), span))
+        assert len(calls) == len(expected)
+        for (tables, anchor, size), (want_tables, want_anchor, want_size) in zip(calls, expected):
+            assert tables is want_tables and size == want_size
+            assert np.array_equal(anchor, want_anchor)
         assert all(size % _GRID_BLOCK == 0 and size <= _GRID_GROUP_NODES for _, _, size in calls)
         assert np.all(np.abs(spied - curve) <= 1e-12 * np.abs(curve))
         assert np.all(np.abs(spied_halved - halved) <= 1e-12 * np.abs(halved))
@@ -262,12 +274,12 @@ class TestProductIntegral:
     def test_grid_refuses_phase_past_the_limit(self, monkeypatch):
         # the last horizon reaches HALF*T = 2**52, and a segment of 2**52 or
         # more intervals cannot be indexed: both are refused before any grid
-        # is built, so before any node is evaluated; the first horizon alone
+        # table is built, so before any node is evaluated; the first horizon alone
         # is not refused
         def must_not_run(*args):
-            raise AssertionError("a grid was built")
+            raise AssertionError("a grid table was built")
 
-        monkeypatch.setattr(oscsums, "_CentredGrid", must_not_run)
+        monkeypatch.setattr(oscsums, "_grid_tables", must_not_run)
         with pytest.raises(ValueError, match="past the phase limit 2"):
             product_integral_curve(19, 5, (1, 2), [10.0, 2.0**53], 0.02)
         with pytest.raises(ValueError, match="past the grid limit 2"):
@@ -384,6 +396,14 @@ class TestSweep:
         assert coprime_odd_pairs(10, 13) == [(13, 11)]
         assert coprime_odd_pairs(11, 13) == [(13, 11)]
         assert coprime_odd_pairs(12, 13) == []
+
+    def test_pairs_are_a_fresh_list_each_call(self):
+        # the pairs are computed once per range; a caller's edit reaches no other caller
+        pairs = coprime_odd_pairs(10, 20)
+        pairs.clear()
+        assert coprime_odd_pairs(10, 20) == [(13, 11), (15, 11), (17, 11), (19, 11), (15, 13),
+                                             (17, 13), (19, 13), (17, 15), (19, 15), (19, 17)]
+        assert coprime_odd_pairs(10, 20) is not coprime_odd_pairs(10, 20)
 
     def test_sampling_is_deterministic(self):
         a = sample_coprime_odd_pairs(10, 100, 10, seed=3)

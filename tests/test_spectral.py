@@ -13,8 +13,9 @@ from latticemix.spectral import (
     LatticeSpec,
     _GRID_BLOCK,
     _GRID_GROUP_NODES,
-    _CentredGrid,
     _exact_phases,
+    _grid_fill,
+    _grid_tables,
     _split_time,
     cycle_amplitude,
     cycle_amplitude_at,
@@ -30,17 +31,20 @@ from oracles import (dense_walk_matrix, enumerated_spectral_gap, exp_amplitude_a
 
 
 def centred_grid(n, offset, t0, h, count):
-    """_CentredGrid probabilities at t0 + h*k, k < count, filled one anchored group at a time.
+    """Grid probabilities at t0 + h*k, k < count, filled one anchored group at a time.
 
-    Each fill takes the whole blocks that cover its group's nodes, as the
-    Simpson curve's chunks do, and keeps the nodes that lie on the grid.
+    Each fill takes the whole blocks that cover its group's nodes, anchored
+    at its first node, as the Simpson curve's chunks do, and keeps the nodes
+    that lie on the grid.
     """
-    grid, out = _CentredGrid(n, offset, h, HALF), np.empty(count)
+    tables, table, out = _grid_tables(n, h, HALF), class_table(n), np.empty(count)
+    coeff = table.cosines[table.mirror[offset % n]] / n
     span = np.empty(_GRID_GROUP_NODES)
     for lo in range(0, count, _GRID_GROUP_NODES):
         hi = min(lo + _GRID_GROUP_NODES, count)
         whole = -(-(hi - lo) // _GRID_BLOCK) * _GRID_BLOCK
-        out[lo:hi] = grid.fill(t0, lo, span[:whole])[: hi - lo]
+        anchor = _exact_phases(tables[0], t0, h, float(lo)) * coeff
+        out[lo:hi] = _grid_fill(tables, anchor, span[:whole])[: hi - lo]
     return out
 
 
@@ -156,7 +160,20 @@ class TestCycleAmplitude:
         assert np.abs(grid - np.abs(phases @ coeff) ** 2).max() <= 1e-15
 
     def test_grid_takes_an_empty_grid(self):
-        assert _CentredGrid(19, 4, 0.013, HALF).fill(7.25, 0, np.empty(0)).shape == (0,)
+        tables = _grid_tables(19, 0.013, HALF)
+        assert _grid_fill(tables, np.ones(10, dtype=complex), np.empty(0)).shape == (0,)
+
+    def test_grid_tables_are_cached_per_cycle_step_and_scale(self):
+        # the tables depend on the step: a step that differs in its last bit
+        # gets tables of its own
+        tables = _grid_tables(19, 0.013, HALF)
+        assert _grid_tables(19, 0.013, HALF) is tables
+        assert _grid_tables.cache_info().maxsize == 64
+        assert not any(array.flags.writeable for array in tables)
+        other = _grid_tables(19, np.nextafter(0.013, 1.0), HALF)
+        assert not np.array_equal(other[1], tables[1])
+        assert not np.array_equal(_grid_tables(19, 0.013, FULL)[0], tables[0])
+        assert not np.array_equal(_grid_tables(21, 0.013, HALF)[3], tables[3][:, :11])
 
     def test_split_time_is_exact(self):
         # c + d = t0 + h*k to 2**-78 of it, c of 26 significant bits or fewer;
