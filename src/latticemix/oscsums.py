@@ -163,11 +163,10 @@ def product_integral_curve(
     _check_phase_time(HALF * grid.max())
     counts = [simpson_intervals(length, dt) for length in lengths]
 
-    cycles = []
-    for n, offset in zip((n1, n2), offsets):
-        offset, table = int(offset) % n, class_table(n)
-        # the anchors' weights c_a(l)/n, and osc(t) = n^2*P_t(0, l) - constant
-        cycles.append((n, table.cosines[table.mirror[offset]] / n, n + (n * (offset == 0) - 1)))
+    offsets = [int(offset) % n for n, offset in zip((n1, n2), offsets)]
+    # per cycle: n, the anchors' weights c_a(l)/n, and osc(t) = n^2*P_t(0, l) - constant
+    cycles = [(n, class_table(n).cosines[min(l, n - l)] / n, n + (n * (l == 0) - 1))
+              for n, l in zip((n1, n2), offsets)]
     rows = np.empty((2, _GRID_GROUP_NODES))
     split = 2 if halving else 1
     partials, fine_partials = [], []

@@ -454,10 +454,10 @@ def _grid_fill(tables, anchor: np.ndarray, out: np.ndarray) -> np.ndarray:
     p_re, p_im, q_re, q_im = even[:blocks], even[blocks:], odd[:blocks], odd[blocks:]
     # node m + r: |P + i*Q|^2 = (Re P - Im Q)^2 + (Im P + Re Q)^2
     re, im = p_re - q_im, p_im + q_re
-    _squared_modulus(re, im, nodes[:, half:])
+    np.add(re * re, im * im, out=nodes[:, half:])
     # node m - r: |P - i*Q|^2; r = 0 writes node m again, with the same value
-    _squared_modulus(np.add(p_re, q_im, out=re), np.subtract(p_im, q_re, out=im),
-                     nodes[:, half::-1])
+    re, im = p_re + q_im, p_im - q_re
+    np.add(re * re, im * im, out=nodes[:, half::-1])
     return out
 
 
@@ -509,13 +509,6 @@ def _split_time(t0, h, k):
     s_err = (t0 - (s - v)) + (p - v)
     c = _high_half(s * 2.0**-28) * 2.0**28
     return c, (s - c) + (s_err + p_err)
-
-
-def _squared_modulus(re: np.ndarray, im: np.ndarray, out: np.ndarray) -> None:
-    """re^2 + im^2 into out; re and im are squared in place."""
-    np.multiply(re, re, out=re)
-    np.multiply(im, im, out=im)
-    np.add(re, im, out=out)
 
 
 def product_amplitude(lattice: LatticeSpec, source: tuple[int, ...], t: float) -> np.ndarray:
