@@ -139,7 +139,8 @@ class TestExitCodes:
         (("kernel", "--dims", "395,165,3", "--kind", "averaged", "--T", "5"),
          "class-pair partial sums need 268726112 doubles (2.0 GiB)"),
         (("kernel", "--dims", "200000", "--kind", "instant", "--t", "1"),
-         "cosines c_a(l) of Z_200000 need 10000200001 doubles (74.5 GiB)"),
+         "cosines c_a(l) of Z_200000 need 10000200001 doubles (74.5 GiB), over the cap of "
+         "268435456 (2 GiB)"),
         (("mix-coordinate", "--dims", "200000"),
          "cosines c_a(l) of Z_200000 need 10000200001 doubles (74.5 GiB)"),
         (("kernel", "--dims", "1501,3", "--kind", "averaged", "--T", "10"),

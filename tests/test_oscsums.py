@@ -191,16 +191,18 @@ class TestProductIntegral:
         assert np.all(np.abs(halved64 - halved) <= 1e-12 * np.abs(halved))
         assert np.all(np.abs(plain64 - plain) <= 1e-12 * np.abs(plain))
 
-    @pytest.mark.parametrize("chunk, anchor_rows", [(_GRID_GROUP_NODES, 1024), (64, 3)])
+    @pytest.mark.parametrize("chunk, anchor_rows, halving", [(_GRID_GROUP_NODES, 1024, True),
+                                                             (64, 3, True), (64, 3, False)])
     def test_each_fill_is_one_group_of_whole_blocks_at_its_chunk_start(self, monkeypatch, chunk,
-                                                                        anchor_rows):
+                                                                        anchor_rows, halving):
         # segments of 500, 808 and 10000 fine intervals: at 8224-node chunks
         # one ragged chunk each, the last a whole group and then a ragged one;
         # each chunk's anchor, taken in one call with up to anchor_rows - 1
         # other chunks' anchors, is bitwise the exact-phase call at its first
-        # node alone, times the offset's row c_a(l)/n
-        grid = [5.0, 13.08, 113.08]
-        curve, halved = product_integral_curve(19, 5, (1, 2), grid, 0.02, halving=True)
+        # node alone, times the offset's row c_a(l)/n; without halving the
+        # nodes are those of step h, half as many
+        grid, split = [5.0, 13.08, 113.08], 2 if halving else 1
+        curve, halved = product_integral_curve(19, 5, (1, 2), grid, 0.02, halving=halving)
         fill, calls = oscsums._grid_fill, []
 
         def spy(tables, anchor, out):
@@ -210,11 +212,11 @@ class TestProductIntegral:
         monkeypatch.setattr(oscsums, "_grid_fill", spy)
         monkeypatch.setattr(oscsums, "_CURVE_CHUNK", chunk)
         monkeypatch.setattr(oscsums, "_ANCHOR_ROWS", anchor_rows)
-        spied, spied_halved = product_integral_curve(19, 5, (1, 2), grid, 0.02, halving=True)
+        spied, spied_halved = product_integral_curve(19, 5, (1, 2), grid, 0.02, halving=halving)
         expected = []
         for t0, length in zip([0.0] + grid[:-1], np.diff(grid, prepend=0.0)):
             intervals = simpson_intervals(length, 0.02)
-            h, count = length / intervals / 2, 2 * intervals + 1
+            h, count = length / intervals / split, split * intervals + 1
             for lo in range(0, count, chunk):
                 span = -(-(min(lo + chunk, count) - lo) // _GRID_BLOCK) * _GRID_BLOCK
                 for n, offset in ((19, 1), (5, 2)):
@@ -227,7 +229,10 @@ class TestProductIntegral:
             assert np.array_equal(anchor, want_anchor)
         assert all(size % _GRID_BLOCK == 0 and size <= _GRID_GROUP_NODES for _, _, size in calls)
         assert np.all(np.abs(spied - curve) <= 1e-12 * np.abs(curve))
-        assert np.all(np.abs(spied_halved - halved) <= 1e-12 * np.abs(halved))
+        if halving:
+            assert np.all(np.abs(spied_halved - halved) <= 1e-12 * np.abs(halved))
+        else:
+            assert spied_halved is None
         if chunk == _GRID_GROUP_NODES:
             assert np.array_equal(spied, curve) and np.array_equal(spied_halved, halved)
 
@@ -266,8 +271,10 @@ class TestProductIntegral:
         assert reports[0]["halving_rel"] <= 1e-5
 
     def test_one_offset_builds_only_its_class_pair_row(self):
-        # the whole pair table of Z_1001 would hold 1001 * 501^2 doubles, 1.9 GiB
+        # the whole pair table of Z_1001 would hold 1001 * 501^2 doubles, 1.9 GiB,
+        # and that of Z_1291 646^3, over the cap, while one row holds 646^2
         assert integrated_osc_sum(1001, 5, 10.0) != 0.0
+        assert integrated_osc_sum(1291, 5, 10.0) != 0.0
         averaged_return_probability(LatticeSpec((1001,)), [3.0])
         assert "pair_coeff" not in vars(class_table(1001))
 
@@ -291,8 +298,10 @@ class TestProductIntegral:
         assert np.isfinite(curve).all()
 
     def test_exact_path_size_guard(self):
-        with pytest.raises(ValueError):
-            product_integral_exact(103, 101, (0, 0), 10.0)
+        # 137*73 = 10001 is the smallest odd coprime product over the cap
+        for n1, n2 in ((103, 101), (137, 73)):
+            with pytest.raises(ValueError, match=f"n1\\*n2 = {n1 * n2} exceeds exact-path cap"):
+                product_integral_exact(n1, n2, (0, 0), 10.0)
 
     def test_precondition_checks(self):
         with pytest.raises(ValueError):
@@ -303,6 +312,12 @@ class TestProductIntegral:
             product_integral(8, 5, (0, 0), 10.0, 0.02)        # parity
         with pytest.raises(ResolutionError):
             product_integral(19, 5, (0, 0), 10.0, 0.1)        # dt too big
+        with pytest.raises(ResolutionError):
+            product_integral_curve(19, 5, (0, 0), [10.0], 0.0)
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            product_integral_exact(5, 5, (0, 0), 10.0)        # equal lengths
+        with pytest.raises(ValueError, match="strictly increasing, got T = 10.0"):
+            product_integral_curve(19, 5, (0, 0), [10.0, 10.0], 0.02)
         for T in (math.nan, math.inf):                        # not finite
             with pytest.raises(ValueError, match=f"T = {T}"):
                 product_integral_curve(19, 5, (0, 0), [10.0, T], 0.02)
@@ -377,12 +392,24 @@ class TestSweep:
         assert row == {"x": 1, "lhs": 2.0, "rhs": 1.0, "satisfied": False}
         assert bound_row({"x": 1}, lhs=1.0, rhs=1.0)["satisfied"]
 
-    def test_offset_is_echoed_and_used(self):
+    @pytest.mark.parametrize("offset", [(1, 5), None])
+    def test_offset_is_echoed_and_used(self, offset):
+        # without an offset the sweep checks the origin pair (0, 0)
         grid = [10.0, 100.0]
-        reports = bound_sweep([(13, 11)], grid, dt=0.02, offset=(1, 5))
-        curve, _ = product_integral_curve(13, 11, (1, 5), grid, 0.02)
-        assert [(r["offset1"], r["offset2"]) for r in reports] == [(1, 5)] * 2
+        kwargs = {} if offset is None else {"offset": offset}
+        reports = bound_sweep([(13, 11)], grid, dt=0.02, **kwargs)
+        offset = offset or (0, 0)
+        curve, _ = product_integral_curve(13, 11, offset, grid, 0.02)
+        assert [(r["offset1"], r["offset2"]) for r in reports] == [offset] * 2
         assert [r["lhs"] for r in reports] == list(np.abs(curve))
+
+    def test_halving_gap_is_relative_below_one(self):
+        # at T = 1e-4 the integral is about 0.5, so the gap is divided by
+        # it, not by a floor of 1
+        [report] = bound_sweep([(19, 5)], [1e-4], check_halving=True)
+        curve, halved = product_integral_curve(19, 5, (0, 0), [1e-4], 0.02, halving=True)
+        assert abs(halved[0]) < 1.0
+        assert report["halving_rel"] == abs(curve[0] - halved[0]) / abs(halved[0])
 
     def test_pair_enumeration(self):
         pairs = coprime_odd_pairs(10, 20)
@@ -393,6 +420,7 @@ class TestSweep:
         assert not any(math.gcd(a, b) > 1 for a, b in pairs)
 
     def test_pair_range_includes_both_ends(self):
+        assert coprime_odd_pairs(1, 7) == [(5, 3), (7, 3), (7, 5)]
         assert coprime_odd_pairs(10, 13) == [(13, 11)]
         assert coprime_odd_pairs(11, 13) == [(13, 11)]
         assert coprime_odd_pairs(12, 13) == []

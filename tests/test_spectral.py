@@ -173,7 +173,7 @@ class TestCycleAmplitude:
         other = _grid_tables(19, np.nextafter(0.013, 1.0), HALF)
         assert not np.array_equal(other[1], tables[1])
         assert not np.array_equal(_grid_tables(19, 0.013, FULL)[0], tables[0])
-        assert not np.array_equal(_grid_tables(21, 0.013, HALF)[3], tables[3][:, :11])
+        assert _grid_tables(21, 0.013, HALF)[0].size == 11
 
     def test_split_time_is_exact(self):
         # c + d = t0 + h*k to 2**-78 of it, c of 26 significant bits or fewer;
@@ -476,6 +476,18 @@ class TestProductAmplitude:
     def test_source_length_checked(self):
         with pytest.raises(ValueError):
             product_amplitude(LatticeSpec((3, 5)), (1,), 1.0)
+
+
+class TestLatticeLimits:
+    def test_dense_limit_admits_exactly_its_vertex_count(self):
+        LatticeSpec((1000, 1000)).check_dense()
+        with pytest.raises(SizeError, match="exceeds dense limit"):
+            LatticeSpec((1000001,)).check_dense()
+
+    def test_vertex_count_up_to_two_to_the_53_is_accepted(self):
+        assert LatticeSpec((2**26, 2**27)).size == 2**53
+        with pytest.raises(SizeError, match="exceeds machine range"):
+            LatticeSpec((3, 2**52))
 
 
 class TestSpectralGap:
