@@ -6,8 +6,9 @@ Each mutant changes one site of one module: it flips a comparison
 (< and <=, > and >=, == and !=), swaps + and -, or * and / (in augmented
 assignments too), swaps `and` and `or`, or adds 1 to a numeric constant.
 The module is parsed with the stdlib ast module, the one site is changed and
-the tree is written back with ast.unparse into a copy of src/, tests/ and
-pyproject.toml in a temporary directory, where tier-1 runs with -x.  A mutant that the suite
+the tree is written back with ast.unparse into a copy of src/, tests/,
+bench/ (the golden test reads its environment record) and pyproject.toml in
+a temporary directory, where tier-1 runs with -x.  A mutant that the suite
 passes survives.  Survivors listed in tests/mutate_equivalent.json are known
 equivalent mutants, each with the reason it cannot change a result; the
 others are reported as new.  A site's name is its module, enclosing
@@ -128,7 +129,7 @@ def main(argv=None) -> int:
     workdirs = []
     for _ in range(max(1, args.jobs)):
         work = Path(tempfile.mkdtemp(prefix="mutate-"))
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "bench"):
             shutil.copytree(ROOT / part, work / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", work)     # tier-1's options

@@ -17,50 +17,29 @@ environment it runs in (set OPENBLAS_NUM_THREADS to choose the thread key).
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import os
 import shlex
+import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from latticemix import cli
 
 GOLDEN = Path(__file__).with_name("golden.json")
-_OPENBLAS_SYMBOLS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                     "openblas_get_num_threads", "scipy_openblas_get_num_threads")
-
-
-def _blas_threads() -> int | None:
-    """Thread count of the OpenBLAS loaded in this process, or None if none is found."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line and ".so" in line}
-    except OSError:
-        return None
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for symbol in _OPENBLAS_SYMBOLS:
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.restype, fn.argtypes = ctypes.c_int, []
-                return int(fn())
-    return None
+# the benchmark's environment record reads the BLAS build and its thread count
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import envinfo  # noqa: E402
 
 
 def environment() -> dict:
     """This process's key: numpy version, BLAS name and version, OpenBLAS threads."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):
-        blas = {}
-    return {"numpy": np.__version__,
-            "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
-            "threads": _blas_threads()}
+    info = envinfo.process_info()
+    return {"numpy": info["numpy"], "blas": f"{info['blas']['name']} {info['blas']['version']}",
+            "threads": info["blas_threads"]["threads"]}
 
 
 def run_entry(command: str, fmt: str) -> dict:
