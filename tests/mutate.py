@@ -42,29 +42,24 @@ _SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
           ast.Mult: ast.Div, ast.Div: ast.Mult, ast.And: ast.Or, ast.Or: ast.And}
 
 
-def _mutations(node: ast.AST):
-    """(apply, undo) pairs, one per mutation of this node alone."""
-    def swap(owner, field, index=None):
-        old = getattr(owner, field) if index is None else getattr(owner, field)[index]
-        new = _SWAPS[type(old)]()
-
-        def put(value):
-            if index is None:
-                setattr(owner, field, value)
-            else:
-                getattr(owner, field)[index] = value
-        return (lambda: put(new)), (lambda: put(old))
-
+def _mutate(node: ast.AST):
+    """Apply each mutation of this node alone in turn, yielding while it is applied."""
     if isinstance(node, ast.Compare):
-        return [swap(node, "ops", i) for i, op in enumerate(node.ops) if type(op) in _SWAPS]
-    if isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)) and type(node.op) in _SWAPS:
-        return [swap(node, "op")]
-    if (isinstance(node, ast.Constant) and type(node.value) in (int, float)
-            and not isinstance(node.value, bool)):
+        for i, op in enumerate(node.ops):
+            if type(op) in _SWAPS:
+                node.ops[i] = _SWAPS[type(op)]()
+                yield
+                node.ops[i] = op
+    elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)) and type(node.op) in _SWAPS:
+        op = node.op
+        node.op = _SWAPS[type(op)]()
+        yield
+        node.op = op
+    elif isinstance(node, ast.Constant) and type(node.value) in (int, float):   # not bool
         value = node.value
-        return [((lambda: setattr(node, "value", value + 1)),
-                 (lambda: setattr(node, "value", value)))]
-    return []
+        node.value = value + 1
+        yield
+        node.value = value
 
 
 def _scopes(tree: ast.AST):
@@ -90,11 +85,9 @@ def sites(module: str) -> list[tuple[str, str]]:
     out, seen = [], {}
     for node, scope in _scopes(tree):
         before = " ".join((ast.get_source_segment(source, node) or ast.unparse(node)).split())
-        for apply, undo in _mutations(node):
-            apply()
+        for _ in _mutate(node):
             name = f"{module}:{scope}: {before} -> {ast.unparse(node)}"
             mutated = ast.unparse(tree)
-            undo()
             seen[name] = seen.get(name, 0) + 1
             out.append((name if seen[name] == 1 else f"{name} #{seen[name]}", mutated))
     return out
